@@ -86,14 +86,17 @@ type Report struct {
 }
 
 // Phase is the service-side view of one run phase: how the cache
-// responded to the requests this phase issued.
+// responded to the requests this phase issued. Every completed request
+// settles as exactly one of hit, miss or shared build (a request that
+// waited on another's in-flight build).
 type Phase struct {
-	Name        string  `json:"name"`
-	Requests    int     `json:"requests"`
-	CacheHits   uint64  `json:"cache_hits"`
-	CacheMisses uint64  `json:"cache_misses"`
-	HitRate     float64 `json:"hit_rate"`
-	TablesBuilt uint64  `json:"tables_built"`
+	Name              string  `json:"name"`
+	Requests          int     `json:"requests"`
+	CacheHits         uint64  `json:"cache_hits"`
+	CacheMisses       uint64  `json:"cache_misses"`
+	CacheSharedBuilds uint64  `json:"cache_shared_builds"`
+	HitRate           float64 `json:"hit_rate"`
+	TablesBuilt       uint64  `json:"tables_built"`
 }
 
 func run(args []string, out io.Writer) error {
@@ -343,11 +346,12 @@ func phaseDelta(name string, requests int, before, after map[string]float64) Pha
 		return uint64(delta)
 	}
 	ph := Phase{
-		Name:        name,
-		Requests:    requests,
-		CacheHits:   d("cache_hits"),
-		CacheMisses: d("cache_misses"),
-		TablesBuilt: d("tables_built"),
+		Name:              name,
+		Requests:          requests,
+		CacheHits:         d("cache_hits"),
+		CacheMisses:       d("cache_misses"),
+		CacheSharedBuilds: d("cache_shared_builds"),
+		TablesBuilt:       d("tables_built"),
 	}
 	if total := ph.CacheHits + ph.CacheMisses; total > 0 {
 		ph.HitRate = float64(ph.CacheHits) / float64(total)

@@ -168,9 +168,9 @@ func TestRunZipfWarmupReportsPhases(t *testing.T) {
 		t.Fatalf("want [warmup measured] phases, got %+v", rep.Phases)
 	}
 	for _, ph := range rep.Phases {
-		if ph.CacheHits+ph.CacheMisses != uint64(ph.Requests) {
-			t.Fatalf("phase %q: hits %d + misses %d != %d requests",
-				ph.Name, ph.CacheHits, ph.CacheMisses, ph.Requests)
+		if ph.CacheHits+ph.CacheMisses+ph.CacheSharedBuilds != uint64(ph.Requests) {
+			t.Fatalf("phase %q: hits %d + misses %d + shared builds %d != %d requests",
+				ph.Name, ph.CacheHits, ph.CacheMisses, ph.CacheSharedBuilds, ph.Requests)
 		}
 		if ph.HitRate < 0 || ph.HitRate > 1 {
 			t.Fatalf("phase %q: hit rate %v out of range", ph.Name, ph.HitRate)

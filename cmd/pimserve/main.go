@@ -54,8 +54,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pimserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	inflight := fs.Int("inflight", 2*runtime.GOMAXPROCS(0), "max concurrent schedule computations; 0 = unbounded")
-	cacheSize := fs.Int("cache", service.DefaultCacheSize, "residence-table cache entries (both tiers)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "residence-table cache byte budget across the flat hot tier and compressed cold tier; 0 = cache entries x 4 MiB")
+	cacheBytes := fs.Int64("cache-bytes", service.DefaultCacheBytes, "residence-table cache byte budget across the flat hot tier and compressed cold tier, including a fixed per-entry overhead")
 	coldTier := fs.Bool("cold-tier", true, "demote over-budget tables into a compressed cold tier instead of evicting them (false = flat one-tier LRU)")
 	maxTableCells := fs.Int64("max-table-cells", service.DefaultMaxTableCells, "max residence-table cells accepted per trace or shipped table payload")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline; 0 = none")
@@ -84,7 +83,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	cfg := service.Config{
 		MaxInflight:     *inflight,
-		CacheSize:       *cacheSize,
 		CacheBytes:      *cacheBytes,
 		DisableColdTier: !*coldTier,
 		Timeout:         *timeout,
@@ -118,8 +116,8 @@ func serve(ctx context.Context, ln net.Listener, cfg service.Config, drain time.
 	}
 	server := &http.Server{Handler: handler}
 
-	fmt.Fprintf(out, "pimserve: listening on %s (inflight %d, cache %d, cache-bytes %d, cold-tier %v, timeout %v, peer-fill %v)\n",
-		ln.Addr(), cfg.MaxInflight, cfg.CacheSize, cfg.CacheBytes, !cfg.DisableColdTier, cfg.Timeout, cfg.PeerFill != nil)
+	fmt.Fprintf(out, "pimserve: listening on %s (inflight %d, cache-bytes %d, cold-tier %v, timeout %v, peer-fill %v)\n",
+		ln.Addr(), cfg.MaxInflight, cfg.CacheBytes, !cfg.DisableColdTier, cfg.Timeout, cfg.PeerFill != nil)
 
 	var debugServer *http.Server
 	if opts.debugLn != nil {

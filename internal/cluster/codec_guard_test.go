@@ -3,8 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,19 +22,9 @@ import (
 // but over any tight cell budget.
 func evilTableServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		parts := strings.Split(r.URL.Path, "/")
-		fp, err := trace.ParseFingerprint(parts[len(parts)-1])
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		payload := cost.EncodeTable(fp, cost.NewResidenceTable(100, 100, 10))
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(payload)
-	}))
-	t.Cleanup(ts.Close)
-	return ts
+	return tableServer(t, func(fp trace.Fingerprint) []byte {
+		return cost.EncodeTable(fp, cost.NewResidenceTable(100, 100, 10))
+	})
 }
 
 // TestPeerFillRejectsOversizedTablePayload is the GET /table/{fp} adopt
@@ -114,77 +107,115 @@ func TestPrefillRejectsOversizedPeerTable(t *testing.T) {
 	}
 }
 
-// TestPeerFillNegotiatesV2 pins the wire-format negotiation matrix on a
-// real service: no header (or junk) serves pimtab-v1, the negotiation
-// token serves pimtab-v2, and both decode to the same cells — so old
-// and new peers interoperate in either direction.
-func TestPeerFillNegotiatesV2(t *testing.T) {
-	svc := service.New(service.Config{})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	text := clusterTrace(t, 3)
-	if _, err := svc.Schedule(context.Background(), service.Request{Trace: text, Algorithm: "scds"}); err != nil {
-		t.Fatal(err)
+// tableServer answers every GET /table/{fp} with payload(fp).
+func tableServer(t *testing.T, payload func(trace.Fingerprint) []byte) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		parts := strings.Split(r.URL.Path, "/")
+		fp, err := trace.ParseFingerprint(parts[len(parts)-1])
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Write(payload(fp))
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestPeerFillBodyCapFollowsCellBudget: the peer-fill body cap is
+// derived from the cell budget, so a table at the budget in the
+// codec's worst density (every cell a 10-byte varint) is adopted, and a
+// body one byte longer is refused by the cap before it is decoded.
+func TestPeerFillBodyCapFollowsCellBudget(t *testing.T) {
+	// Cells alternate MinInt64 and 0 in flat order; with an odd
+	// processor count the row heads alternate too, so every delta the
+	// codec stores is ±MinInt64, a 10-byte varint.
+	worst := cost.NewResidenceTable(2, 3, 5)
+	for i := range worst.Cells() {
+		if i%2 == 0 {
+			worst.Cells()[i] = math.MinInt64
+		}
 	}
-	tr, err := trace.Decode(bytes.NewReader([]byte(text)))
+	cells := int64(len(worst.Cells()))
+	var junk []byte
+	ts := tableServer(t, func(fp trace.Fingerprint) []byte {
+		return append(cost.EncodeTable(fp, worst), junk...)
+	})
+	var fp trace.Fingerprint
+	fp[0] = 7
+	fill := NewPeerFill(nil, cells)
+	if n := int64(len(cost.EncodeTable(fp, worst))); n != cost.MaxTableBytes(cells) {
+		t.Fatalf("payload is %d bytes; the table is not at worst density", n)
+	}
+
+	table, err := fill(context.Background(), fp, ts.URL)
+	if err != nil {
+		t.Fatalf("worst-density table at the cell budget refused: %v", err)
+	}
+	if !slices.Equal(table.Cells(), worst.Cells()) {
+		t.Fatal("adopted table differs from the served one")
+	}
+
+	junk = []byte{0}
+	_, err = fill(context.Background(), fp, ts.URL)
+	if err == nil {
+		t.Fatal("body one byte over the cap was adopted")
+	}
+	if !strings.Contains(err.Error(), "table body over") {
+		t.Fatalf("error %q: the body reached the decoder instead of being capped", err)
+	}
+}
+
+// pimtabV1 lays a table out in the retired pimtab-v1 format: the same
+// header under a v1 magic, then fixed-width little-endian cells.
+func pimtabV1(fp trace.Fingerprint, table cost.ResidenceTable) []byte {
+	out := append([]byte("pimtab-v1\n"), fp[:]...)
+	for _, dim := range []int{table.NumWindows(), table.NumData(), table.NumProcs()} {
+		out = binary.LittleEndian.AppendUint64(out, uint64(dim))
+	}
+	for _, c := range table.Cells() {
+		out = binary.LittleEndian.AppendUint64(out, uint64(c))
+	}
+	return out
+}
+
+// TestPimtabV1Refused: pimtab-v2 is the only table codec, so a payload
+// in the retired v1 format is refused with the wrong-magic error by
+// both table-accepting paths — session import and peer fill — rather
+// than being decoded as garbage.
+func TestPimtabV1Refused(t *testing.T) {
+	text := clusterTrace(t, 3)
+	tr, err := trace.Decode(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp := tr.Fingerprint()
+	v1 := pimtabV1(fp, cost.NewModel(tr).BuildResidenceTable())
 
-	get := func(codec string) []byte {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, ts.URL+"/table/"+fp.String(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if codec != "" {
-			req.Header.Set(service.TableCodecHeader, codec)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /table with codec %q: status %d", codec, resp.StatusCode)
-		}
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return buf.Bytes()
-	}
-
-	v1 := get("")
-	junk := get("pimtab-v9")
-	v2 := get(cost.TableCodecV2)
-	if !bytes.HasPrefix(v1, []byte("pimtab-v1\n")) || !bytes.HasPrefix(junk, []byte("pimtab-v1\n")) {
-		t.Fatal("unnegotiated GET /table did not serve pimtab-v1")
-	}
-	if !bytes.HasPrefix(v2, []byte("pimtab-v2\n")) {
-		t.Fatal("negotiated GET /table did not serve pimtab-v2")
-	}
-	if len(v2) >= len(v1) {
-		t.Fatalf("v2 payload (%d bytes) not smaller than v1 (%d bytes)", len(v2), len(v1))
-	}
-	fp1, t1, err := cost.DecodeTableAny(v1, 0)
+	src := service.New(service.Config{})
+	defer src.Close()
+	info, err := src.CreateSession(service.CreateSessionRequest{Trace: text, Algorithm: "scds"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp2, t2, err := cost.DecodeTableAny(v2, 0)
+	exp, err := src.ExportSession(info.SessionID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp1 != fp || fp2 != fp {
-		t.Fatal("served payloads carry the wrong fingerprint")
+	if !bytes.HasPrefix(exp.Table, []byte("pimtab-v2\n")) {
+		t.Fatalf("export table payload leads with %q, want pimtab-v2", exp.Table[:10])
 	}
-	c1, c2 := t1.Cells(), t2.Cells()
-	if len(c1) != len(c2) {
-		t.Fatalf("cell counts differ: v1 %d, v2 %d", len(c1), len(c2))
+	dst := service.New(service.Config{})
+	defer dst.Close()
+	exp.Table = v1
+	if _, err := dst.ImportSession(*exp); err == nil || !strings.Contains(err.Error(), "wrong magic") {
+		t.Fatalf("import of a pimtab-v1 table: %v, want a wrong-magic error", err)
 	}
-	for i := range c1 {
-		if c1[i] != c2[i] {
-			t.Fatalf("cell %d differs across codecs: v1 %d, v2 %d", i, c1[i], c2[i])
-		}
+
+	ts := tableServer(t, func(trace.Fingerprint) []byte { return v1 })
+	if _, err := NewPeerFill(nil, 0)(context.Background(), fp, ts.URL); err == nil || !strings.Contains(err.Error(), "wrong magic") {
+		t.Fatalf("peer fill of a pimtab-v1 table: %v, want a wrong-magic error", err)
 	}
 }

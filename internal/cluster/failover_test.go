@@ -86,7 +86,21 @@ func TestClusterReplicatedFailoverNoRebuild(t *testing.T) {
 	// connection error, which the router turns into an ejection plus an
 	// in-request retry on the key's next owner — the replica that
 	// already adopted the table. No request fails, nothing rebuilds.
-	h.backends[0].kill()
+	// Ring placement follows the backends' ephemeral ports, so a fixed
+	// index can own no key at all; kill the shard that served the most
+	// warm-phase requests, which owns at least one.
+	victim := 0
+	var victimRequests uint64
+	for i, b := range h.backends {
+		var served uint64
+		for _, s := range b.stats() {
+			served += s.Requests
+		}
+		if served > victimRequests {
+			victim, victimRequests = i, served
+		}
+	}
+	h.backends[victim].kill()
 	drive("failover")
 	h.router.WaitReplicaFills()
 
@@ -402,7 +416,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestPeerFillStallFallsBackWithinDeadline pins the peer-fill deadline
-// path: a peer that answers GET /table/{fp} with valid pimtab-v1 header
+// path: a peer that answers GET /table/{fp} with valid pimtab-v2 header
 // bytes and then stalls mid-body must cost the builder at most
 // PeerFillTimeout before it falls back to a local build — and the hung
 // connection must not outlive the stall.

@@ -196,7 +196,7 @@ var harnessSpecs = []struct {
 
 func buildReferences(t testing.TB, numTraces int, traceFn func(testing.TB, int) string) map[refKey]refAnswer {
 	t.Helper()
-	single := service.New(service.Config{CacheSize: numTraces + 1})
+	single := service.New(service.Config{}) // the default byte budget holds every reference table
 	defer single.Close()
 	refs := make(map[refKey]refAnswer)
 	for i := 0; i < numTraces; i++ {

@@ -686,7 +686,7 @@ func (rt *Router) peerHintFor(key []byte, owner string) string {
 // maybeFillReplicas pushes the key's table toward its non-primary
 // owners: for each replica that has not been filled yet, an async POST
 // /table/prefill tells it to adopt the table from the shard that just
-// served the request, over the same pimtab-v1 codec peer fill uses.
+// served the request, over the same pimtab-v2 codec peer fill uses.
 // Fills are deduplicated per (backend, fingerprint), forgotten when the
 // backend is ejected (a crash-restarted process lost its cache), and
 // never touch the request counters — they are the router's own

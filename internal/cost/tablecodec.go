@@ -10,137 +10,47 @@ import (
 
 // tableCodecMagic is the version tag leading every encoded residence
 // table. Bumping it invalidates all previously encoded payloads instead
-// of letting an incompatible layout decode into garbage: a peer running
-// an older codec simply fails the fetch and the shard falls back to a
-// local build.
-const tableCodecMagic = "pimtab-v1\n"
+// of letting an incompatible layout decode into garbage: a stale
+// payload fails loudly with a wrong-magic error, and a shard falls back
+// to a local build.
+const tableCodecMagic = "pimtab-v2\n"
 
 // tableCodecHeaderLen is the byte length of the fixed header: magic,
 // the trace fingerprint the table was built from, and the three shape
 // fields as 8-byte little-endian unsigned integers.
 const tableCodecHeaderLen = len(tableCodecMagic) + len(trace.Fingerprint{}) + 3*8
 
-// maxDecodedTableBytes bounds the cell payload DecodeTable will accept
-// (1 GiB of cells), so a corrupt header cannot make a shard attempt a
-// multi-terabyte allocation.
-const maxDecodedTableBytes = 1 << 30
-
-// EncodeTable serializes a residence table into the flat, version-tagged
-// peer-fill wire format:
-//
-//	magic "pimtab-v1\n"
-//	fingerprint            (32 bytes, the trace the table was built from)
-//	numWindows, numData, numProcs  (8-byte little endian each)
-//	cells                  (nw*nd*np int64 values, little endian, in the
-//	                        documented (w*nd+d)*np+c layout)
-//
-// Every field is fixed width and the cell count is fully determined by
-// the header, so DecodeTable can reject truncated or padded payloads
-// exactly. The fingerprint rides inside the payload (not just in the
-// request URL) so a decoder can refuse a table that was built for a
-// different trace even if a proxy or a buggy peer mixed responses up.
-func EncodeTable(fp trace.Fingerprint, t ResidenceTable) []byte {
-	cells := t.Cells()
-	out := make([]byte, 0, tableCodecHeaderLen+8*len(cells))
-	out = append(out, tableCodecMagic...)
-	out = append(out, fp[:]...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(t.nw))
-	out = binary.LittleEndian.AppendUint64(out, uint64(t.nd))
-	out = binary.LittleEndian.AppendUint64(out, uint64(t.np))
-	for _, c := range cells {
-		out = binary.LittleEndian.AppendUint64(out, uint64(c))
-	}
-	return out
-}
-
-// DecodeTable parses a payload produced by EncodeTable, returning the
-// fingerprint it was built for and the reconstructed table. It never
-// panics: a wrong magic, an impossible shape, a truncated cell stream
-// or trailing junk all yield descriptive errors, so a shard can treat
-// any decode failure as a peer-fill miss and build locally.
-//
-// It accepts only pimtab-v1; use DecodeTableAny where a peer may send
-// either version, or where a tighter cell budget than the codec's hard
-// ceiling must hold.
-func DecodeTable(data []byte) (trace.Fingerprint, ResidenceTable, error) {
-	return decodeTableV1(data, MaxTableCodecCells)
-}
-
 // MaxTableCodecCells is the codec's hard cell ceiling (1 GiB of flat
 // cells). Decoders never exceed it even when asked for a larger budget.
-const MaxTableCodecCells = maxDecodedTableBytes / 8
+const MaxTableCodecCells = (1 << 30) / 8
 
-// decodeTableHeader validates the fixed header shared by both codec
-// versions (magic already checked by the caller) and returns the
-// fingerprint, shape, cell count, and the cell stream that follows.
-func decodeTableHeader(magic string, data []byte, maxCells int64) (fp trace.Fingerprint, nw, nd, np int, rest []byte, err error) {
-	if len(data) < tableCodecHeaderLen {
-		return fp, 0, 0, 0, nil, fmt.Errorf("cost: table payload %d bytes, header needs %d", len(data), tableCodecHeaderLen)
-	}
-	if string(data[:len(magic)]) != magic {
-		return fp, 0, 0, 0, nil, fmt.Errorf("cost: table payload has wrong magic %q", data[:len(magic)])
-	}
-	data = data[len(magic):]
-	copy(fp[:], data[:len(fp)])
-	data = data[len(fp):]
-	unw := binary.LittleEndian.Uint64(data[0:])
-	und := binary.LittleEndian.Uint64(data[8:])
-	unp := binary.LittleEndian.Uint64(data[16:])
-	rest = data[24:]
-
-	// Reject shapes that cannot be a real table before multiplying, so
-	// an adversarial header cannot overflow the cell count into a small
-	// allocation that the cell loop then indexes past.
-	const maxDim = math.MaxInt32
-	if unw > maxDim || und > maxDim || unp > maxDim {
-		return fp, 0, 0, 0, nil, fmt.Errorf("cost: table shape %dx%dx%d out of range", unw, und, unp)
-	}
+// clampTableCells maps a caller's cell budget onto the codec's range:
+// <= 0 or over the hard ceiling means the ceiling.
+func clampTableCells(maxCells int64) int64 {
 	if maxCells <= 0 || maxCells > MaxTableCodecCells {
-		maxCells = MaxTableCodecCells
+		return MaxTableCodecCells
 	}
-	if unw*und*unp > uint64(maxCells) {
-		return fp, 0, 0, 0, nil, fmt.Errorf("cost: table shape %dx%dx%d exceeds %d-cell limit", unw, und, unp, maxCells)
-	}
-	return fp, int(unw), int(und), int(unp), rest, nil
+	return maxCells
 }
 
-func decodeTableV1(data []byte, maxCells int64) (trace.Fingerprint, ResidenceTable, error) {
-	fp, nw, nd, np, rest, err := decodeTableHeader(tableCodecMagic, data, maxCells)
-	if err != nil {
-		return fp, ResidenceTable{}, err
-	}
-	cellCount := uint64(nw) * uint64(nd) * uint64(np)
-	if uint64(len(rest)) != 8*cellCount {
-		return fp, ResidenceTable{}, fmt.Errorf("cost: table payload carries %d cell bytes, shape %dx%dx%d needs %d", len(rest), nw, nd, np, 8*cellCount)
-	}
-	t := NewResidenceTable(nw, nd, np)
-	for i := range t.cells {
-		t.cells[i] = int64(binary.LittleEndian.Uint64(rest[8*i:]))
-	}
-	return fp, t, nil
+// MaxTableBytes is the longest payload EncodeTable can produce for a
+// table within the cell budget (clamped like DecodeTable's): the header
+// plus one maximal varint per cell. A reader can refuse any longer body
+// before decoding it.
+func MaxTableBytes(maxCells int64) int64 {
+	return int64(tableCodecHeaderLen) + binary.MaxVarintLen64*clampTableCells(maxCells)
 }
-
-// tableCodecV2Magic tags the compressed residence-table codec. The
-// header layout is identical to v1; only the cell stream differs.
-const tableCodecV2Magic = "pimtab-v2\n"
-
-// TableCodecV2 is the negotiation token clients send in the
-// X-Pim-Table-Codec request header (service.TableCodecHeader) to ask a
-// peer for the compressed codec.
-const TableCodecV2 = "pimtab-v2"
 
 // zigzag folds signed deltas into unsigned varint space: small
 // magnitudes of either sign encode short.
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// EncodeTableV2 serializes a residence table into the compressed
-// pimtab-v2 wire format. The header matches v1 byte for byte except the
-// magic; the cell stream replaces fixed 8-byte cells with zig-zag
-// varint deltas:
+// EncodeTable serializes a residence table into the version-tagged
+// pimtab-v2 format, the one codec tables are shipped and stored in:
 //
 //	magic "pimtab-v2\n"
-//	fingerprint            (32 bytes)
+//	fingerprint            (32 bytes, the trace the table was built from)
 //	numWindows, numData, numProcs  (8-byte little endian each)
 //	cells                  (one uvarint per cell, zig-zag encoded,
 //	                        row-major in the (w*nd+d)*np+c layout)
@@ -148,16 +58,19 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // Within each np-cell row a cell is the delta from the previous cell;
 // each row's first cell is the delta from the previous row's first cell
 // (the very first is absolute). Residence costs vary smoothly along
-// both axes, so paper-shaped tables land well under 8 bytes/cell.
-func EncodeTableV2(fp trace.Fingerprint, t ResidenceTable) []byte {
-	return AppendTableV2(make([]byte, 0, tableCodecHeaderLen+2*t.nw*t.nd*t.np), fp, t)
+// both axes, so paper-shaped tables land well under 8 bytes/cell. The
+// fingerprint rides inside the payload (not just in the request URL) so
+// a decoder can refuse a table that was built for a different trace
+// even if a proxy or a buggy peer mixed responses up.
+func EncodeTable(fp trace.Fingerprint, t ResidenceTable) []byte {
+	return AppendTable(make([]byte, 0, tableCodecHeaderLen+2*t.nw*t.nd*t.np), fp, t)
 }
 
-// AppendTableV2 appends the pimtab-v2 encoding of t to dst and returns
-// the extended slice, so callers with a reusable buffer avoid the
-// allocation EncodeTableV2 makes.
-func AppendTableV2(dst []byte, fp trace.Fingerprint, t ResidenceTable) []byte {
-	dst = append(dst, tableCodecV2Magic...)
+// AppendTable appends the encoding of t to dst and returns the extended
+// slice, so callers with a reusable buffer avoid the allocation
+// EncodeTable makes.
+func AppendTable(dst []byte, fp trace.Fingerprint, t ResidenceTable) []byte {
+	dst = append(dst, tableCodecMagic...)
 	dst = append(dst, fp[:]...)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(t.nw))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(t.nd))
@@ -177,21 +90,45 @@ func AppendTableV2(dst []byte, fp trace.Fingerprint, t ResidenceTable) []byte {
 	return dst
 }
 
-// DecodeTableV2 parses a pimtab-v2 payload under the codec's hard cell
-// ceiling. Like DecodeTable it never panics and yields descriptive
-// errors for wrong magic, impossible shapes, truncated cell streams,
-// and trailing junk.
-func DecodeTableV2(data []byte) (trace.Fingerprint, ResidenceTable, error) {
-	return decodeTableV2(data, MaxTableCodecCells)
-}
-
-func decodeTableV2(data []byte, maxCells int64) (trace.Fingerprint, ResidenceTable, error) {
-	fp, nw, nd, np, rest, err := decodeTableHeader(tableCodecV2Magic, data, maxCells)
-	if err != nil {
-		return fp, ResidenceTable{}, err
+// DecodeTable parses a payload produced by EncodeTable under a cell
+// budget (service.Config.MaxTableCells on every table-accepting path;
+// <= 0 falls back to the codec's hard ceiling), returning the
+// fingerprint it was built for and the reconstructed table. A shape
+// exceeding the budget is rejected at the header, before any
+// allocation, so a shipped table cannot commit a shard to memory its
+// own trace guards would refuse. It never panics: a wrong magic, an
+// impossible shape, a truncated cell stream or trailing junk all yield
+// descriptive errors.
+func DecodeTable(data []byte, maxCells int64) (trace.Fingerprint, ResidenceTable, error) {
+	var fp trace.Fingerprint
+	if len(data) < tableCodecHeaderLen {
+		return fp, ResidenceTable{}, fmt.Errorf("cost: table payload %d bytes, header needs %d", len(data), tableCodecHeaderLen)
 	}
-	t := NewResidenceTable(nw, nd, np)
-	cells := t.cells
+	if string(data[:len(tableCodecMagic)]) != tableCodecMagic {
+		return fp, ResidenceTable{}, fmt.Errorf("cost: table payload has wrong magic %q", data[:len(tableCodecMagic)])
+	}
+	data = data[len(tableCodecMagic):]
+	copy(fp[:], data[:len(fp)])
+	data = data[len(fp):]
+	unw := binary.LittleEndian.Uint64(data[0:])
+	und := binary.LittleEndian.Uint64(data[8:])
+	unp := binary.LittleEndian.Uint64(data[16:])
+	rest := data[24:]
+
+	// Reject shapes that cannot be a real table before multiplying, so
+	// an adversarial header cannot overflow the cell count into a small
+	// allocation that the cell loop then indexes past.
+	const maxDim = math.MaxInt32
+	if unw > maxDim || und > maxDim || unp > maxDim {
+		return fp, ResidenceTable{}, fmt.Errorf("cost: table shape %dx%dx%d out of range", unw, und, unp)
+	}
+	maxCells = clampTableCells(maxCells)
+	if unw*und*unp > uint64(maxCells) {
+		return fp, ResidenceTable{}, fmt.Errorf("cost: table shape %dx%dx%d exceeds %d-cell limit", unw, und, unp, maxCells)
+	}
+
+	t := NewResidenceTable(int(unw), int(und), int(unp))
+	cells, np := t.cells, t.np
 	var rowHead int64
 	for base := 0; base < len(cells); base += np {
 		prev := rowHead
@@ -214,16 +151,14 @@ func decodeTableV2(data []byte, maxCells int64) (trace.Fingerprint, ResidenceTab
 	return fp, t, nil
 }
 
-// DecodeTableAny parses a residence table in either codec version,
-// dispatching on the magic, under a caller-supplied cell budget
-// (service.Config.MaxTableCells on every table-accepting path; <= 0
-// falls back to the codec's hard ceiling). A shape exceeding the budget
-// is rejected before any allocation, closing the asymmetry where a
-// shipped table could commit a shard to memory its own trace guards
-// would refuse.
-func DecodeTableAny(data []byte, maxCells int64) (trace.Fingerprint, ResidenceTable, error) {
-	if len(data) >= len(tableCodecV2Magic) && string(data[:len(tableCodecV2Magic)]) == tableCodecV2Magic {
-		return decodeTableV2(data, maxCells)
+// CheckShape reports whether t has the windows x data x processors
+// shape tr implies. It is the one adoption check every path that takes
+// a table it did not build from tr itself — peer fill, replica prefill,
+// cold-tier promotion, session restore — runs before using it.
+func (t ResidenceTable) CheckShape(tr *trace.Trace) error {
+	if t.nw != tr.NumWindows() || t.nd != tr.NumData || t.np != tr.Grid.NumProcs() {
+		return fmt.Errorf("table shape %dx%dx%d does not match trace %dx%dx%d",
+			t.nw, t.nd, t.np, tr.NumWindows(), tr.NumData, tr.Grid.NumProcs())
 	}
-	return decodeTableV1(data, maxCells)
+	return nil
 }

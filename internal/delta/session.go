@@ -125,17 +125,14 @@ func NewSession(t *trace.Trace, scheduler sched.Scheduler, capacity int, opts Op
 // table is adopted, not rebuilt — migration is a transfer — and the
 // caller hands over ownership of it. Its shape must match the trace;
 // content integrity is the caller's concern (the service layer pins it
-// to the exported fingerprint through the pimtab-v1 echo). Per-item DP
+// to the exported fingerprint the table payload echoes). Per-item DP
 // state starts fully dirty, so the first Schedule call re-solves every
 // item from the adopted table; results are bit-identical to the
 // originating session because the DP is a pure function of the table.
 func RestoreSession(t *trace.Trace, scheduler sched.Scheduler, capacity int, seq uint64, table cost.ResidenceTable, opts Options) (*Session, error) {
 	if t != nil {
-		if table.NumWindows() != len(t.Windows) || table.NumData() != t.NumData ||
-			table.NumProcs() != t.Grid.NumProcs() {
-			return nil, fmt.Errorf("delta: restored table shape %dx%dx%d does not match trace %dx%dx%d",
-				table.NumWindows(), table.NumData(), table.NumProcs(),
-				len(t.Windows), t.NumData, t.Grid.NumProcs())
+		if err := table.CheckShape(t); err != nil {
+			return nil, fmt.Errorf("delta: restored %v", err)
 		}
 	}
 	return newSession(t, scheduler, capacity, seq, &table, opts)

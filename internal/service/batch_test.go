@@ -168,7 +168,7 @@ func TestScheduleBatchPerItemError(t *testing.T) {
 
 // TestTableGetServesCodecPayload covers the peer-fill read side: a
 // cached table round-trips through GET /table/{fingerprint} in the
-// flat codec; absent and malformed fingerprints are clean errors.
+// pimtab-v2 codec; absent and malformed fingerprints are clean errors.
 func TestTableGetServesCodecPayload(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
@@ -199,7 +199,7 @@ func TestTableGetServesCodecPayload(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("GET cached table: status %d: %s", status, payload)
 	}
-	fp, table, err := cost.DecodeTable(payload)
+	fp, table, err := cost.DecodeTable(payload, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func peerFillVia(client *http.Client) PeerFillFunc {
 		if err != nil {
 			return cost.ResidenceTable{}, err
 		}
-		gotFP, table, err := cost.DecodeTable(data)
+		gotFP, table, err := cost.DecodeTable(data, 0)
 		if err != nil {
 			return cost.ResidenceTable{}, err
 		}

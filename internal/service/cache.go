@@ -77,13 +77,23 @@ type cacheNode struct {
 	el    *list.Element // position in hot (building/hot/promoting) or cold
 	entry *cacheEntry   // nil when cold
 	comp  []byte        // pimtab-v2 payload; set when cold or promoting
-	bytes int64         // accounted size of the current representation
+	bytes int64         // accounted size: cacheNodeOverhead + representation
 }
 
-// flatTableBytes is the accounted size of a hot-tier table: the cell
-// backing only. The cost model alongside it is deliberately excluded —
-// it is rebuilt from the trace on promotion, not stored cold, and
-// counting it would make the budget depend on model internals.
+// cacheNodeOverhead is charged to every node on top of its table
+// representation: the heap footprint of the cacheNode, its list
+// element, its map slot, and the cacheEntry with its ready channel,
+// rounded up from the measurement TestCacheNodeOverheadCoversFootprint
+// pins. Charging it lets the byte budget bound the number of nodes as
+// well: a trace with no windows has a 0-cell table, which would
+// otherwise cost nothing, so any number of them could pile up.
+const cacheNodeOverhead = 512
+
+// flatTableBytes is the size of a hot-tier table's representation: the
+// cell backing only. The cost model alongside it is deliberately
+// excluded — it is rebuilt from the trace on promotion, not stored
+// cold, and counting it would make the budget depend on model
+// internals.
 func flatTableBytes(t cost.ResidenceTable) int64 {
 	return 8 * int64(len(t.Cells()))
 }
@@ -145,16 +155,14 @@ func (s *freqSketch) estimate(fp trace.Fingerprint) uint8 {
 // promotion: exactly one request decodes a cold table, and concurrent
 // requests for it wait on the entry like any in-flight build.
 //
-// Two independent bounds apply, enforced when a table is published or
-// adopted (never at acquire — an in-flight build must stay findable, so
-// building entries can transiently overshoot, bounded by MaxInflight):
-//
-//   - maxEntries counts fingerprints across both tiers and evicts
-//     outright from the least-recently-used end (cold tail first).
-//   - maxBytes bounds the summed representation sizes. Over budget, hot
-//     tables are demoted — re-encoded into the compressed pimtab-v2
-//     codec and kept resident — before anything is evicted; only when
-//     no hot table remains demotable does the cold tail go.
+// One bound applies: maxBytes caps the summed node sizes (each node's
+// representation plus cacheNodeOverhead), enforced when a table is
+// published or adopted (never at acquire — an in-flight build must stay
+// findable, so building entries can transiently overshoot, bounded by
+// MaxInflight). Over budget, hot tables are demoted — re-encoded into
+// the compressed pimtab-v2 codec and kept resident — before anything is
+// evicted; only when no hot table remains demotable does the cold tail
+// go.
 //
 // Eviction (not demotion) consults the admission sketch: when the
 // victim's estimated frequency strictly exceeds the newcomer's, the
@@ -166,15 +174,14 @@ func (s *freqSketch) estimate(fp trace.Fingerprint) uint8 {
 // and its waiters hold the *cacheEntry directly, so the build completes
 // and serves them; only future requests re-miss.
 type tableCache struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
-	coldTier   bool // false = flat one-tier LRU (demotion disabled)
-	hot        *list.List
-	cold       *list.List // front = most recently used; values are *cacheNode
-	items      map[trace.Fingerprint]*cacheNode
-	bytes      int64
-	sketch     freqSketch
+	mu       sync.Mutex
+	maxBytes int64
+	coldTier bool // false = flat one-tier LRU (demotion disabled)
+	hot      *list.List
+	cold     *list.List // front = most recently used; values are *cacheNode
+	items    map[trace.Fingerprint]*cacheNode
+	bytes    int64
+	sketch   freqSketch
 
 	hits, misses, sharedBuilds, evictions   uint64
 	demotions, promotions, admissionRejects uint64
@@ -190,24 +197,19 @@ type cacheStats struct {
 
 func (st cacheStats) entries() int { return st.hotEntries + st.coldEntries }
 
-func newTableCache(maxEntries int, maxBytes int64, coldTier bool) *tableCache {
-	// A capacity below one would let enforcement evict the entry just
-	// published, silently degrading singleflight to build-per-request;
-	// clamp so the newest entry always survives. The byte budget needs
-	// no clamp — enforcement never removes the newest node.
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
+func newTableCache(maxBytes int64, coldTier bool) *tableCache {
+	// Even a budget smaller than one node keeps the newest entry:
+	// enforcement never removes the node whose insertion triggered it,
+	// so singleflight survives a degenerate budget.
 	if maxBytes < 1 {
 		maxBytes = 1
 	}
 	return &tableCache{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		coldTier:   coldTier,
-		hot:        list.New(),
-		cold:       list.New(),
-		items:      make(map[trace.Fingerprint]*cacheNode),
+		maxBytes: maxBytes,
+		coldTier: coldTier,
+		hot:      list.New(),
+		cold:     list.New(),
+		items:    make(map[trace.Fingerprint]*cacheNode),
 	}
 }
 
@@ -248,9 +250,10 @@ func (c *tableCache) acquire(fp trace.Fingerprint) (entry *cacheEntry, role cach
 	}
 	c.misses++
 	e := &cacheEntry{fp: fp, ready: make(chan struct{})}
-	n := &cacheNode{fp: fp, state: tierBuilding, entry: e}
+	n := &cacheNode{fp: fp, state: tierBuilding, entry: e, bytes: cacheNodeOverhead}
 	n.el = c.hot.PushFront(n)
 	c.items[fp] = n
+	c.bytes += n.bytes
 	return e, cacheRoleBuilder, nil
 }
 
@@ -280,21 +283,18 @@ func (c *tableCache) resident(fp trace.Fingerprint) bool {
 	return true
 }
 
-// encodedTable returns the wire encoding of fp's cached table for the
-// peer-fill read side (GET /table/{fingerprint}), in pimtab-v2 when the
-// peer negotiated it, else pimtab-v1. A fingerprint that is absent or
-// still being built reports false: a fill request is always answered in
-// bounded time, never blocked on an in-flight build. A cold hit serves
-// the stored compressed payload directly to v2 peers — the negotiation
-// exists precisely so cluster fill traffic rides the cold tier for
-// free. Like resident, it refreshes recency (a table a peer wants is a
-// table worth keeping) but counts neither hit nor miss.
-func (c *tableCache) encodedTable(fp trace.Fingerprint, wantV2 bool) ([]byte, bool) {
+// encodedTable returns the pimtab-v2 encoding of fp's cached table for
+// the peer-fill read side (GET /table/{fingerprint}). A fingerprint
+// that is absent or still being built reports false: a fill request is
+// always answered in bounded time, never blocked on an in-flight build.
+// A cold entry serves its stored payload as is; a hot one is encoded on
+// the spot. Like resident, it refreshes recency (a table a peer wants
+// is a table worth keeping) but counts neither hit nor miss.
+func (c *tableCache) encodedTable(fp trace.Fingerprint) ([]byte, bool) {
 	c.mu.Lock()
 	var entry *cacheEntry
 	var comp []byte
-	n, ok := c.items[fp]
-	if ok {
+	if n, ok := c.items[fp]; ok {
 		switch n.state {
 		case tierHot:
 			entry = n.entry
@@ -306,21 +306,10 @@ func (c *tableCache) encodedTable(fp trace.Fingerprint, wantV2 bool) ([]byte, bo
 	}
 	c.mu.Unlock()
 	switch {
-	case entry != nil && wantV2:
-		return cost.EncodeTableV2(fp, entry.table), true
+	case comp != nil:
+		return comp, true
 	case entry != nil:
 		return cost.EncodeTable(fp, entry.table), true
-	case comp != nil && wantV2:
-		return comp, true
-	case comp != nil:
-		// A pre-v2 peer asked for a cold table: transcode. Rare — only
-		// mixed-version fleets hit it — and still cheaper than a 404
-		// that forces the peer to rebuild.
-		_, t, err := cost.DecodeTableAny(comp, 0)
-		if err != nil {
-			return nil, false
-		}
-		return cost.EncodeTable(fp, t), true
 	}
 	return nil, false
 }
@@ -345,7 +334,7 @@ func (c *tableCache) adopt(fp trace.Fingerprint, m *cost.Model, t cost.Residence
 	c.sketch.bump(fp)
 	e := &cacheEntry{fp: fp, ready: make(chan struct{}), model: m, table: t}
 	close(e.ready)
-	n := &cacheNode{fp: fp, state: tierHot, entry: e, bytes: flatTableBytes(t)}
+	n := &cacheNode{fp: fp, state: tierHot, entry: e, bytes: cacheNodeOverhead + flatTableBytes(t)}
 	n.el = c.hot.PushFront(n)
 	c.items[fp] = n
 	c.bytes += n.bytes
@@ -386,29 +375,21 @@ func (c *tableCache) publish(e *cacheEntry, m *cost.Model, t cost.ResidenceTable
 		// served; the cache simply never accounts this table.
 		return
 	}
-	c.bytes += flatTableBytes(t) - n.bytes
-	n.bytes = flatTableBytes(t)
+	size := cacheNodeOverhead + flatTableBytes(t)
+	c.bytes += size - n.bytes
+	n.bytes = size
 	n.state = tierHot
 	n.comp = nil
 	c.hot.MoveToFront(n.el)
 	c.enforce(n)
 }
 
-// enforce brings the cache back under both bounds, treating newest — the
-// node just published or adopted — as undroppable, so enforcement can
-// never remove the entry whose insertion triggered it. Called with c.mu
-// held.
+// enforce brings the cache back under its byte budget, treating newest
+// — the node just published or adopted — as undroppable, so enforcement
+// can never remove the entry whose insertion triggered it: hot tables
+// are demoted into the cold tier while any remain, then the cold tail
+// is evicted. Called with c.mu held.
 func (c *tableCache) enforce(newest *cacheNode) {
-	// Entry cap first: it is a hard count, so only eviction helps.
-	for c.hot.Len()+c.cold.Len() > c.maxEntries {
-		evicted, still := c.pressureEvict(newest)
-		if !evicted {
-			break
-		}
-		newest = still
-	}
-	// Byte budget: demote hot tables into the cold tier while any
-	// remain, then evict from the cold tail.
 	for c.bytes > c.maxBytes {
 		if c.coldTier {
 			if v := c.demoteVictim(newest); v != nil {
@@ -440,18 +421,19 @@ func (c *tableCache) demoteVictim(newest *cacheNode) *cacheNode {
 // cells and the cost model (the model is rebuilt from the trace on
 // promotion — it is about as large as the table itself, so keeping it
 // would defeat the compression). A table whose compressed form is not
-// actually smaller (tiny tables, where the 66-byte header dominates) is
-// evicted instead: keeping it cold would grow the cache. Called with
-// c.mu held.
+// actually smaller than its flat cells (tiny tables, where the 66-byte
+// header dominates) is evicted instead: keeping it cold would grow the
+// cache. Called with c.mu held.
 func (c *tableCache) demote(v *cacheNode) {
-	comp := cost.EncodeTableV2(v.fp, v.entry.table)
-	if int64(len(comp)) >= v.bytes {
+	comp := cost.EncodeTable(v.fp, v.entry.table)
+	if int64(len(comp)) >= flatTableBytes(v.entry.table) {
 		c.remove(v)
 		c.evictions++
 		return
 	}
-	c.bytes += int64(len(comp)) - v.bytes
-	v.bytes = int64(len(comp))
+	size := cacheNodeOverhead + int64(len(comp))
+	c.bytes += size - v.bytes
+	v.bytes = size
 	v.comp = comp
 	v.entry = nil
 	v.state = tierCold

@@ -2,6 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/cost"
@@ -16,18 +20,14 @@ func fpN(n byte) trace.Fingerprint {
 	return fp
 }
 
-// testCacheBytes is a byte budget high enough that entry-count tests
-// never trip byte pressure.
-const testCacheBytes = 1 << 30
-
-// Regression test: a tableCache constructed with max <= 1 must still
-// singleflight. Before the guard, newTableCache(0, ...) accepted the
-// bogus capacity and acquire evicted the entry it had just inserted, so
-// every request — even over a trace just seen — re-elected a builder
-// and the cache silently degraded to build-per-request.
+// Regression test: a tableCache whose budget is below one node must
+// still singleflight. Before the guard, a degenerate capacity let
+// acquire evict the entry it had just inserted, so every request — even
+// over a trace just seen — re-elected a builder and the cache silently
+// degraded to build-per-request.
 func TestTableCacheTinyCapacitySingleflights(t *testing.T) {
-	for _, max := range []int{0, 1} {
-		c := newTableCache(max, testCacheBytes, true)
+	for _, max := range []int64{0, 1} {
+		c := newTableCache(max, true)
 		e, role, _ := c.acquire(fpN(1))
 		if role != cacheRoleBuilder {
 			t.Fatalf("max=%d: first acquire did not elect a builder", max)
@@ -56,9 +56,9 @@ func TestTableCacheTinyCapacitySingleflights(t *testing.T) {
 // trace must build exactly one residence table (tables_built ==
 // distinct traces) even when the cache capacity is degenerate.
 func TestTinyCacheTablesBuiltEqualsDistinctTraces(t *testing.T) {
-	for _, max := range []int{0, 1} {
+	for _, max := range []int64{0, 1} {
 		svc := New(Config{})
-		svc.cache = newTableCache(max, testCacheBytes, true) // bypass Config's default clamp
+		svc.cache = newTableCache(max, true) // bypass Config's default for <= 0
 		text := traceText(t, "lu", 4, grid.Square(2))
 		for i := 0; i < 4; i++ {
 			if _, err := svc.Schedule(context.Background(), Request{Trace: text, Algorithm: "scds"}); err != nil {
@@ -73,10 +73,10 @@ func TestTinyCacheTablesBuiltEqualsDistinctTraces(t *testing.T) {
 }
 
 // Eviction must never remove the entry acquire just inserted, even
-// under interleaved fingerprints at capacity 1: the newest entry is the
-// one the caller is about to build.
+// under interleaved fingerprints at a 1-byte budget: the newest entry
+// is the one the caller is about to build.
 func TestTableCacheNeverEvictsJustInserted(t *testing.T) {
-	c := newTableCache(1, testCacheBytes, true)
+	c := newTableCache(1, true)
 	for n := byte(1); n <= 4; n++ {
 		e, role, _ := c.acquire(fpN(n))
 		if role != cacheRoleBuilder {
@@ -113,8 +113,9 @@ func buildInto(t *testing.T, c *tableCache, fp trace.Fingerprint, nw, nd, np int
 // compressed payload back out.
 func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 	// Each 8x8x8 table is 4096 flat bytes; a 6000-byte budget fits one
-	// flat table plus a compressed one, but never two flat.
-	c := newTableCache(16, 6000, true)
+	// flat table plus a compressed one (with both nodes' overhead), but
+	// never two flat.
+	c := newTableCache(6000, true)
 	buildInto(t, c, fpN(1), 8, 8, 8)
 	buildInto(t, c, fpN(2), 8, 8, 8)
 
@@ -136,7 +137,7 @@ func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 	if len(comp) == 0 {
 		t.Fatal("promoter received no compressed payload")
 	}
-	gotFP, table, err := cost.DecodeTableAny(comp, 0)
+	gotFP, table, err := cost.DecodeTable(comp, 0)
 	if err != nil {
 		t.Fatalf("cold payload does not decode: %v", err)
 	}
@@ -170,7 +171,7 @@ func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 // With the cold tier disabled the same pressure evicts outright: the
 // ablation knob really does restore the flat one-tier LRU.
 func TestTableCacheColdTierDisabledEvicts(t *testing.T) {
-	c := newTableCache(16, 6000, false)
+	c := newTableCache(6000, false)
 	buildInto(t, c, fpN(1), 8, 8, 8)
 	buildInto(t, c, fpN(2), 8, 8, 8)
 	cs := c.counters()
@@ -186,7 +187,7 @@ func TestTableCacheColdTierDisabledEvicts(t *testing.T) {
 // A table too small to shrink under the v2 header is evicted rather
 // than demoted: "demoting" it would grow the cache.
 func TestTableCacheTinyTableEvictsInsteadOfDemoting(t *testing.T) {
-	c := newTableCache(16, 20, true)
+	c := newTableCache(20, true)
 	buildInto(t, c, fpN(1), 1, 1, 2) // 16 flat bytes; v2 payload is 66+ bytes
 	buildInto(t, c, fpN(2), 1, 1, 2)
 	cs := c.counters()
@@ -199,7 +200,7 @@ func TestTableCacheTinyTableEvictsInsteadOfDemoting(t *testing.T) {
 // hotter than the newcomer, the newcomer is rejected instead — a scan
 // of one-shot fingerprints must not flush a hot working set.
 func TestTableCacheAdmissionprotectsHotVictim(t *testing.T) {
-	c := newTableCache(16, 6000, false) // flat mode isolates admission from demotion
+	c := newTableCache(6000, false) // flat mode isolates admission from demotion
 	buildInto(t, c, fpN(1), 8, 8, 8)
 	// Make fp1 provably hot.
 	for i := 0; i < 5; i++ {
@@ -244,13 +245,13 @@ func TestTableCacheAdmissionprotectsHotVictim(t *testing.T) {
 // equals the sum of resident node sizes and every resident node is in
 // exactly one tier list.
 func TestTableCacheByteAccountingConsistent(t *testing.T) {
-	c := newTableCache(8, 10000, true)
+	c := newTableCache(10000, true)
 	for n := byte(1); n <= 12; n++ {
 		buildInto(t, c, fpN(n), 8, int(n), 8)
 	}
 	for _, n := range []byte{3, 7, 11, 2, 12} {
 		if e, role, comp := c.acquire(fpN(n)); role == cacheRolePromoter {
-			_, table, err := cost.DecodeTableAny(comp, 0)
+			_, table, err := cost.DecodeTable(comp, 0)
 			if err != nil {
 				t.Fatalf("fingerprint %d: cold payload corrupt: %v", n, err)
 			}
@@ -275,5 +276,61 @@ func TestTableCacheByteAccountingConsistent(t *testing.T) {
 	}
 	if c.bytes > 10000 {
 		t.Fatalf("cache bytes %d exceed the budget", c.bytes)
+	}
+}
+
+// cacheNodeOverhead must cover what a node really costs on the heap, or
+// the byte budget undercounts exactly the entries it exists to bound.
+// The footprint is measured as live-heap growth per published node (a
+// 0-cell table, so only the bookkeeping remains), taking the least of
+// three runs to shed background allocation noise.
+func TestCacheNodeOverheadCoversFootprint(t *testing.T) {
+	const nodes = 4096
+	perNode := math.Inf(1)
+	for run := 0; run < 3; run++ {
+		c := newTableCache(1<<40, true)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < nodes; i++ {
+			var fp trace.Fingerprint
+			binary.LittleEndian.PutUint64(fp[:], uint64(i)*0x9e3779b97f4a7c15)
+			e, _, _ := c.acquire(fp)
+			c.publish(e, nil, cost.ResidenceTable{})
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		perNode = min(perNode, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/nodes)
+	}
+	if perNode > cacheNodeOverhead {
+		t.Fatalf("a cache node occupies %.0f heap bytes, cacheNodeOverhead charges only %d", perNode, cacheNodeOverhead)
+	}
+	t.Logf("measured %.0f B/node, charged %d", perNode, cacheNodeOverhead)
+}
+
+// Regression test: a trace with no windows is valid (FORMATS.md) and
+// has a 0-cell table. When the byte budget counted only cells, such
+// entries cost nothing and only the old entry cap bounded how many
+// accumulated; with the per-node overhead the budget alone bounds them.
+func TestZeroCellTablesBoundedByBytes(t *testing.T) {
+	const budget = 16 * cacheNodeOverhead
+	svc := New(Config{CacheBytes: budget})
+	defer svc.Close()
+	for k := 1; k <= 2000; k++ {
+		text := fmt.Sprintf("pimtrace v1\ngrid 2 2\ndata %d\n", k)
+		if _, err := svc.Schedule(context.Background(), Request{Trace: text, Algorithm: "scds"}); err != nil {
+			t.Fatalf("trace %d: %v", k, err)
+		}
+	}
+	st := svc.Stats()
+	if st.TablesBuilt != 2000 {
+		t.Fatalf("tables_built = %d, want one per distinct trace", st.TablesBuilt)
+	}
+	if st.CacheEntries > budget/cacheNodeOverhead {
+		t.Fatalf("%d cache entries under a %d-byte budget, want at most %d", st.CacheEntries, budget, budget/cacheNodeOverhead)
+	}
+	if st.CacheBytes > budget {
+		t.Fatalf("cache holds %d bytes, budget %d", st.CacheBytes, budget)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/cost"
 	"repro/internal/delta"
 	"repro/internal/trace"
 )
@@ -87,13 +86,6 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // locally. Its value is the peer's base URL.
 const PeerHintHeader = "X-Pim-Peer"
 
-// TableCodecHeader names the request header a peer sends on GET
-// /table/{fingerprint} to negotiate the table codec version. Absent or
-// unrecognized means pimtab-v1 (every decoder this fleet ever shipped
-// reads it); the value cost.TableCodecV2 asks for the compressed codec,
-// which a cold-tier table serves without recompression.
-const TableCodecHeader = "X-Pim-Table-Codec"
-
 // scheduleError maps a Schedule/ScheduleBatch error onto its status.
 func (s *Service) scheduleError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
@@ -132,9 +124,8 @@ func (s *Service) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	sp.End()
 }
 
-// handleTableGet serves a cached residence table in the version-tagged
-// codec the peer negotiated via TableCodecHeader (flat pimtab-v1 by
-// default), the read side of peer cache-fill. A fingerprint that is not
+// handleTableGet serves a cached residence table in the pimtab-v2
+// codec, the read side of peer cache-fill. A fingerprint that is not
 // resident — never seen, evicted, or still being built — is a 404: the
 // peer treats any non-200 as a miss and builds locally, so this
 // endpoint never blocks on an in-flight build.
@@ -144,8 +135,7 @@ func (s *Service) handleTableGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	wantV2 := strings.Contains(r.Header.Get(TableCodecHeader), cost.TableCodecV2)
-	payload, ok := s.cache.encodedTable(fp, wantV2)
+	payload, ok := s.cache.encodedTable(fp)
 	if !ok {
 		httpError(w, http.StatusNotFound, "table not cached: "+fp.String())
 		return

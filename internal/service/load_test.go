@@ -60,7 +60,7 @@ func TestLoadConcurrentClients(t *testing.T) {
 	}
 	distinctTraces := 5 // six cases, two share a trace
 
-	svc := New(Config{MaxInflight: 2 * clients, CacheSize: 32})
+	svc := New(Config{MaxInflight: 2 * clients, CacheBytes: 32 << 20})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 

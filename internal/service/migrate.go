@@ -15,9 +15,8 @@ import (
 // that ImportSession on another shard resumes it bit-identically: the
 // materialized current trace (pimtrace v1 text), the head of the
 // chained fingerprint sequence, the applied-delta count, and the
-// session's patched residence table in the compressed pimtab-v2 binary
-// codec (base64 under encoding/json; importers accept v1 payloads too,
-// so exports from pre-v2 shards still resume here). The table is the
+// session's patched residence table in the pimtab-v2 binary codec
+// (base64 under encoding/json). The table is the
 // expensive part — it carries every delta's incremental patch, so the
 // importer re-solves from it instead of rebuilding windows x data x
 // processors cells.
@@ -57,7 +56,7 @@ func (s *Service) ExportSession(id string) (*SessionExport, error) {
 			Seq:         e.sess.Seq(),
 			Fingerprint: fp.String(),
 			Trace:       buf.String(),
-			Table:       cost.EncodeTableV2(fp, e.sess.Table()),
+			Table:       cost.EncodeTable(fp, e.sess.Table()),
 		}
 		return nil
 	}); err != nil {
@@ -101,7 +100,7 @@ func (s *Service) ImportSession(exp SessionExport) (*SessionInfo, error) {
 	// guard enforces: the trace cross-check alone runs only after this
 	// decode, so without the budget a crafted payload header could
 	// commit the shard to an allocation its own guards would refuse.
-	tableFP, table, err := cost.DecodeTableAny(exp.Table, s.cfg.maxTableCells())
+	tableFP, table, err := cost.DecodeTable(exp.Table, s.cfg.maxTableCells())
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}

@@ -68,17 +68,9 @@ func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 		return nil // already resident (either tier); nothing to transfer
 	}
 
-	fetchCtx, cancel := context.WithTimeout(context.Background(), s.cfg.peerFillTimeout())
-	defer cancel()
-	table, err := s.cfg.PeerFill(fetchCtx, fp, req.PeerHint)
+	table, err := s.peerTable(fp, tr, req.PeerHint)
 	if err != nil {
-		return fmt.Errorf("service: prefill fetch from %s: %w", req.PeerHint, err)
-	}
-	if table.NumWindows() != tr.NumWindows() || table.NumData() != tr.NumData ||
-		table.NumProcs() != tr.Grid.NumProcs() {
-		return fmt.Errorf("service: prefill table shape %dx%dx%d does not match trace %dx%dx%d",
-			table.NumWindows(), table.NumData(), table.NumProcs(),
-			tr.NumWindows(), tr.NumData, tr.Grid.NumProcs())
+		return fmt.Errorf("service: prefill from %s: %w", req.PeerHint, err)
 	}
 	m := cost.NewModel(tr)
 	m.Stages = s.stages

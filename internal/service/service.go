@@ -45,19 +45,16 @@ import (
 
 // Defaults for Config fields left zero.
 const (
-	DefaultCacheSize    = 64
 	DefaultMaxBodyBytes = 32 << 20
 
-	// DefaultMaxTableCells matches the codec's 1 GiB payload ceiling
-	// (cost.DecodeTable), so any table a shard will build is also one a
-	// peer can ship.
-	DefaultMaxTableCells = 128 << 20
+	// DefaultMaxTableCells matches the codec's hard cell ceiling
+	// (cost.MaxTableCodecCells), so any table a shard will build is also
+	// one a peer can ship.
+	DefaultMaxTableCells = cost.MaxTableCodecCells
 
-	// DefaultTableBytes is the per-table allowance used to derive the
-	// byte budget when Config.CacheBytes is unset: CacheSize tables of
-	// this size keep the default deployment's memory ceiling in the same
-	// regime the entry-capped cache had.
-	DefaultTableBytes = 4 << 20
+	// DefaultCacheBytes is the table cache's byte budget when
+	// Config.CacheBytes is unset.
+	DefaultCacheBytes = 256 << 20
 )
 
 // ErrOverloaded is returned when MaxInflight computations are already
@@ -81,7 +78,7 @@ func badRequest(format string, args ...any) error {
 }
 
 // Config tunes a Service. The zero value is usable: unbounded
-// concurrency, no server-side deadline, DefaultCacheSize cache entries
+// concurrency, no server-side deadline, a DefaultCacheBytes table cache
 // and DefaultMaxBodyBytes request bodies.
 type Config struct {
 	// MaxInflight bounds concurrent schedule computations (table builds
@@ -89,16 +86,12 @@ type Config struct {
 	// shed with ErrOverloaded, never queued.
 	MaxInflight int
 
-	// CacheSize is the number of {model, residence table} entries the
-	// fingerprint-keyed LRU holds across both tiers; <= 0 means
-	// DefaultCacheSize. Entries over the cap are evicted outright.
-	CacheSize int
-
-	// CacheBytes bounds the summed bytes of cached residence tables:
-	// flat cells in the hot tier, compressed pimtab-v2 payloads in the
-	// cold tier. Over budget, hot tables are demoted (compressed, kept
-	// resident) before anything is evicted. <= 0 derives
-	// CacheSize x DefaultTableBytes.
+	// CacheBytes bounds the table cache: flat cells in the hot tier,
+	// compressed pimtab-v2 payloads in the cold tier, plus a fixed
+	// per-entry overhead, so it also bounds how many entries (even
+	// 0-cell ones) accumulate. Over budget, hot tables are demoted
+	// (compressed, kept resident) before anything is evicted. <= 0
+	// means DefaultCacheBytes.
 	CacheBytes int64
 
 	// DisableColdTier reverts to a flat one-tier LRU under the same
@@ -166,16 +159,9 @@ func (c Config) peerFillTimeout() time.Duration {
 	return c.PeerFillTimeout
 }
 
-func (c Config) cacheSize() int {
-	if c.CacheSize <= 0 {
-		return DefaultCacheSize
-	}
-	return c.CacheSize
-}
-
 func (c Config) cacheBytes() int64 {
 	if c.CacheBytes <= 0 {
-		return int64(c.cacheSize()) * DefaultTableBytes
+		return DefaultCacheBytes
 	}
 	return c.CacheBytes
 }
@@ -352,7 +338,7 @@ type Service struct {
 
 // New returns a Service with the given configuration.
 func New(cfg Config) *Service {
-	s := &Service{cfg: cfg, cache: newTableCache(cfg.cacheSize(), cfg.cacheBytes(), !cfg.DisableColdTier)}
+	s := &Service{cfg: cfg, cache: newTableCache(cfg.cacheBytes(), !cfg.DisableColdTier)}
 	if cfg.MaxInflight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -683,20 +669,14 @@ func (s *Service) resolveTable(stages obs.Stages, fp trace.Fingerprint, tr *trac
 // request's trace — the same paranoia peer fill applies, because a
 // promoted table feeds schedules exactly like an adopted one.
 func (s *Service) decodePromoted(comp []byte, fp trace.Fingerprint, tr *trace.Trace) (cost.ResidenceTable, error) {
-	gotFP, table, err := cost.DecodeTableAny(comp, s.cfg.maxTableCells())
+	gotFP, table, err := cost.DecodeTable(comp, s.cfg.maxTableCells())
 	if err != nil {
 		return cost.ResidenceTable{}, err
 	}
 	if gotFP != fp {
 		return cost.ResidenceTable{}, fmt.Errorf("cold table is for %s, want %s", gotFP, fp)
 	}
-	if table.NumWindows() != tr.NumWindows() || table.NumData() != tr.NumData ||
-		table.NumProcs() != tr.Grid.NumProcs() {
-		return cost.ResidenceTable{}, fmt.Errorf("cold table shape %dx%dx%d does not match trace %dx%dx%d",
-			table.NumWindows(), table.NumData(), table.NumProcs(),
-			tr.NumWindows(), tr.NumData, tr.Grid.NumProcs())
-	}
-	return table, nil
+	return table, table.CheckShape(tr)
 }
 
 // fetchPeerTable asks the hinted peer for its cached table, bounded by
@@ -707,26 +687,30 @@ func (s *Service) fetchPeerTable(stages obs.Stages, fp trace.Fingerprint, tr *tr
 	if s.cfg.PeerFill == nil || peerHint == "" {
 		return cost.ResidenceTable{}, false
 	}
-	// The fetch deadline is independent of the request context: the
-	// builder's work survives an abandoned requester, and the fetch must
-	// stay bounded either way.
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.peerFillTimeout())
-	defer cancel()
 	sp := stages.Start("table.peerfill")
-	table, err := s.cfg.PeerFill(ctx, fp, peerHint)
+	table, err := s.peerTable(fp, tr, peerHint)
 	sp.End()
-	if err == nil && (table.NumWindows() != tr.NumWindows() ||
-		table.NumData() != tr.NumData || table.NumProcs() != tr.Grid.NumProcs()) {
-		err = fmt.Errorf("peer table shape %dx%dx%d does not match trace %dx%dx%d",
-			table.NumWindows(), table.NumData(), table.NumProcs(),
-			tr.NumWindows(), tr.NumData, tr.Grid.NumProcs())
-	}
 	if err != nil {
 		s.peerFillFallback.Add(1)
 		return cost.ResidenceTable{}, false
 	}
 	s.peerFills.Add(1)
 	return table, true
+}
+
+// peerTable fetches fp's table from the peer at peerURL through the
+// PeerFill hook and checks it against the trace's shape: the one
+// adoption path hint fill and replica prefill share. The fetch deadline
+// is independent of any request context: a builder's work survives an
+// abandoned requester, and the fetch must stay bounded either way.
+func (s *Service) peerTable(fp trace.Fingerprint, tr *trace.Trace, peerURL string) (cost.ResidenceTable, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.peerFillTimeout())
+	defer cancel()
+	table, err := s.cfg.PeerFill(ctx, fp, peerURL)
+	if err != nil {
+		return cost.ResidenceTable{}, err
+	}
+	return table, table.CheckShape(tr)
 }
 
 // awaitDone runs fn in a goroutine and waits for it or for the context,

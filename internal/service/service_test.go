@@ -208,7 +208,7 @@ func TestStampedeBuildsTableOnce(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	svc := New(Config{CacheSize: 1})
+	svc := New(Config{CacheBytes: 1}) // under one node: holds only the newest entry
 	defer svc.Close()
 	a := traceText(t, "lu", 4, grid.Square(2))
 	b := traceText(t, "matsquare", 4, grid.Square(2))

@@ -1,10 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -105,7 +110,7 @@ func TestCacheTierRaceStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		fp := tr.Fingerprint()
-		prefillTables[fp] = cost.EncodeTableV2(fp, cost.NewModel(tr).BuildResidenceTable())
+		prefillTables[fp] = cost.EncodeTable(fp, cost.NewModel(tr).BuildResidenceTable())
 	}
 	ref.Close()
 
@@ -120,7 +125,7 @@ func TestCacheTierRaceStress(t *testing.T) {
 			if !ok {
 				return cost.ResidenceTable{}, errors.New("no canned table")
 			}
-			_, table, err := cost.DecodeTableAny(payload, 0)
+			_, table, err := cost.DecodeTable(payload, 0)
 			return table, err
 		},
 	})
@@ -236,43 +241,66 @@ func TestImportRejectsOversizedTablePayload(t *testing.T) {
 	}
 }
 
-// A migration round trip through the new v2 export format must resume
-// bit-identically, and a legacy v1-encoded export must stay importable.
-func TestImportAcceptsBothCodecVersions(t *testing.T) {
-	src := New(Config{})
-	defer src.Close()
-	info, err := src.CreateSession(CreateSessionRequest{
-		Trace: traceText(t, "lu", 6, grid.Square(3)), Algorithm: "scds",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := src.ExportSession(info.SessionID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(exp.Table), "pimtab-v2\n") {
-		t.Fatalf("export table payload is not pimtab-v2 (leads with %q)", string(exp.Table[:10]))
-	}
-
-	// v2 import.
-	dst2 := New(Config{})
-	defer dst2.Close()
-	if _, err := dst2.ImportSession(*exp); err != nil {
-		t.Fatalf("v2 import: %v", err)
+// TestTableGetServesV2HotAndCold: GET /table/{fingerprint} takes no
+// codec header and answers pimtab-v2 whichever tier holds the table — a
+// cold entry serves its stored payload as is, a hot one is encoded on
+// the spot — and both decode to the table a fresh build produces.
+func TestTableGetServesV2HotAndCold(t *testing.T) {
+	// The TestColdTierHitBitIdentical setup: the second table demotes
+	// the first.
+	svc := New(Config{CacheBytes: 100_000})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	cold := traceText(t, "lu", 8, grid.Square(4))
+	hot := traceText(t, "matsquare", 8, grid.Square(4))
+	for _, text := range []string{cold, hot} {
+		if _, err := svc.Schedule(context.Background(), Request{Trace: text, Algorithm: "scds"}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// The same export transcoded to v1 (what a pre-v2 shard would have
-	// sent) must import equally well.
-	fp, table, err := cost.DecodeTableAny(exp.Table, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := *exp
-	legacy.Table = cost.EncodeTable(fp, table)
-	dst1 := New(Config{})
-	defer dst1.Close()
-	if _, err := dst1.ImportSession(legacy); err != nil {
-		t.Fatalf("v1 import: %v", err)
+	for _, tc := range []struct {
+		name, text string
+		state      tierState
+	}{{"cold", cold, tierCold}, {"hot", hot, tierHot}} {
+		tr, err := trace.Decode(strings.NewReader(tc.text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := tr.Fingerprint()
+		svc.cache.mu.Lock()
+		n := svc.cache.items[fp]
+		var stored []byte
+		if n != nil && n.state == tc.state {
+			stored = n.comp
+		}
+		svc.cache.mu.Unlock()
+		if n == nil || n.state != tc.state {
+			t.Fatalf("%s: table not in the %s tier; the setup no longer demotes", tc.name, tc.name)
+		}
+
+		resp, err := ts.Client().Get(ts.URL + "/table/" + fp.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: GET /table: status %d, %v", tc.name, resp.StatusCode, err)
+		}
+		if !strings.HasPrefix(string(payload), "pimtab-v2\n") {
+			t.Fatalf("%s: payload leads with %q, want pimtab-v2", tc.name, payload[:min(len(payload), 10)])
+		}
+		if stored != nil && !bytes.Equal(payload, stored) {
+			t.Fatalf("%s: served payload is not the stored cold-tier payload", tc.name)
+		}
+		gotFP, table, err := cost.DecodeTable(payload, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := cost.NewModel(tr).BuildResidenceTable(); gotFP != fp || !slices.Equal(table.Cells(), want.Cells()) {
+			t.Fatalf("%s: served table differs from a fresh build", tc.name)
+		}
 	}
 }

@@ -265,10 +265,10 @@ cache_addr() { # LOGFILE
 	done
 	echo "bench.sh: pimserve never came up" >&2; cat "$1" >&2; return 1
 }
-"$CACHE_DIR/pimserve" -addr 127.0.0.1:0 -cache 128 -cache-bytes "$CACHE_BUDGET" \
+"$CACHE_DIR/pimserve" -addr 127.0.0.1:0 -cache-bytes "$CACHE_BUDGET" \
 	>"$CACHE_DIR/tiered.log" 2>&1 &
 CACHE_PIDS+=($!)
-"$CACHE_DIR/pimserve" -addr 127.0.0.1:0 -cache 128 -cache-bytes "$CACHE_BUDGET" -cold-tier=false \
+"$CACHE_DIR/pimserve" -addr 127.0.0.1:0 -cache-bytes "$CACHE_BUDGET" -cold-tier=false \
 	>"$CACHE_DIR/flat.log" 2>&1 &
 CACHE_PIDS+=($!)
 TIERED_ADDR="$(cache_addr "$CACHE_DIR/tiered.log")"

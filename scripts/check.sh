@@ -53,14 +53,16 @@ go test -run '^TestScheduleSteadyStateAllocsBounded$' -v ./internal/service
 # Two-tier cache gates: the bit-identity referee (a schedule served via
 # a cold-tier promotion must match the flat-table schedule byte for
 # byte, without a rebuild) and the demote/promote/evict churn stress,
-# both under the race detector; plus the DoS-guard regressions proving
-# every table-ingesting endpoint (session import, peer-fill adopt,
-# prefill) refuses payloads over the cell budget before allocating.
+# both under the race detector; the byte budget bounding entries whose
+# tables have no cells; GET /table serving pimtab-v2 from either tier;
+# plus the DoS-guard regressions proving every table-ingesting endpoint
+# (session import, peer-fill adopt, prefill) refuses payloads over the
+# cell budget before allocating, and refuses the retired pimtab-v1.
 # All already ran under ./... above; the named gates survive narrower
 # invocations.
 echo "== two-tier cache gates (-race) =="
-go test -race -run '^(TestColdTierHitBitIdentical|TestCacheTierRaceStress|TestImportRejectsOversizedTablePayload)$' ./internal/service
-go test -race -run '^(TestPeerFillRejectsOversizedTablePayload|TestPrefillRejectsOversizedPeerTable|TestPeerFillNegotiatesV2)$' ./internal/cluster
+go test -race -run '^(TestColdTierHitBitIdentical|TestCacheTierRaceStress|TestImportRejectsOversizedTablePayload|TestZeroCellTablesBoundedByBytes|TestTableGetServesV2HotAndCold)$' ./internal/service
+go test -race -run '^(TestPeerFillRejectsOversizedTablePayload|TestPrefillRejectsOversizedPeerTable|TestPeerFillBodyCapFollowsCellBudget|TestPimtabV1Refused)$' ./internal/cluster
 
 # Session-lifecycle race gates: an in-flight op racing DELETE
 # /session/{id} must end in a clean 404 with the sessions gauge and the
@@ -80,6 +82,14 @@ go test -race -run '^(TestSessionOpRacingDeleteGets404|TestSessionDeleteRaceStre
 # narrower invocations.
 echo "== cluster differential harness (-race -short) =="
 go test -race -short -run '^TestCluster' ./internal/cluster
+
+# The fleet benchmark is its own Go module (fleetbench/, which replaces
+# this one), so ./... above does not reach it: an API change that
+# breaks the benchmark's build would otherwise pass every gate. Vet and
+# test it with the environment fleetbench/run.sh builds it under.
+echo "== fleetbench module (vet + test) =="
+(cd fleetbench && GOFLAGS=-mod=mod GOWORK=off GOPROXY=off GOTOOLCHAIN=local go vet ./... &&
+	GOFLAGS=-mod=mod GOWORK=off GOPROXY=off GOTOOLCHAIN=local go test ./...)
 
 # Metrics scrape gate: boot a real pimserve, issue one schedule request,
 # and scrape /metrics, failing unless the expected series are present.
@@ -258,7 +268,6 @@ if [ "$FUZZTIME" != "0" ]; then
 	go test -race -run '^$' -fuzz '^FuzzDeltaApply$' -fuzztime "$FUZZTIME" ./internal/verify
 	go test -race -run '^$' -fuzz '^FuzzFingerprint$' -fuzztime "$FUZZTIME" ./internal/trace
 	go test -race -run '^$' -fuzz '^FuzzBatchDecode$' -fuzztime "$FUZZTIME" ./internal/service
-	go test -race -run '^$' -fuzz '^FuzzTableCodec$' -fuzztime "$FUZZTIME" ./internal/cost
 	go test -race -run '^$' -fuzz '^FuzzTableCodecV2$' -fuzztime "$FUZZTIME" ./internal/cost
 fi
 
