@@ -414,30 +414,42 @@ func BenchmarkSolveBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkServeSchedule is the in-process service load harness: the
-// cache-hot /schedule path (decode trace text, hit the table cache,
-// pooled batched DP, assemble response) measured end to end. The hot
-// sub-benchmark drives a closed loop and reports p50/p99 latency as
-// custom metrics; the parallel one drives GOMAXPROCS closed loops to
-// expose cross-request contention (the solver pool and buffer pool
-// must not serialize it). scripts/bench.sh snapshots both into
-// BENCH_SERVE.json and --check guards the drift.
+// BenchmarkServeSchedule is the in-process service load harness over
+// the three paths a /schedule request can take through a cached table,
+// measured end to end:
+//
+//   - memo-hit: a repeated request. The trace text resolves through the
+//     alias (no decode) and the spec through the entry's schedule memo
+//     (no DP); what is left is request plumbing and the response.
+//   - memo-miss: a new capacity over the cached table each iteration, so
+//     the alias still hits but the capacitated GOMCDS DP and Evaluate
+//     run every time (the memo stores the first memoMaxSpecs of them).
+//   - cold: verify=true on a repeated request, which decodes the trace
+//     for the referee on every call (and answers from the memo).
+//
+// Each drives a closed loop and reports p50/p99 latency as custom
+// metrics. The parallel sub-benchmark drives GOMAXPROCS closed loops of
+// memo hits to expose cross-request contention. scripts/bench.sh
+// snapshots them into BENCH_SERVE.json and --check guards the drift.
 func BenchmarkServeSchedule(b *testing.B) {
 	text := serveTrace(b, "lu", 16, grid.Square(4))
-	req := service.Request{Trace: text, Algorithm: "gomcds"}
+	base := service.Request{Trace: text, Algorithm: "gomcds"}
 	ctx := context.Background()
-	b.Run("hot", func(b *testing.B) {
+	closedLoop := func(b *testing.B, req func(i int) service.Request) {
 		svc := service.New(service.Config{})
 		defer svc.Close()
-		if _, err := svc.Schedule(ctx, req); err != nil {
-			b.Fatal(err) // warm: builds and caches the table
+		if _, err := svc.Schedule(ctx, base); err != nil {
+			b.Fatal(err) // warm: builds the table, aliases the text
+		}
+		if _, err := svc.Schedule(ctx, req(-1)); err != nil {
+			b.Fatal(err) // warm the memo for the path's own spec
 		}
 		lat := make([]time.Duration, b.N)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			t0 := time.Now()
-			if _, err := svc.Schedule(ctx, req); err != nil {
+			if _, err := svc.Schedule(ctx, req(i)); err != nil {
 				b.Fatal(err)
 			}
 			lat[i] = time.Since(t0)
@@ -446,18 +458,37 @@ func BenchmarkServeSchedule(b *testing.B) {
 		slices.Sort(lat)
 		b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50-us")
 		b.ReportMetric(float64(lat[min(len(lat)-1, len(lat)*99/100)].Nanoseconds())/1e3, "p99-us")
+	}
+	b.Run("memo-hit", func(b *testing.B) {
+		closedLoop(b, func(int) service.Request { return base })
+	})
+	b.Run("memo-miss", func(b *testing.B) {
+		// lu/16 on 4x4 holds 256 items on 16 processors: every capacity
+		// from 16 up is feasible, and each iteration asks for a new one.
+		closedLoop(b, func(i int) service.Request {
+			req := base
+			req.Capacity = 17 + i
+			return req
+		})
+	})
+	b.Run("cold", func(b *testing.B) {
+		closedLoop(b, func(int) service.Request {
+			req := base
+			req.Verify = true
+			return req
+		})
 	})
 	b.Run("parallel", func(b *testing.B) {
 		svc := service.New(service.Config{})
 		defer svc.Close()
-		if _, err := svc.Schedule(ctx, req); err != nil {
+		if _, err := svc.Schedule(ctx, base); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := svc.Schedule(ctx, req); err != nil {
+				if _, err := svc.Schedule(ctx, base); err != nil {
 					b.Fatal(err)
 				}
 			}

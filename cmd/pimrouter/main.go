@@ -25,8 +25,11 @@
 // rebuilding them; it also enables replication: each key's table is
 // pushed to its next -replication-1 ring owners after the primary
 // serves it, so a shard death fails schedules over to a replica that
-// already holds the table (no rebuild), and identical in-flight
-// single /schedule requests are coalesced into one upstream call.
+// already holds the table (no rebuild). Identical requests are not
+// coalesced here: each is forwarded, and the owning shard's schedule
+// memo runs the scheduler once per (trace, algorithm, capacity). A
+// trace text the router has routed before is keyed through its
+// bounded text alias without a second decode.
 //
 // POST /admin/drain?backend=URL takes a shard out administratively:
 // its pinned sessions are exported, imported on their new owners

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +19,7 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Replication, drain migration, and coalescing referees: the acceptance
+// Replication, drain migration, and shared-schedule referees: the acceptance
 // harness for replicated ownership. Everything here runs with the
 // health loop disabled so ring transitions happen only where the test
 // makes them happen.
@@ -291,116 +290,106 @@ func jsonEqualCenters(a, b [][]int) bool {
 	return true
 }
 
-// TestRouterCoalescesConcurrentIdenticalSingles is acceptance (c): N
-// concurrent identical single /schedule requests reach the backend as
-// exactly one upstream call, and every caller receives the leader's
-// bytes.
-func TestRouterCoalescesConcurrentIdenticalSingles(t *testing.T) {
-	const followers = 7
-	var hits atomic.Uint64
-	gate := make(chan struct{})
-	var gateOnce sync.Once
-	releaseGate := func() { gateOnce.Do(func() { close(gate) }) }
-	responseBody := []byte(`{"fingerprint":"stub","centers":[[0]]}`)
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/schedule" {
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		hits.Add(1)
-		<-gate // hold the upstream call open so followers pile up
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(responseBody)
-	}))
-	defer backend.Close()
-
-	rt := NewRouter(RouterConfig{Backends: []string{backend.URL}, HealthInterval: -1})
-	ts := httptest.NewServer(rt.Handler())
-	// On any exit (incl. a mid-test Fatal) the gate must open before the
-	// servers close, or Close would wait forever on the parked handlers.
-	defer backend.Close()
-	defer rt.Close()
-	defer ts.Close()
-	defer releaseGate()
-
-	body, _ := json.Marshal(service.Request{Trace: clusterTrace(t, 0), Algorithm: "scds"})
-	results := make(chan []byte, followers+2)
-	errs := make(chan error, followers+2)
-	post := func() {
-		resp, err := ts.Client().Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
-		if err != nil {
-			errs <- err
-			return
-		}
-		data, err := readAllAndClose(resp)
-		if err != nil {
-			errs <- err
-			return
-		}
-		if resp.StatusCode != http.StatusOK {
-			errs <- fmt.Errorf("status %d: %s", resp.StatusCode, data)
-			return
-		}
-		results <- data
+// TestRouterIdenticalSinglesShareOneMemoFill is acceptance (c) now
+// that the router no longer coalesces: N concurrent identical single
+// /schedule requests each reach their shard, every caller receives the
+// same body (up to the per-request elapsed_us and cache_hit fields),
+// and the fleet runs the scheduler exactly once — the owning shard's
+// schedule memo collapses the rest, whether they overlapped or not.
+func TestRouterIdenticalSinglesShareOneMemoFill(t *testing.T) {
+	const callers = 8
+	backends := []*backend{
+		newBackend(t, service.Config{}),
+		newBackend(t, service.Config{}),
+		newBackend(t, service.Config{}),
 	}
+	rt, ts := newTestRouter(t, RouterConfig{Backends: backendURLs(backends)})
 
+	body, _ := json.Marshal(service.Request{Trace: clusterTrace(t, 12), Algorithm: "gomcds"})
+	results := make(chan []byte, callers)
+	errs := make(chan error, callers)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); post() }()
-	// The leader registers its in-flight call before sending upstream,
-	// so once the backend has seen the request every later identical
-	// request must coalesce.
-	waitFor(t, "leader reached backend", func() bool { return hits.Load() == 1 })
-
-	for i := 0; i < followers; i++ {
+	for i := 0; i < callers; i++ {
 		wg.Add(1)
-		go func() { defer wg.Done(); post() }()
+		go func() {
+			defer wg.Done()
+			<-start
+			resp, err := ts.Client().Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs <- err
+				return
+			}
+			data, err := readAllAndClose(resp)
+			if err != nil {
+				errs <- err
+				return
+			}
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("status %d: %s", resp.StatusCode, data)
+				return
+			}
+			results <- data
+		}()
 	}
-	waitFor(t, "followers coalesced", func() bool { return rt.Stats().Coalesced == followers })
-
-	// A request with a different spec must NOT coalesce: it opens its
-	// own upstream call (which also parks on the gate).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		other, _ := json.Marshal(service.Request{Trace: clusterTrace(t, 0), Algorithm: "gomcds"})
-		resp, err := ts.Client().Post(ts.URL+"/schedule", "application/json", bytes.NewReader(other))
-		if err != nil {
-			errs <- err
-			return
-		}
-		data, _ := readAllAndClose(resp)
-		results <- data
-	}()
-	waitFor(t, "distinct spec opened its own call", func() bool { return hits.Load() == 2 })
-
-	releaseGate()
+	close(start)
 	wg.Wait()
 	close(results)
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	var got int
+
+	var want []byte
 	for data := range results {
-		if !bytes.Equal(data, responseBody) {
-			t.Fatalf("caller received %q, want the leader's bytes %q", data, responseBody)
+		got := withoutRequestFields(t, data)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("callers received different schedules:\n%s\nvs\n%s", got, want)
 		}
-		got++
 	}
-	if got != followers+2 {
-		t.Fatalf("%d callers finished, want %d", got, followers+2)
+
+	var built, memoHits, memoMisses, aliasHits, aliasMisses uint64
+	for _, b := range backends {
+		st := b.svc.Stats()
+		built += st.TablesBuilt
+		memoHits += st.MemoHits
+		memoMisses += st.MemoMisses
+		aliasHits += st.TraceAliasHits
+		aliasMisses += st.TraceAliasMisses
+	}
+	if built != 1 || memoMisses != 1 || memoHits != callers-1 {
+		t.Fatalf("fleet tables_built = %d, memo misses = %d, memo hits = %d; want 1, 1, %d",
+			built, memoMisses, memoHits, callers-1)
+	}
+	if aliasHits+aliasMisses != callers || aliasMisses < 1 {
+		t.Fatalf("fleet alias hits %d + misses %d, want %d with at least one miss", aliasHits, aliasMisses, callers)
 	}
 	st := rt.Stats()
-	if hits.Load() != 2 {
-		t.Fatalf("backend saw %d /schedule calls, want 2 (one per distinct spec)", hits.Load())
+	if st.Requests != callers {
+		t.Fatalf("router requests = %d, want %d upstream sends", st.Requests, callers)
 	}
-	if st.Requests != 2 {
-		t.Fatalf("router requests = %d, want 2 upstream sends", st.Requests)
+	if st.AliasHits+st.AliasMisses != callers || st.AliasMisses < 1 {
+		t.Fatalf("router alias hits %d + misses %d, want %d with at least one miss", st.AliasHits, st.AliasMisses, callers)
 	}
-	if st.Coalesced != followers {
-		t.Fatalf("coalesced = %d, want %d", st.Coalesced, followers)
+}
+
+// withoutRequestFields re-encodes a /schedule response without the
+// fields that legitimately differ between identical requests.
+func withoutRequestFields(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
 	}
+	delete(m, "elapsed_us")
+	delete(m, "cache_hit")
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // waitFor polls cond for up to 5s.

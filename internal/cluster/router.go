@@ -44,12 +44,6 @@ const (
 // not the budget).
 const replicaFillTimeout = 10 * time.Second
 
-// coalesceLeaderTimeout caps a coalesced upstream call. The leader runs
-// detached from its own client's context — followers still need the
-// response after the leader's client hangs up — so a hung backend must
-// be cut off by something, and this is it.
-const coalesceLeaderTimeout = 5 * time.Minute
-
 // RouterConfig tunes a Router.
 type RouterConfig struct {
 	// Backends are the base URLs of the pimserve fleet (e.g.
@@ -135,11 +129,9 @@ type Router struct {
 	fillInflight map[string]struct{}
 	fillFilled   map[string]struct{}
 
-	// coalesce holds the in-flight single /schedule calls by
-	// fingerprint+spec; followers of an identical request wait on the
-	// leader's response instead of issuing their own upstream call.
-	coalMu   sync.Mutex
-	coalesce map[string]*coalesceCall
+	// alias maps raw trace texts already routed to their fingerprint,
+	// so a repeated text is routed without a decode.
+	alias *trace.TextAlias
 
 	reg              *obs.Registry
 	requests         *obs.Counter
@@ -149,7 +141,6 @@ type Router struct {
 	readmissions     *obs.Counter
 	noBackend        *obs.Counter
 	peerHints        *obs.Counter
-	coalesced        *obs.Counter
 	replicaFills     *obs.Counter
 	replicaFillErrs  *obs.Counter
 	drains           *obs.Counter
@@ -158,11 +149,6 @@ type Router struct {
 
 	stop     chan struct{}
 	loopDone chan struct{}
-}
-
-type coalesceCall struct {
-	done chan struct{}
-	res  forwardResult // written by the leader before done is closed
 }
 
 // NewRouter builds a router over the configured fleet and, unless
@@ -177,7 +163,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		drained:      make(map[string]struct{}),
 		fillInflight: make(map[string]struct{}),
 		fillFilled:   make(map[string]struct{}),
-		coalesce:     make(map[string]*coalesceCall),
+		alias:        trace.NewTextAlias(),
 		reg:          obs.NewRegistry(),
 		stop:         make(chan struct{}),
 		loopDone:     make(chan struct{}),
@@ -197,11 +183,12 @@ func NewRouter(cfg RouterConfig) *Router {
 	rt.readmissions = rt.reg.Counter("pim_router_readmissions_total", "Ejected backends readmitted after consecutive passing health checks.")
 	rt.noBackend = rt.reg.Counter("pim_router_no_backend_total", "Requests failed 503 because the ring was empty.")
 	rt.peerHints = rt.reg.Counter("pim_router_peer_hints_total", "Schedule requests forwarded with a peer cache-fill hint.")
-	rt.coalesced = rt.reg.Counter("pim_router_coalesced_total", "Single schedule requests served by piggybacking on an identical in-flight upstream call.")
 	rt.replicaFills = rt.reg.Counter("pim_router_replica_fills_total", "Replica shards asked to adopt a key's table after the primary served it.")
 	rt.replicaFillErrs = rt.reg.Counter("pim_router_replica_fill_errors_total", "Replica fill attempts that failed (retried on the key's next request).")
 	rt.drains = rt.reg.Counter("pim_router_drains_total", "Backends administratively drained out of the ring.")
 	rt.sessionsMigrated = rt.reg.Counter("pim_router_sessions_migrated_total", "Sessions exported off a draining backend and imported on their new owner.")
+	rt.reg.CounterFunc("pim_router_trace_alias_hits_total", "Routed requests whose trace text was already aliased to its fingerprint (no decode).", rt.alias.Hits)
+	rt.reg.CounterFunc("pim_router_trace_alias_misses_total", "Routed requests whose trace text had to be decoded and fingerprinted.", rt.alias.Misses)
 	rt.latency = rt.reg.Histogram("pim_router_request_duration_seconds",
 		"End-to-end latency of proxied requests.", obs.LatencyBuckets)
 	rt.reg.GaugeFunc("pim_router_backends_healthy", "Ring members currently routable.",
@@ -407,40 +394,40 @@ func (rt *Router) Handler() http.Handler {
 
 // routeInfo is what the router extracts from a schedule-class body: the
 // ring key (the trace fingerprint, exactly the cache key every shard
-// uses, which is what makes routing and caching agree), the request
-// spec discriminator for coalescing, and the raw trace text for replica
-// prefill bodies.
+// uses, which is what makes routing and caching agree) and the raw
+// trace text for replica prefill bodies.
 type routeInfo struct {
 	key   []byte
-	spec  string
 	trace string
 }
 
-func routeKey(body []byte) (routeInfo, error) {
+func (rt *Router) routeKey(body []byte) (routeInfo, error) {
 	var probe struct {
-		Trace     string `json:"trace"`
-		Algorithm string `json:"algorithm"`
-		Capacity  int    `json:"capacity"`
-		Verify    bool   `json:"verify"`
+		Trace string `json:"trace"`
 	}
-	// Lenient decode: unknown fields are the backend's business; the
-	// router only needs the trace and the coalescing discriminator.
+	// Lenient decode: every other field is the backend's business; the
+	// router only needs the trace.
 	if err := json.Unmarshal(body, &probe); err != nil {
 		return routeInfo{}, fmt.Errorf("cluster: unroutable body: %v", err)
 	}
 	if probe.Trace == "" {
 		return routeInfo{}, errors.New("cluster: unroutable body: no trace field")
 	}
-	tr, err := trace.Decode(strings.NewReader(probe.Trace))
-	if err != nil {
-		return routeInfo{}, fmt.Errorf("cluster: unroutable body: %v", err)
+	// A trace text routed before resolves through the alias; a new one
+	// is decoded and fingerprinted once, and only a text that decoded
+	// cleanly is aliased, so a malformed one is refused on every repeat.
+	key := trace.HashText(probe.Trace)
+	sum, ok := rt.alias.Lookup(key)
+	if !ok {
+		tr, err := trace.Decode(strings.NewReader(probe.Trace))
+		if err != nil {
+			return routeInfo{}, fmt.Errorf("cluster: unroutable body: %v", err)
+		}
+		sum = trace.Summary{Fingerprint: tr.Fingerprint(), Shape: tr.Shape()}
+		rt.alias.Add(key, sum)
 	}
-	fp := tr.Fingerprint()
-	return routeInfo{
-		key:   fp[:],
-		spec:  fmt.Sprintf("%s|%d|%t", probe.Algorithm, probe.Capacity, probe.Verify),
-		trace: probe.Trace,
-	}, nil
+	fp := sum.Fingerprint
+	return routeInfo{key: fp[:], trace: probe.Trace}, nil
 }
 
 func (rt *Router) handleByTrace(w http.ResponseWriter, r *http.Request) {
@@ -448,66 +435,17 @@ func (rt *Router) handleByTrace(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	info, err := routeKey(body)
+	info, err := rt.routeKey(body)
 	if err != nil {
 		rt.badRequests.Inc()
 		routerError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-
-	if r.URL.Path == "/schedule" {
-		res, ok := rt.coalescedForward(r, info, body)
-		if !ok {
-			return // client hung up while waiting on the leader
-		}
-		rt.writeResult(w, res)
-		return
-	}
-
-	res := rt.forwardByKey(r.Context(), r, info.key, body)
+	res := rt.forwardByKey(r, info.key, body)
 	if res.rr != nil && res.rr.status/100 == 2 {
 		rt.maybeFillReplicas(info, res.backend)
 	}
 	rt.writeResult(w, res)
-}
-
-// coalescedForward collapses identical in-flight single /schedule
-// requests (same fingerprint, same algorithm/capacity/verify spec, same
-// query string) into one upstream call. The first request becomes the
-// leader and forwards; every request that arrives while the leader is
-// in flight waits for the leader's response and relays the same bytes.
-// The leader runs detached from its own client's context — followers
-// need the response even if the leader's client disconnects. Returns
-// ok=false when the caller's client hung up mid-wait.
-func (rt *Router) coalescedForward(r *http.Request, info routeInfo, body []byte) (forwardResult, bool) {
-	ck := string(info.key) + "\x00" + info.spec + "\x00" + r.URL.RawQuery
-	rt.coalMu.Lock()
-	if call, ok := rt.coalesce[ck]; ok {
-		rt.coalMu.Unlock()
-		rt.coalesced.Inc()
-		select {
-		case <-call.done:
-			return call.res, true
-		case <-r.Context().Done():
-			return forwardResult{}, false
-		}
-	}
-	call := &coalesceCall{done: make(chan struct{})}
-	rt.coalesce[ck] = call
-	rt.coalMu.Unlock()
-
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), coalesceLeaderTimeout)
-	defer cancel()
-	res := rt.forwardByKey(ctx, r, info.key, body)
-	if res.rr != nil && res.rr.status/100 == 2 {
-		rt.maybeFillReplicas(info, res.backend)
-	}
-	call.res = res
-	rt.coalMu.Lock()
-	delete(rt.coalesce, ck)
-	rt.coalMu.Unlock()
-	close(call.done)
-	return res, true
 }
 
 func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
@@ -515,13 +453,13 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	info, err := routeKey(body)
+	info, err := rt.routeKey(body)
 	if err != nil {
 		rt.badRequests.Inc()
 		routerError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	res := rt.forwardByKey(r.Context(), r, info.key, body)
+	res := rt.forwardByKey(r, info.key, body)
 	if res.rr != nil && res.rr.status == http.StatusCreated {
 		var created struct {
 			SessionID string `json:"session_id"`
@@ -628,9 +566,10 @@ type forwardResult struct {
 // forwardByKey resolves the key's owner and forwards, ejecting the
 // owner and retrying once on the key's next owner — with replication,
 // the replica that already holds the table — if the first connection
-// fails. r supplies method, path, query and content type; ctx bounds
-// the exchange (it is distinct from r.Context() for coalesced leaders).
-func (rt *Router) forwardByKey(ctx context.Context, r *http.Request, key, body []byte) forwardResult {
+// fails. r supplies method, path, query, content type and the context
+// bounding the exchange.
+func (rt *Router) forwardByKey(r *http.Request, key, body []byte) forwardResult {
+	ctx := r.Context()
 	backend, ok := rt.ring.Owner(key)
 	if !ok {
 		rt.noBackend.Inc()
@@ -788,8 +727,7 @@ func (rt *Router) WaitReplicaFills() {
 // the headers the router forwards and the buffered body. Buffering
 // (rather than streaming) is deliberate — it pulls mid-stream
 // connection cuts into send's error return where the retry logic can
-// see them, and it lets the session-create hook and coalesced followers
-// reuse the bytes.
+// see them, and it lets the session-create hook read the bytes.
 type relayedResponse struct {
 	status     int
 	body       []byte
@@ -1034,13 +972,14 @@ type RouterStats struct {
 	Readmissions        uint64   `json:"readmissions"`
 	NoBackend           uint64   `json:"no_backend"`
 	PeerHints           uint64   `json:"peer_hints"`
-	Coalesced           uint64   `json:"coalesced"`
 	ReplicaFills        uint64   `json:"replica_fills"`
 	ReplicaFillErrors   uint64   `json:"replica_fill_errors"`
 	ReplicaFillsPending int      `json:"replica_fills_pending"`
 	Drains              uint64   `json:"drains"`
 	SessionsMigrated    uint64   `json:"sessions_migrated"`
 	SessionsPinned      int      `json:"sessions_pinned"`
+	AliasHits           uint64   `json:"trace_alias_hits"`
+	AliasMisses         uint64   `json:"trace_alias_misses"`
 }
 
 // Stats snapshots the router's counters.
@@ -1074,13 +1013,14 @@ func (rt *Router) Stats() RouterStats {
 		Readmissions:        rt.readmissions.Value(),
 		NoBackend:           rt.noBackend.Value(),
 		PeerHints:           rt.peerHints.Value(),
-		Coalesced:           rt.coalesced.Value(),
 		ReplicaFills:        rt.replicaFills.Value(),
 		ReplicaFillErrors:   rt.replicaFillErrs.Value(),
 		ReplicaFillsPending: pending,
 		Drains:              rt.drains.Value(),
 		SessionsMigrated:    rt.sessionsMigrated.Value(),
 		SessionsPinned:      pinned,
+		AliasHits:           rt.alias.Hits(),
+		AliasMisses:         rt.alias.Misses(),
 	}
 }
 

@@ -3,13 +3,10 @@ package service
 import (
 	"context"
 	"errors"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/trace"
-	"repro/internal/verify"
 )
 
 // DefaultMaxBatchSpecs bounds the specs one batch may carry when
@@ -26,10 +23,10 @@ type BatchSpec struct {
 	Verify    bool   `json:"verify,omitempty"`
 }
 
-// BatchRequest is the POST /schedule/batch body: one trace, decoded and
-// fingerprinted once, scheduled under every spec. The cache is
-// consulted exactly once for the whole batch, so N specs over a fresh
-// trace cost one table build, not N.
+// BatchRequest is the POST /schedule/batch body: one trace, resolved
+// once, scheduled under every spec. The cache is consulted exactly once
+// for the whole batch, so N specs over a fresh trace cost one table
+// build, not N.
 type BatchRequest struct {
 	Trace    string      `json:"trace"`
 	Requests []BatchSpec `json:"requests"`
@@ -53,46 +50,28 @@ type BatchResponse struct {
 	CacheHit    bool        `json:"cache_hit"`
 	Responses   []BatchItem `json:"responses"`
 	ElapsedUS   int64       `json:"elapsed_us"`
-
-	cacheOutcome cacheOutcome
 }
 
-// ScheduleBatch runs one batch request: decode and fingerprint the
-// trace once, resolve the table cache once, then run every spec against
-// the shared {model, table}. The batch occupies one concurrency slot
-// (it is one unit of shedding and one unit of deadline); specs run
-// sequentially inside it.
+// ScheduleBatch runs one batch request: resolve the trace once,
+// resolve the table cache once, then answer every spec against the
+// shared entry and its schedule memo. The batch occupies one
+// concurrency slot (it is one unit of shedding and one unit of
+// deadline); specs run sequentially inside it.
 func (s *Service) ScheduleBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	s.requests.Add(1)
 	start := time.Now()
-
 	resp, err := s.scheduleBatch(ctx, req)
-	switch {
-	case err == nil:
-		elapsed := time.Since(start)
-		resp.ElapsedUS = elapsed.Microseconds()
-		s.completed.Add(1)
-		s.batches.Add(1)
-		s.batchSpecs.Add(uint64(len(req.Requests)))
-		s.observeServiceTime(elapsed)
-		s.metrics.request.ObserveDuration(elapsed)
-	case errors.Is(err, ErrOverloaded):
-		s.rejectedOverload.Add(1)
-	case errors.Is(err, ErrClosed):
-		s.rejectedClosed.Add(1)
-	case isRequestError(err):
-		s.badRequests.Add(1)
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		s.deadlineExpired.Add(1)
-	default:
-		s.internalErrors.Add(1)
+	if err != nil {
+		s.countFailure(err)
+		return nil, err
 	}
-	return resp, err
+	s.batches.Add(1)
+	s.batchSpecs.Add(uint64(len(req.Requests)))
+	resp.ElapsedUS = s.complete(start).Microseconds()
+	return resp, nil
 }
 
 func (s *Service) scheduleBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
-	stages := obs.Tee(s.stages, obs.StagesFrom(ctx))
-
 	if len(req.Requests) == 0 {
 		return nil, badRequest("empty batch: no request specs")
 	}
@@ -103,6 +82,7 @@ func (s *Service) scheduleBatch(ctx context.Context, req BatchRequest) (*BatchRe
 	// whole before any heavy work: mixing a typo'd algorithm into a
 	// thousand-spec batch is a client bug, not a partial success.
 	schedulers := make([]sched.Scheduler, len(req.Requests))
+	needTrace := false
 	for i, spec := range req.Requests {
 		scheduler, err := sched.ByName(spec.Algorithm)
 		if err != nil {
@@ -112,113 +92,39 @@ func (s *Service) scheduleBatch(ctx context.Context, req BatchRequest) (*BatchRe
 			return nil, badRequest("spec %d: negative capacity %d", i, spec.Capacity)
 		}
 		schedulers[i] = scheduler
+		needTrace = needTrace || spec.Verify
 	}
-	if int64(len(req.Trace)) > s.cfg.maxBodyBytes() {
-		return nil, badRequest("trace text %d bytes exceeds limit %d", len(req.Trace), s.cfg.maxBodyBytes())
-	}
-	sp := stages.Start("decode")
-	tr, err := trace.Decode(strings.NewReader(req.Trace))
-	sp.End()
-	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	if err := s.checkTraceScale(tr); err != nil {
-		return nil, err
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	if s.slots != nil {
-		select {
-		case s.slots <- struct{}{}:
-		default:
-			s.wg.Done()
-			return nil, ErrOverloaded
-		}
-	}
-	s.inflight.Add(1)
-	finished := func() {
-		if s.slots != nil {
-			<-s.slots
-		}
-		s.inflight.Add(-1)
-		s.wg.Done()
-	}
-
-	if s.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-		defer cancel()
-	}
-
-	sp = stages.Start("fingerprint")
-	fp := tr.Fingerprint()
-	sp.End()
-	work := func() (*BatchResponse, error) {
-		if s.testHookRunning != nil {
-			s.testHookRunning()
-		}
-		entry, outcome := s.resolveTable(stages, fp, tr, req.PeerHint)
-		resp := &BatchResponse{
-			Fingerprint:  fp.String(),
-			CacheHit:     outcome != cacheOutcomeBuild,
-			Responses:    make([]BatchItem, len(req.Requests)),
-			cacheOutcome: outcome,
-		}
-		for i, spec := range req.Requests {
-			resp.Responses[i] = s.runBatchSpec(stages, tr, entry, schedulers[i], spec)
-		}
-		return resp, nil
-	}
-	resp, err := awaitDone(ctx, work, finished)
-	if err == nil {
-		s.cache.settle(resp.cacheOutcome)
-	}
-	return resp, err
+	return runTrace(s, ctx, req.Trace, req.PeerHint, needTrace,
+		func(stages obs.Stages, in *traceInput, entry *cacheEntry, cacheHit bool) (*BatchResponse, error) {
+			resp := &BatchResponse{
+				Fingerprint: in.sum.Fingerprint.String(),
+				CacheHit:    cacheHit,
+				Responses:   make([]BatchItem, len(req.Requests)),
+			}
+			for i, spec := range req.Requests {
+				// Fingerprint and CacheHit ride at the batch level;
+				// repeating them per item would bloat large batches for
+				// no information.
+				r, err := s.runSpec(stages, in, entry, schedulers[i], spec.Capacity, spec.Verify)
+				if err != nil {
+					resp.Responses[i] = BatchItem{Error: specError(err)}
+					continue
+				}
+				resp.Responses[i] = BatchItem{Response: r}
+			}
+			return resp, nil
+		})
 }
 
-// runBatchSpec runs one spec of a batch against the shared cache entry,
-// mapping a scheduler failure to a per-item error.
-func (s *Service) runBatchSpec(stages obs.Stages, tr *trace.Trace, entry *cacheEntry, scheduler sched.Scheduler, spec BatchSpec) BatchItem {
-	p := &sched.Problem{Model: entry.model, Table: entry.table, Capacity: spec.Capacity}
-	sp := stages.Start("sched." + strings.ToLower(scheduler.Name()))
-	schedule, err := scheduler.Schedule(p)
-	sp.End()
-	if err != nil {
-		return BatchItem{Error: err.Error()}
+// specError is a failed spec's in-place error text: a scheduler refusal
+// reads as the scheduler's own message, without the bad-request prefix
+// a single request's 400 carries.
+func specError(err error) string {
+	var re *RequestError
+	if errors.As(err, &re) {
+		return re.Err.Error()
 	}
-	bd := p.Model.Evaluate(schedule)
-	resp := &Response{
-		Algorithm:  scheduler.Name(),
-		Grid:       tr.Grid.String(),
-		NumData:    tr.NumData,
-		NumWindows: tr.NumWindows(),
-		Capacity:   spec.Capacity,
-		Centers:    schedule.Centers,
-		Cost:       CostJSON{Residence: bd.Residence, Move: bd.Move, Total: bd.Total()},
-
-		// Fingerprint and CacheHit ride at the batch level; repeating
-		// them per item would bloat large batches for no information.
-	}
-	if spec.Verify {
-		sp := stages.Start("verify")
-		defer sp.End()
-		if err := verify.Check(tr, schedule, spec.Capacity); err != nil {
-			return BatchItem{Error: "service: referee rejected schedule: " + err.Error()}
-		}
-		claim := verify.Breakdown{Residence: bd.Residence, Move: bd.Move}
-		if err := verify.CrossCheck(tr, schedule, p.Model.DataSize, claim); err != nil {
-			return BatchItem{Error: "service: " + err.Error()}
-		}
-		resp.Verified = &CostJSON{Residence: claim.Residence, Move: claim.Move, Total: claim.Total()}
-	}
-	return BatchItem{Response: resp}
+	return err.Error()
 }
 
 func (c Config) maxBatchSpecs() int {

@@ -9,18 +9,23 @@ import (
 	"repro/internal/trace"
 )
 
-// cacheEntry is one cached {cost model, residence table} pair. The
-// fields are written exactly once by the elected builder (or promoter),
-// before ready is closed; readers must wait on ready first (the close
-// establishes the happens-before edge), so no lock is needed after
-// that. Entries are immutable once published: demotion and eviction
-// swap the cache's own reference, never the entry, so in-flight
-// requests holding one keep a consistent view.
+// cacheEntry is one cached {cost model, residence table} pair plus the
+// schedules memoized over it. model and table are written exactly once
+// by the elected builder (or promoter), before ready is closed; readers
+// must wait on ready first (the close establishes the happens-before
+// edge), so no lock is needed after that. The table is immutable once
+// published: demotion and eviction swap the cache's own reference,
+// never the entry, so in-flight requests holding one keep a consistent
+// view. The memo only grows, under memoMu (see memo.go), and goes
+// wherever the entry goes.
 type cacheEntry struct {
 	fp    trace.Fingerprint
 	ready chan struct{}
 	model *cost.Model
 	table cost.ResidenceTable
+
+	memoMu sync.Mutex
+	memo   map[memoKey]*memoResult
 }
 
 // cacheOutcome classifies how one request resolved against the cache;
@@ -257,6 +262,24 @@ func (c *tableCache) acquire(fp trace.Fingerprint) (entry *cacheEntry, role cach
 	return e, cacheRoleBuilder, nil
 }
 
+// acquireResident is acquire for a caller that has no decoded trace:
+// it serves only a fingerprint whose entry is ready or in flight,
+// refreshing its recency and counting its sketch bump exactly as
+// acquire would. An absent or cold fingerprint reports false and
+// touches nothing, because building or promoting needs the trace; the
+// caller decodes it and calls acquire.
+func (c *tableCache) acquireResident(fp trace.Fingerprint) (*cacheEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, ok := c.items[fp]
+	if !ok || n.state == tierCold {
+		return nil, false
+	}
+	c.sketch.bump(fp)
+	c.touch(n)
+	return n.entry, true
+}
+
 // touch refreshes a node's recency in whichever tier list holds it.
 func (c *tableCache) touch(n *cacheNode) {
 	if n.state == tierCold {
@@ -381,6 +404,22 @@ func (c *tableCache) publish(e *cacheEntry, m *cost.Model, t cost.ResidenceTable
 	n.state = tierHot
 	n.comp = nil
 	c.hot.MoveToFront(n.el)
+	c.enforce(n)
+}
+
+// chargeMemo adds a newly memoized schedule's bytes to e's node and
+// enforces the budget. An entry the cache no longer holds (demoted,
+// evicted, or replaced while the schedule ran) is not charged: its memo
+// dies with it once its last request finishes.
+func (c *tableCache) chargeMemo(e *cacheEntry, size int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, ok := c.items[e.fp]
+	if !ok || n.entry != e {
+		return
+	}
+	n.bytes += size
+	c.bytes += size
 	c.enforce(n)
 }
 

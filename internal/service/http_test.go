@@ -241,10 +241,11 @@ func TestHTTPHealthzAndStats(t *testing.T) {
 }
 
 // TestHTTPMetricsEndpoint scrapes /metrics around /schedule round-trips
-// and asserts the counters and stage histograms move: two requests for
-// the same trace must show one table build (miss) and one cache hit, a
-// decode/sched/encode stage sample per request, and a completed-request
-// latency observation per request.
+// and asserts the counters and stage histograms move: two identical
+// requests must show one table build (miss) and one cache hit; one
+// decode, fingerprint and scheduler run (the repeat is an alias hit and
+// a memo hit, so it runs none of them); and an encode sample and a
+// completed-request latency observation per request.
 func TestHTTPMetricsEndpoint(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
@@ -308,11 +309,15 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		"pim_cache_hits_total":                                  1,
 		"pim_cache_entries":                                     1,
 		"pim_request_duration_seconds_count":                    2,
-		`pim_stage_duration_seconds_count{stage="decode"}`:      2,
-		`pim_stage_duration_seconds_count{stage="fingerprint"}`: 2,
+		"pim_trace_alias_hits_total":                            1,
+		"pim_trace_alias_misses_total":                          1,
+		"pim_schedule_memo_hits_total":                          1,
+		"pim_schedule_memo_misses_total":                        1,
+		`pim_stage_duration_seconds_count{stage="decode"}`:      1,
+		`pim_stage_duration_seconds_count{stage="fingerprint"}`: 1,
 		`pim_stage_duration_seconds_count{stage="table.build"}`: 1,
 		`pim_stage_duration_seconds_count{stage="table.hit"}`:   1,
-		`pim_stage_duration_seconds_count{stage="sched.scds"}`:  2,
+		`pim_stage_duration_seconds_count{stage="sched.scds"}`:  1,
 		`pim_stage_duration_seconds_count{stage="encode"}`:      2,
 	} {
 		if got := sample(after, series); got != want {

@@ -64,6 +64,11 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	reg.GaugeFunc("pim_cache_bytes", "Bytes of cached residence tables (flat hot cells plus compressed cold payloads).",
 		func() float64 { return float64(s.cache.counters().bytes) })
 
+	reg.CounterFunc("pim_trace_alias_hits_total", "Schedule requests whose trace text was already aliased to its fingerprint (no decode).", s.alias.Hits)
+	reg.CounterFunc("pim_trace_alias_misses_total", "Schedule requests whose trace text had to be decoded and fingerprinted.", s.alias.Misses)
+	reg.CounterFunc("pim_schedule_memo_hits_total", "Schedule specs answered from a cached table's schedule memo (no scheduler run).", s.memoHits.Load)
+	reg.CounterFunc("pim_schedule_memo_misses_total", "Schedule specs that ran the scheduler over a cached table.", s.memoMisses.Load)
+
 	reg.CounterFunc("pim_batches_total", "Batch schedule requests completed.", s.batches.Load)
 	reg.CounterFunc("pim_batch_specs_total", "Request specs completed inside batches.", s.batchSpecs.Load)
 	reg.CounterFunc("pim_peer_fills_total", "Residence tables adopted from a peer shard instead of built.", s.peerFills.Load)

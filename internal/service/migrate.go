@@ -93,7 +93,7 @@ func (s *Service) ImportSession(exp SessionExport) (*SessionInfo, error) {
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
-	if err := s.checkTraceScale(tr); err != nil {
+	if err := s.checkTraceScale(tr.Shape()); err != nil {
 		return nil, err
 	}
 	// The shipped table is decoded under the same cell budget the trace

@@ -50,7 +50,7 @@ func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 	if err != nil {
 		return &RequestError{Err: err}
 	}
-	if err := s.checkTraceScale(tr); err != nil {
+	if err := s.checkTraceScale(tr.Shape()); err != nil {
 		return err
 	}
 

@@ -13,6 +13,11 @@
 //     seen skip the rebuild entirely; concurrent misses on the same
 //     fingerprint are deduplicated so the table is built exactly once
 //     (singleflight).
+//   - Decode and schedule reuse. A trace text seen before resolves to
+//     its fingerprint through a bounded alias (trace.TextAlias) without
+//     a decode, and each cached entry memoizes the schedules computed
+//     over it per (algorithm, capacity), so a repeated request runs
+//     neither the trace parser nor the scheduler (memo.go).
 //   - Bounded concurrency. At most MaxInflight schedule computations
 //     run at once; excess load is shed immediately with ErrOverloaded
 //     (HTTP 429 + Retry-After) instead of queuing unboundedly.
@@ -185,12 +190,12 @@ func (c Config) maxTableCells() int64 {
 // float64: each factor has already been validated non-negative, but
 // their product can overflow int64 and a guard that overflows is no
 // guard.
-func (s *Service) checkTraceScale(tr *trace.Trace) error {
-	cells := float64(tr.NumWindows()) * float64(tr.NumData) *
-		float64(tr.Grid.Width()) * float64(tr.Grid.Height())
+func (s *Service) checkTraceScale(sh trace.Shape) error {
+	cells := float64(sh.NumWindows) * float64(sh.NumData) *
+		float64(sh.Grid.Width()) * float64(sh.Grid.Height())
 	if cells > float64(s.cfg.maxTableCells()) {
 		return badRequest("trace shape %d windows x %d data x %s implies %.3g residence-table cells, limit %d",
-			tr.NumWindows(), tr.NumData, tr.Grid, cells, s.cfg.maxTableCells())
+			sh.NumWindows, sh.NumData, sh.Grid, cells, s.cfg.maxTableCells())
 	}
 	return nil
 }
@@ -232,11 +237,6 @@ type Response struct {
 	Fingerprint string    `json:"fingerprint"`
 	CacheHit    bool      `json:"cache_hit"`
 	ElapsedUS   int64     `json:"elapsed_us"`
-
-	// cacheOutcome remembers how this request resolved against the
-	// table cache; Schedule settles it into the counters only when the
-	// response is actually delivered.
-	cacheOutcome cacheOutcome
 }
 
 // Stats is a snapshot of the service's counters, served at /stats.
@@ -272,6 +272,10 @@ type Stats struct {
 	TablesPrefilled   uint64 `json:"tables_prefilled"`
 	SessionsExported  uint64 `json:"sessions_exported"`
 	SessionsImported  uint64 `json:"sessions_imported"`
+	TraceAliasHits    uint64 `json:"trace_alias_hits"`
+	TraceAliasMisses  uint64 `json:"trace_alias_misses"`
+	MemoHits          uint64 `json:"schedule_memo_hits"`
+	MemoMisses        uint64 `json:"schedule_memo_misses"`
 }
 
 // Service is a concurrent scheduling service. Create one with New; it
@@ -310,6 +314,12 @@ type Service struct {
 	sessionsExported atomic.Uint64
 	sessionsImported atomic.Uint64
 
+	// alias maps raw trace texts already decoded to their fingerprint
+	// and shape; memoHits and memoMisses count schedule-memo lookups.
+	alias      *trace.TextAlias
+	memoHits   atomic.Uint64
+	memoMisses atomic.Uint64
+
 	// deltaLayersRecomputed remembers the layer count of the most recent
 	// session schedule computation, exposed as a gauge: near zero under
 	// delta traffic, spiking to items x windows on cold or fallback runs.
@@ -338,7 +348,7 @@ type Service struct {
 
 // New returns a Service with the given configuration.
 func New(cfg Config) *Service {
-	s := &Service{cfg: cfg, cache: newTableCache(cfg.cacheBytes(), !cfg.DisableColdTier)}
+	s := &Service{cfg: cfg, cache: newTableCache(cfg.cacheBytes(), !cfg.DisableColdTier), alias: trace.NewTextAlias()}
 	if cfg.MaxInflight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -432,6 +442,10 @@ func (s *Service) Stats() Stats {
 		TablesPrefilled:  s.tablesPrefilled.Load(),
 		SessionsExported: s.sessionsExported.Load(),
 		SessionsImported: s.sessionsImported.Load(),
+		TraceAliasHits:   s.alias.Hits(),
+		TraceAliasMisses: s.alias.Misses(),
+		MemoHits:         s.memoHits.Load(),
+		MemoMisses:       s.memoMisses.Load(),
 	}
 	cs := s.cache.counters()
 	st.CacheHits, st.CacheMisses, st.CacheSharedBuild = cs.hits, cs.misses, cs.sharedBuilds
@@ -441,24 +455,40 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Schedule runs one request. It validates and decodes the trace, takes
-// a concurrency slot (or sheds), resolves the fingerprint against the
-// model cache (building at most once per fingerprint), runs the
-// scheduler, and optionally referees the result. The context bounds the
-// caller's wait, not the computation: an expired context returns
-// immediately while the work completes in the background.
+// Schedule runs one request. It validates the request, resolves the
+// trace text to a fingerprint (through the text alias, decoding only
+// when it must), takes a concurrency slot (or sheds), resolves the
+// fingerprint against the table cache (building at most once per
+// fingerprint), answers from the entry's schedule memo (running the
+// scheduler at most once per algorithm and capacity), and optionally
+// referees the result. The context bounds the caller's wait, not the
+// computation: an expired context returns immediately while the work
+// completes in the background.
 func (s *Service) Schedule(ctx context.Context, req Request) (*Response, error) {
 	s.requests.Add(1)
 	start := time.Now()
-
 	resp, err := s.schedule(ctx, req)
+	if err != nil {
+		s.countFailure(err)
+		return nil, err
+	}
+	resp.ElapsedUS = s.complete(start).Microseconds()
+	return resp, nil
+}
+
+// complete counts one delivered request and returns its service time.
+func (s *Service) complete(start time.Time) time.Duration {
+	elapsed := time.Since(start)
+	s.completed.Add(1)
+	s.observeServiceTime(elapsed)
+	s.metrics.request.ObserveDuration(elapsed)
+	return elapsed
+}
+
+// countFailure counts one failed Schedule or ScheduleBatch call under
+// its error class.
+func (s *Service) countFailure(err error) {
 	switch {
-	case err == nil:
-		elapsed := time.Since(start)
-		resp.ElapsedUS = elapsed.Microseconds()
-		s.completed.Add(1)
-		s.observeServiceTime(elapsed)
-		s.metrics.request.ObserveDuration(elapsed)
 	case errors.Is(err, ErrOverloaded):
 		s.rejectedOverload.Add(1)
 	case errors.Is(err, ErrClosed):
@@ -470,7 +500,6 @@ func (s *Service) Schedule(ctx context.Context, req Request) (*Response, error) 
 	default:
 		s.internalErrors.Add(1)
 	}
-	return resp, err
 }
 
 func isRequestError(err error) bool {
@@ -479,11 +508,6 @@ func isRequestError(err error) bool {
 }
 
 func (s *Service) schedule(ctx context.Context, req Request) (*Response, error) {
-	// Per-stage spans record into the service histograms and any sink
-	// the caller carried in via obs.WithStages (pimbench-style
-	// breakdowns over an embedded service).
-	stages := obs.Tee(s.stages, obs.StagesFrom(ctx))
-
 	scheduler, err := sched.ByName(req.Algorithm)
 	if err != nil {
 		return nil, &RequestError{Err: err}
@@ -491,25 +515,55 @@ func (s *Service) schedule(ctx context.Context, req Request) (*Response, error) 
 	if req.Capacity < 0 {
 		return nil, badRequest("negative capacity %d", req.Capacity)
 	}
-	if int64(len(req.Trace)) > s.cfg.maxBodyBytes() {
-		return nil, badRequest("trace text %d bytes exceeds limit %d", len(req.Trace), s.cfg.maxBodyBytes())
-	}
-	sp := stages.Start("decode")
-	tr, err := trace.Decode(strings.NewReader(req.Trace))
-	sp.End()
+	return runTrace(s, ctx, req.Trace, req.PeerHint, req.Verify,
+		func(stages obs.Stages, in *traceInput, entry *cacheEntry, cacheHit bool) (*Response, error) {
+			resp, err := s.runSpec(stages, in, entry, scheduler, req.Capacity, req.Verify)
+			if err != nil {
+				return nil, err
+			}
+			resp.Fingerprint = in.sum.Fingerprint.String()
+			resp.CacheHit = cacheHit
+			return resp, nil
+		})
+}
+
+// traceInput is an admitted request's trace: its raw text, what the
+// text resolved to, and the decoded trace once some step needed it.
+type traceInput struct {
+	text     string
+	sum      trace.Summary
+	tr       *trace.Trace // nil after an alias hit until a build, promotion or verify decodes
+	peerHint string
+}
+
+// runTrace is the request path /schedule and /schedule/batch share,
+// entered once each has validated its own specs. It bounds the trace
+// text, resolves it to a fingerprint and shape, refuses after Close,
+// claims a concurrency slot or sheds, and then, in a worker, resolves
+// the table cache and runs work against the ready entry (cacheHit is
+// false only for the request elected to build the table). needTrace
+// makes an alias hit decode the trace anyway (a verify pass reads its
+// events). The cache outcome settles into the counters only when work
+// succeeds and is delivered.
+func runTrace[T any](s *Service, ctx context.Context, text, peerHint string, needTrace bool,
+	work func(stages obs.Stages, in *traceInput, entry *cacheEntry, cacheHit bool) (T, error)) (T, error) {
+	var zero T
+	// Per-stage spans record into the service histograms and any sink
+	// the caller carried in via obs.WithStages (pimbench-style
+	// breakdowns over an embedded service).
+	stages := obs.Tee(s.stages, obs.StagesFrom(ctx))
+	in, err := s.resolveText(stages, text, needTrace)
 	if err != nil {
-		return nil, &RequestError{Err: err}
+		return zero, err
 	}
-	if err := s.checkTraceScale(tr); err != nil {
-		return nil, err
-	}
+	in.peerHint = peerHint
 
 	// Refuse after Close; wg.Add under the same lock so Close's Wait
 	// cannot slip between the check and the registration.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrClosed
+		return zero, ErrClosed
 	}
 	s.wg.Add(1)
 	s.mu.Unlock()
@@ -520,7 +574,7 @@ func (s *Service) schedule(ctx context.Context, req Request) (*Response, error) 
 		case s.slots <- struct{}{}:
 		default:
 			s.wg.Done()
-			return nil, ErrOverloaded
+			return zero, ErrOverloaded
 		}
 	}
 	s.inflight.Add(1)
@@ -538,74 +592,133 @@ func (s *Service) schedule(ctx context.Context, req Request) (*Response, error) 
 		defer cancel()
 	}
 
-	sp = stages.Start("fingerprint")
-	fp := tr.Fingerprint()
-	sp.End()
-	work := func() (*Response, error) {
+	var outcome cacheOutcome
+	v, err := awaitDone(ctx, func() (T, error) {
 		if s.testHookRunning != nil {
 			s.testHookRunning()
 		}
-		entry, outcome := s.resolveTable(stages, fp, tr, req.PeerHint)
-		p := &sched.Problem{Model: entry.model, Table: entry.table, Capacity: req.Capacity}
-		sp := stages.Start("sched." + strings.ToLower(scheduler.Name()))
-		schedule, err := scheduler.Schedule(p)
-		sp.End()
+		entry, o, err := s.resolveTable(stages, in)
 		if err != nil {
-			return nil, &RequestError{Err: err} // infeasible capacity etc.
+			return zero, err
 		}
-		bd := p.Model.Evaluate(schedule)
-		resp := &Response{
-			Algorithm:    scheduler.Name(),
-			Grid:         tr.Grid.String(),
-			NumData:      tr.NumData,
-			NumWindows:   tr.NumWindows(),
-			Capacity:     req.Capacity,
-			Centers:      schedule.Centers,
-			Cost:         CostJSON{Residence: bd.Residence, Move: bd.Move, Total: bd.Total()},
-			Fingerprint:  fp.String(),
-			CacheHit:     outcome != cacheOutcomeBuild,
-			cacheOutcome: outcome,
-		}
-		if req.Verify {
-			sp := stages.Start("verify")
-			err := func() error {
-				if err := verify.Check(tr, schedule, req.Capacity); err != nil {
-					return fmt.Errorf("service: referee rejected schedule: %v", err)
-				}
-				claim := verify.Breakdown{Residence: bd.Residence, Move: bd.Move}
-				if err := verify.CrossCheck(tr, schedule, p.Model.DataSize, claim); err != nil {
-					return fmt.Errorf("service: %v", err)
-				}
-				resp.Verified = &CostJSON{Residence: claim.Residence, Move: claim.Move, Total: claim.Total()}
-				return nil
-			}()
-			sp.End()
-			if err != nil {
-				return nil, err
-			}
-		}
-		return resp, nil
-	}
-	resp, err := awaitDone(ctx, work, finished)
+		outcome = o
+		return work(stages, in, entry, o != cacheOutcomeBuild)
+	}, finished)
 	if err == nil {
 		// The hit/shared-build counters settle here, on the actual
 		// outcome: a waiter abandoned by its context while the build was
 		// still in flight never delivered a table, so it must not count
 		// as cache traffic (the regression test pins this down).
-		s.cache.settle(resp.cacheOutcome)
+		s.cache.settle(outcome)
 	}
-	return resp, err
+	return v, err
 }
 
-// resolveTable resolves a fingerprint against the table cache. The
-// elected builder first tries a peer fill when a hint is present,
-// falling back silently to a local build; an elected promoter decodes
-// the cold tier's compressed payload back to a flat table; everyone
-// else either finds the entry ready (hit) or waits out the in-flight
-// work (shared build). The returned entry is always ready. The caller
-// settles the returned outcome into the cache counters once its
-// request completes.
-func (s *Service) resolveTable(stages obs.Stages, fp trace.Fingerprint, tr *trace.Trace, peerHint string) (*cacheEntry, cacheOutcome) {
+// resolveText bounds a request's trace text and resolves it to its
+// fingerprint and shape. A text seen before is answered from the alias
+// without decoding — its shape still passes the cell budget on every
+// request — unless needTrace asks for the events. A new text is decoded,
+// checked against the budget and fingerprinted, and only a text that
+// passed all three enters the alias, so a malformed or over-budget text
+// is refused afresh on every repeat.
+func (s *Service) resolveText(stages obs.Stages, text string, needTrace bool) (*traceInput, error) {
+	if int64(len(text)) > s.cfg.maxBodyBytes() {
+		return nil, badRequest("trace text %d bytes exceeds limit %d", len(text), s.cfg.maxBodyBytes())
+	}
+	in := &traceInput{text: text}
+	key := trace.HashText(text)
+	sum, hit := s.alias.Lookup(key)
+	if hit {
+		if err := s.checkTraceScale(sum.Shape); err != nil {
+			return nil, err
+		}
+		in.sum = sum
+		if !needTrace {
+			return in, nil
+		}
+	}
+	if err := s.decodeInput(stages, in); err != nil {
+		return nil, &RequestError{Err: err}
+	}
+	if hit {
+		return in, nil
+	}
+	if err := s.checkTraceScale(in.tr.Shape()); err != nil {
+		return nil, err
+	}
+	sp := stages.Start("fingerprint")
+	in.sum = trace.Summary{Fingerprint: in.tr.Fingerprint(), Shape: in.tr.Shape()}
+	sp.End()
+	s.alias.Add(key, in.sum)
+	return in, nil
+}
+
+// decodeInput decodes the request's trace text into in.tr.
+func (s *Service) decodeInput(stages obs.Stages, in *traceInput) error {
+	sp := stages.Start("decode")
+	tr, err := trace.Decode(strings.NewReader(in.text))
+	sp.End()
+	in.tr = tr
+	return err
+}
+
+// runSpec answers one (algorithm, capacity) spec against a ready cache
+// entry from the entry's schedule memo, optionally refereeing the
+// result. A scheduler refusal (infeasible capacity) is a RequestError;
+// a referee rejection is an internal error.
+func (s *Service) runSpec(stages obs.Stages, in *traceInput, entry *cacheEntry, scheduler sched.Scheduler, capacity int, verifyIt bool) (*Response, error) {
+	centers, cst, err := s.memoized(stages, entry, scheduler, capacity, in.sum.Shape)
+	if err != nil {
+		return nil, &RequestError{Err: err}
+	}
+	resp := &Response{
+		Algorithm:  scheduler.Name(),
+		Grid:       in.sum.Grid.String(),
+		NumData:    in.sum.NumData,
+		NumWindows: in.sum.NumWindows,
+		Capacity:   capacity,
+		Centers:    centers,
+		Cost:       cst,
+	}
+	if verifyIt {
+		sp := stages.Start("verify")
+		defer sp.End()
+		schedule := cost.Schedule{Centers: centers}
+		if err := verify.Check(in.tr, schedule, capacity); err != nil {
+			return nil, fmt.Errorf("service: referee rejected schedule: %v", err)
+		}
+		claim := verify.Breakdown{Residence: cst.Residence, Move: cst.Move}
+		if err := verify.CrossCheck(in.tr, schedule, entry.model.DataSize, claim); err != nil {
+			return nil, fmt.Errorf("service: %v", err)
+		}
+		resp.Verified = &CostJSON{Residence: claim.Residence, Move: claim.Move, Total: claim.Total()}
+	}
+	return resp, nil
+}
+
+// resolveTable resolves a request's fingerprint against the table
+// cache. After an alias hit the request has no decoded trace, which
+// suffices for a ready or in-flight entry; an absent or cold one needs
+// the trace, so it is decoded here, in the worker, and the request
+// joins the election. The elected builder first tries a peer fill when
+// a hint is present, falling back silently to a local build; an
+// elected promoter decodes the cold tier's compressed payload back to a
+// flat table; everyone else either finds the entry ready (hit) or waits
+// out the in-flight work (shared build). The returned entry is always
+// ready. The caller settles the returned outcome into the cache
+// counters once its request completes.
+func (s *Service) resolveTable(stages obs.Stages, in *traceInput) (*cacheEntry, cacheOutcome, error) {
+	fp := in.sum.Fingerprint
+	if in.tr == nil {
+		if entry, ok := s.cache.acquireResident(fp); ok {
+			return entry, awaitEntry(stages, entry), nil
+		}
+		if err := s.decodeInput(stages, in); err != nil {
+			// The alias holds only texts that decoded cleanly.
+			return nil, 0, fmt.Errorf("service: aliased trace text no longer decodes: %v", err)
+		}
+	}
+	tr := in.tr
 	entry, role, comp := s.cache.acquire(fp)
 	switch role {
 	case cacheRoleBuilder:
@@ -613,7 +726,7 @@ func (s *Service) resolveTable(stages obs.Stages, fp trace.Fingerprint, tr *trac
 		// not capture a request-scoped sink: service histograms only.
 		m := cost.NewModel(tr)
 		m.Stages = s.stages
-		if table, ok := s.fetchPeerTable(stages, fp, tr, peerHint); ok {
+		if table, ok := s.fetchPeerTable(stages, fp, tr, in.peerHint); ok {
 			// Adopted, not built: tables_built stays flat, which is what
 			// keeps the fleet-wide tables_built == distinct-traces
 			// invariant true across shard topology changes.
@@ -624,7 +737,7 @@ func (s *Service) resolveTable(stages obs.Stages, fp trace.Fingerprint, tr *trac
 			s.tablesBuilt.Add(1)
 			sp.End()
 		}
-		return entry, cacheOutcomeBuild
+		return entry, cacheOutcomeBuild, nil
 	case cacheRolePromoter:
 		// The cold tier held the table compressed; decode it instead of
 		// rebuilding. The model was dropped at demotion (it is as large
@@ -644,14 +757,20 @@ func (s *Service) resolveTable(stages obs.Stages, fp trace.Fingerprint, tr *trac
 			sp.End()
 		}
 		s.cache.publish(entry, m, table)
-		return entry, cacheOutcomePromote
+		return entry, cacheOutcomePromote, nil
 	}
+	return entry, awaitEntry(stages, entry), nil
+}
+
+// awaitEntry waits for an entry a request did not elect itself to fill,
+// classifying the wait.
+func awaitEntry(stages obs.Stages, entry *cacheEntry) cacheOutcome {
 	select {
 	case <-entry.ready:
 		// Cache hit: record a zero-length span so hit counts
 		// appear alongside build and wait in the stage series.
 		stages.Record("table.hit", 0)
-		return entry, cacheOutcomeHit
+		return cacheOutcomeHit
 	default:
 		// Another request is building this entry; its worker
 		// always completes (pure CPU work), so waiting here
@@ -660,7 +779,7 @@ func (s *Service) resolveTable(stages obs.Stages, fp trace.Fingerprint, tr *trac
 		sp := stages.Start("table.wait")
 		<-entry.ready
 		sp.End()
-		return entry, cacheOutcomeShared
+		return cacheOutcomeShared
 	}
 }
 

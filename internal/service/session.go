@@ -114,7 +114,7 @@ func (s *Service) CreateSession(req CreateSessionRequest) (*SessionInfo, error) 
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
-	if err := s.checkTraceScale(tr); err != nil {
+	if err := s.checkTraceScale(tr.Shape()); err != nil {
 		return nil, err
 	}
 

@@ -26,8 +26,9 @@ func benchTraceText(b *testing.B, kind string, n int, g grid.Grid) string {
 // BenchmarkScheduleColdHit measures a schedule served through a
 // cold-tier promotion: the byte budget fits one flat table, so
 // alternating two traces makes every call decode the compressed victim
-// back to the hot tier (and demote the other). The delta against a
-// flat cache-hot Schedule (BenchmarkServeSchedule) is the price of a
+// back to the hot tier (and demote the other). A promoted entry starts
+// with an empty schedule memo, so each call also reruns the DP: the
+// delta against BenchmarkServeSchedule/memo-miss is the price of a
 // cold hit — which the cache pays instead of a full table rebuild.
 // scripts/bench.sh snapshots it into BENCH_CACHE.json.
 func BenchmarkScheduleColdHit(b *testing.B) {

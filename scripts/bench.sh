@@ -7,8 +7,9 @@
 # + BenchmarkGOMCDS (separable min-plus sweep DP vs dense O(P²)
 # relaxation, 16x16 array), BenchmarkDeltaApply (incremental session
 # rescheduling one edited window vs a from-scratch rebuild, 16x16
-# array, 64 windows), and the service hot path (BenchmarkServeSchedule
-# closed-loop p50/p99 latency and allocs/op, plus the zero-alloc
+# array, 64 windows), and the service paths over a cached table
+# (BenchmarkServeSchedule memo-hit, memo-miss and cold closed-loop
+# p50/p99 latency and allocs/op, with a host block, plus the zero-alloc
 # kernels BenchmarkResidenceRow and BenchmarkSolveBatch/batch, which
 # FAIL the snapshot if they ever allocate) — prints the raw
 # benchstat-compatible output, and records the metrics in
@@ -170,15 +171,18 @@ END {
 }')"
 
 echo
-echo "== service hot path =="
+echo "== service paths (memo hit, memo miss, cold) =="
 RAW_SERVE="$(go test -run '^$' -bench '^(BenchmarkServeSchedule|BenchmarkResidenceRow|BenchmarkSolveBatch)$' -benchmem -count "$COUNT" .)"
 echo "$RAW_SERVE"
 
 # Custom metrics (p50-us/p99-us) and allocs/op sit at varying field
 # positions, so the awk scans each line for the unit token and takes
 # the value before it. The two zero-alloc kernels are hard gates: a
-# single allocation per op fails the run, snapshot mode included.
-SERVE_SUMMARY="$(echo "$RAW_SERVE" | awk -v count="$COUNT" '
+# single allocation per op fails the run, snapshot mode included. The
+# host block records where the numbers came from: the CPU model go test
+# reports, GOMAXPROCS, and the Go version.
+SERVE_SUMMARY="$(echo "$RAW_SERVE" | awk -v count="$COUNT" \
+	-v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v gover="$(go env GOVERSION)" '
 function metric(unit,   i) {
 	for (i = 2; i <= NF; i++) {
 		if ($i == unit) {
@@ -187,10 +191,13 @@ function metric(unit,   i) {
 	}
 	return 0
 }
-/^BenchmarkServeSchedule\/hot/ {
-	hot += $3; hp50 += metric("p50-us"); hp99 += metric("p99-us")
-	hal += metric("allocs/op"); nhot++
+function path(p) {
+	ns[p] += $3; p50[p] += metric("p50-us"); p99[p] += metric("p99-us")
+	al[p] += metric("allocs/op"); n[p]++
 }
+/^BenchmarkServeSchedule\/memo-hit/  { path("memo_hit") }
+/^BenchmarkServeSchedule\/memo-miss/ { path("memo_miss") }
+/^BenchmarkServeSchedule\/cold/      { path("cold") }
 /^BenchmarkServeSchedule\/parallel/ {
 	par += $3; pal += metric("allocs/op"); npar++
 }
@@ -198,8 +205,9 @@ function metric(unit,   i) {
 /^BenchmarkSolveBatch\/batch/ { sb += $3; sba += metric("allocs/op"); nsb++ }
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
+/^cpu:/    { cpu = substr($0, 6) }
 END {
-	if (nhot == 0 || npar == 0 || nrr == 0 || nsb == 0) {
+	if (n["memo_hit"] == 0 || n["memo_miss"] == 0 || n["cold"] == 0 || npar == 0 || nrr == 0 || nsb == 0) {
 		print "bench.sh: no service benchmark samples parsed" > "/dev/stderr"
 		exit 1
 	}
@@ -208,18 +216,26 @@ END {
 			rra / nrr, sba / nsb > "/dev/stderr"
 		exit 1
 	}
-	hot /= nhot; hp50 /= nhot; hp99 /= nhot; hal /= nhot
 	par /= npar; pal /= npar; rr /= nrr; sb /= nsb
 	printf "{\n"
 	printf "  \"benchmark\": \"BenchmarkServeSchedule\",\n"
-	printf "  \"instance\": \"lu/16 on 4x4, gomcds, cache-hot\",\n"
-	printf "  \"goos\": \"%s\",\n", goos
-	printf "  \"goarch\": \"%s\",\n", goarch
+	printf "  \"instance\": \"lu/16 on 4x4, gomcds, cached table\",\n"
+	printf "  \"host\": {\n"
+	printf "    \"cpu\": \"%s\",\n", cpu
+	printf "    \"gomaxprocs\": %d,\n", gomaxprocs
+	printf "    \"go\": \"%s\",\n", gover
+	printf "    \"goos\": \"%s\",\n", goos
+	printf "    \"goarch\": \"%s\"\n", goarch
+	printf "  },\n"
 	printf "  \"count\": %d,\n", count
-	printf "  \"hot_ns_per_op\": %.0f,\n", hot
-	printf "  \"hot_p50_us\": %.0f,\n", hp50
-	printf "  \"hot_p99_us\": %.0f,\n", hp99
-	printf "  \"hot_allocs_per_op\": %.0f,\n", hal
+	split("memo_hit memo_miss cold", paths, " ")
+	for (i = 1; i <= 3; i++) {
+		p = paths[i]
+		printf "  \"%s_ns_per_op\": %.0f,\n", p, ns[p] / n[p]
+		printf "  \"%s_p50_us\": %.0f,\n", p, p50[p] / n[p]
+		printf "  \"%s_p99_us\": %.0f,\n", p, p99[p] / n[p]
+		printf "  \"%s_allocs_per_op\": %.0f,\n", p, al[p] / n[p]
+	}
 	printf "  \"parallel_ns_per_op\": %.0f,\n", par
 	printf "  \"parallel_allocs_per_op\": %.0f,\n", pal
 	printf "  \"residence_row_ns_per_op\": %.0f,\n", rr
@@ -354,9 +370,11 @@ if [ "$CHECK" = 1 ]; then
 	check_drift BENCH_SCHED.json sweep_ns_per_op "$SCHED_SUMMARY"
 	check_drift BENCH_SCHED.json gomcds_sweep_ns_per_op "$SCHED_SUMMARY"
 	check_drift BENCH_DELTA.json incremental_ns_per_op "$DELTA_SUMMARY"
-	check_drift BENCH_SERVE.json hot_ns_per_op "$SERVE_SUMMARY"
-	check_drift BENCH_SERVE.json hot_p99_us "$SERVE_SUMMARY" us
-	check_drift BENCH_SERVE.json hot_allocs_per_op "$SERVE_SUMMARY" allocs/op
+	check_drift BENCH_SERVE.json memo_hit_ns_per_op "$SERVE_SUMMARY"
+	check_drift BENCH_SERVE.json memo_hit_p99_us "$SERVE_SUMMARY" us
+	check_drift BENCH_SERVE.json memo_hit_allocs_per_op "$SERVE_SUMMARY" allocs/op
+	check_drift BENCH_SERVE.json memo_miss_ns_per_op "$SERVE_SUMMARY"
+	check_drift BENCH_SERVE.json cold_ns_per_op "$SERVE_SUMMARY"
 	check_drift BENCH_CACHE.json codec_encode_ns_per_op "$CACHE_SUMMARY"
 	check_drift BENCH_CACHE.json cold_hit_ns_per_op "$CACHE_SUMMARY"
 	check_drift BENCH_CACHE.json tiered_tables_built "$CACHE_SUMMARY" tables

@@ -38,6 +38,21 @@ echo "== delta replay referee (-race) =="
 go test -race -run '^TestDeltaReplayAgrees$' ./internal/verify
 go test -race -run '^TestHTTPSessionConcurrentClients$' ./internal/service
 
+# Schedule-memo referee: fresh, aliased, memo-hit, verify=true and
+# batch answers bit-identical over seeded random traces at unbounded,
+# tight and infeasible capacities; text variants, demote/promote,
+# caller-mutated centers, over-budget traces and racing identical
+# requests. Plus the counter-settlement check: alias hits + misses equal
+# the requests that passed validation, memo hits + misses the specs
+# that reached a table. Both under the race detector; they already ran
+# under ./... above, the named gates survive narrower invocations.
+echo "== schedule memo referee (-race) =="
+go test -race -run '^TestMemoReferee' ./internal/service
+go test -race -run '^(TestHashTextIsSHA256OfText|TestTextAliasBoundedFIFO)$' ./internal/trace
+echo "== alias/memo counter settlement (-race) =="
+go test -race -run '^TestAliasMemoCountersSettle$' ./internal/service
+go test -race -run '^TestRouterIdenticalSinglesShareOneMemoFill$' ./internal/cluster
+
 # Hot-path allocation pins: the steady-state kernels (residence-row
 # pricing, batched sweep DP, resumable DP, session delta patch) must be
 # exactly zero allocs/op, and the cache-hot full-service Schedule call
@@ -119,7 +134,11 @@ for series in \
 	'pim_cache_misses_total 1' \
 	'pim_stage_duration_seconds_bucket{stage="decode",le="+Inf"}' \
 	'pim_stage_duration_seconds_bucket{stage="table.build",le="+Inf"}' \
-	'pim_request_duration_seconds_count 1'; do
+	'pim_request_duration_seconds_count 1' \
+	'pim_trace_alias_misses_total 1' \
+	'pim_trace_alias_hits_total 0' \
+	'pim_schedule_memo_misses_total 1' \
+	'pim_schedule_memo_hits_total 0'; do
 	if ! grep -qF "$series" <<<"$SCRAPE"; then
 		echo "check.sh: /metrics scrape missing series: $series"
 		echo "$SCRAPE"
@@ -182,21 +201,23 @@ for series in \
 		exit 1
 	fi
 done
-# With request coalescing, identical in-flight singles ride one
-# upstream call: upstream sends plus coalesced joins must account for
-# every one of the 24 client requests, and the latency histogram
-# counts upstream sends only.
+# Every one of the 24 client requests is one upstream send (the router
+# does not coalesce; identical requests collapse in the owning shard's
+# schedule memo), the latency histogram counts exactly those sends, and
+# every routed request resolved its trace text through the router's
+# alias exactly once (a hit or a miss).
 scrape_val() { sed -n "s/^$1 \([0-9][0-9]*\)\$/\1/p" <<<"$ROUTER_SCRAPE"; }
 REQS="$(scrape_val pim_router_requests_total)"
-COAL="$(scrape_val pim_router_coalesced_total)"
 DUR="$(scrape_val pim_router_request_duration_seconds_count)"
-if [ -z "$REQS" ] || [ -z "$COAL" ] || [ -z "$DUR" ]; then
+AHIT="$(scrape_val pim_router_trace_alias_hits_total)"
+AMISS="$(scrape_val pim_router_trace_alias_misses_total)"
+if [ -z "$REQS" ] || [ -z "$DUR" ] || [ -z "$AHIT" ] || [ -z "$AMISS" ]; then
 	echo "check.sh: router /metrics missing request accounting series"
 	echo "$ROUTER_SCRAPE"
 	exit 1
 fi
-if [ $((REQS + COAL)) -ne 24 ] || [ "$DUR" -ne "$REQS" ]; then
-	echo "check.sh: router accounting: requests=$REQS coalesced=$COAL duration_count=$DUR; want requests+coalesced=24, duration_count=requests"
+if [ "$REQS" -ne 24 ] || [ "$DUR" -ne "$REQS" ] || [ $((AHIT + AMISS)) -ne 24 ]; then
+	echo "check.sh: router accounting: requests=$REQS duration_count=$DUR alias_hits=$AHIT alias_misses=$AMISS; want requests=24, duration_count=requests, alias hits+misses=24"
 	exit 1
 fi
 FLEET_BUILT=0
