@@ -307,8 +307,8 @@ func kernelStudy(out io.Writer, g grid.Grid, n int, stages func(string, time.Dur
 	tbl := report.NewTable(fmt.Sprintf("Residence kernels (%v array, %d items, %d windows, %d refs)",
 		g, tr.NumData, tr.NumWindows(), tr.NumRefs()),
 		"kernel", "time")
-	tbl.AddF(cost.KernelSeparable, fastDur.Round(time.Microsecond))
-	tbl.AddF(cost.KernelNaive, naiveDur.Round(time.Microsecond))
+	tbl.AddF("separable", fastDur.Round(time.Microsecond))
+	tbl.AddF("naive", naiveDur.Round(time.Microsecond))
 	if err := tbl.Render(out); err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 // Command pimserve runs the scheduling service over HTTP: a
 // long-running pool of workers that schedules traces on demand, with a
-// fingerprint-keyed cache of cost models and residence tables shared
-// across requests.
+// fingerprint-keyed cache of residence tables shared across requests.
 //
 // Start a server and schedule a trace:
 //

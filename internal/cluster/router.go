@@ -766,6 +766,12 @@ func (rt *Router) send(ctx context.Context, method, backend, path, rawQuery, con
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
+	if replayable(method, path) {
+		// Not sent, but lets the transport resend on a fresh connection
+		// after "http: server closed idle connection"; if the shard is
+		// dead, that dial fails and isConnError retries the next owner.
+		req.Header["Idempotency-Key"] = nil
+	}
 	if peer != "" {
 		req.Header.Set(service.PeerHintHeader, peer)
 		rt.peerHints.Inc()
@@ -935,6 +941,12 @@ func (rt *Router) adminBackend(w http.ResponseWriter, r *http.Request) (string, 
 	}
 	routerError(w, http.StatusNotFound, "cluster: unknown backend "+backend)
 	return "", false
+}
+
+// replayable reports whether a proxied request may be sent twice: only
+// the pure-compute routes. Session routes change shard state.
+func replayable(method, path string) bool {
+	return method == http.MethodPost && (path == "/schedule" || path == "/schedule/batch")
 }
 
 // isConnError reports whether err means the request never got a

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -589,5 +590,72 @@ func TestRouterBackgroundHealthLoop(t *testing.T) {
 	}
 	if !rt.Ring().Has(b2.ts.URL) {
 		t.Fatal("health loop ejected a live backend")
+	}
+}
+
+// replayRecorder records, per proxied route, whether the router marked
+// the outgoing request replayable (a nil-valued Idempotency-Key, which
+// lets the transport resend it on a fresh connection after "http:
+// server closed idle connection").
+type replayRecorder struct {
+	mu     sync.Mutex
+	marked map[string]bool
+}
+
+func (r *replayRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	_, ok := req.Header["Idempotency-Key"]
+	r.mu.Lock()
+	r.marked[req.Method+" "+req.URL.Path] = ok
+	r.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestRouterReplaysOnlyPureCompute: a proxied POST that lands on a
+// pooled connection the shard has just closed must be replayed on a
+// fresh one for /schedule and /schedule/batch (pure functions of the
+// body) and never for session routes, which change shard state.
+func TestRouterReplaysOnlyPureCompute(t *testing.T) {
+	b := newBackend(t, service.Config{})
+	rec := &replayRecorder{marked: make(map[string]bool)}
+	_, ts := newTestRouter(t, RouterConfig{Backends: []string{b.ts.URL}, Client: &http.Client{Transport: rec}})
+
+	text := clusterTrace(t, 0)
+	if status, body := postJSON(t, ts.Client(), ts.URL+"/schedule", service.Request{Trace: text, Algorithm: "scds"}); status != http.StatusOK {
+		t.Fatalf("schedule: status %d: %s", status, body)
+	}
+	batch := service.BatchRequest{Trace: text, Requests: []service.BatchSpec{{Algorithm: "gomcds"}}}
+	if status, body := postJSON(t, ts.Client(), ts.URL+"/schedule/batch", batch); status != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", status, body)
+	}
+	status, body := postJSON(t, ts.Client(), ts.URL+"/session", service.CreateSessionRequest{Trace: text, Algorithm: "scds"})
+	if status != http.StatusCreated {
+		t.Fatalf("create session: status %d: %s", status, body)
+	}
+	var info struct {
+		SessionID string `json:"session_id"`
+	}
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	postJSON(t, ts.Client(), ts.URL+"/session/"+info.SessionID+"/delta", struct{}{})
+	postJSON(t, ts.Client(), ts.URL+"/session/"+info.SessionID+"/schedule", struct{}{})
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	want := map[string]bool{
+		"POST /schedule":       true,
+		"POST /schedule/batch": true,
+		"POST /session":        false,
+		"POST /session/" + info.SessionID + "/delta":    false,
+		"POST /session/" + info.SessionID + "/schedule": false,
+	}
+	for route, replay := range want {
+		got, seen := rec.marked[route]
+		if !seen {
+			t.Fatalf("route %s never reached the backend (saw %v)", route, rec.marked)
+		}
+		if got != replay {
+			t.Errorf("route %s: replayable = %v, want %v", route, got, replay)
+		}
 	}
 }

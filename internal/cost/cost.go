@@ -109,15 +109,8 @@ type Model struct {
 	// overwrite entries to model coarser items.
 	DataSize []int
 
-	// Kernel selects the residence-table algorithm. The zero value is
-	// KernelSeparable, the fast prefix-sum kernel; set KernelNaive to
-	// fall back to per-cell summation (the differential referee runs
-	// both and demands cell-for-cell agreement).
-	Kernel Kernel
-
 	// Stages, when non-nil, receives one (stage, duration) observation
-	// per table build ("cost.residence_table", "cost.aggregate_table",
-	// ...). It is the package-local form of obs.Stages — declared as a
+	// per table build ("cost.residence_table", ...). It is the package-local form of obs.Stages — declared as a
 	// plain func so the core cost model stays free of observability
 	// imports — and must be safe for concurrent use when the model is
 	// shared (the scheduling service caches models across requests).
@@ -233,22 +226,40 @@ func (t ResidenceTable) At(w, d, c int) int64 {
 // (w*nd + d)*np + c layout (shared, do not resize).
 func (t ResidenceTable) Cells() []int64 { return t.cells }
 
+// Aggregate returns A[d][c] = sum over w of R[w][d][c], the residence
+// cost of item d at center c over the whole run — the "merged single
+// execution window" SCDS and LOMCDS minimize over for initial
+// placement. Residence cost is linear in the reference volumes, so this
+// column sum is exactly the cost of the merged window.
+func (t ResidenceTable) Aggregate() [][]int64 {
+	flat := make([]int64, t.nd*t.np)
+	agg := make([][]int64, t.nd)
+	for d := range agg {
+		agg[d] = flat[d*t.np : (d+1)*t.np : (d+1)*t.np]
+	}
+	parallel.ForEach(t.nd, func(d int) {
+		row := agg[d]
+		for w := 0; w < t.nw; w++ {
+			for c, v := range t.Row(w, d) {
+				row[c] += v
+			}
+		}
+	})
+	return agg
+}
+
 // BuildResidenceTable computes the full residence table with the
-// kernel selected by m.Kernel (the separable prefix-sum kernel by
-// default), parallelized over data items. Most scheduler run time is
-// spent here, so the table is built once and shared across SCDS,
-// LOMCDS and GOMCDS runs on the same trace.
+// separable prefix-sum kernel, parallelized over data items. Most
+// scheduler run time is spent here, so the table is built once and
+// shared across SCDS, LOMCDS and GOMCDS runs on the same trace.
 func (m *Model) BuildResidenceTable() ResidenceTable {
 	defer m.stage("cost.residence_table")()
-	if m.Kernel == KernelNaive {
-		return m.buildNaive()
-	}
 	return m.buildSeparable()
 }
 
 // BuildResidenceTableNaive computes the table with the per-cell
-// summation kernel regardless of m.Kernel, for differential testing
-// against the separable kernel.
+// summation kernel, for differential testing against the separable
+// kernel.
 func (m *Model) BuildResidenceTableNaive() ResidenceTable {
 	defer m.stage("cost.residence_table_naive")()
 	return m.buildNaive()

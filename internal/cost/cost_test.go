@@ -67,52 +67,40 @@ func TestBuildResidenceTableMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestKernelDispatch pins the Kernel option: the default separable
-// kernel, the KernelNaive fallback and the explicit naive builder all
-// price every cell identically on the hand-computed trace.
-func TestKernelDispatch(t *testing.T) {
+// TestNaiveKernelMatchesSeparable: the production separable kernel and
+// the naive oracle builder price every cell identically on the
+// hand-computed trace.
+func TestNaiveKernelMatchesSeparable(t *testing.T) {
 	m := NewModel(twoWindowTrace())
-	if m.Kernel != KernelSeparable {
-		t.Fatalf("default kernel = %v, want separable", m.Kernel)
-	}
 	sep := m.BuildResidenceTable()
-	naiveExplicit := m.BuildResidenceTableNaive()
-	m.Kernel = KernelNaive
-	naiveOption := m.BuildResidenceTable()
+	naive := m.BuildResidenceTableNaive()
 	for w := 0; w < sep.NumWindows(); w++ {
 		for d := 0; d < sep.NumData(); d++ {
-			sr, ne, no := sep.Row(w, d), naiveExplicit.Row(w, d), naiveOption.Row(w, d)
+			sr, nr := sep.Row(w, d), naive.Row(w, d)
 			for c := range sr {
-				if sr[c] != ne[c] || sr[c] != no[c] {
-					t.Fatalf("kernel divergence at [%d][%d][%d]: separable %d, naive %d, option %d",
-						w, d, c, sr[c], ne[c], no[c])
+				if sr[c] != nr[c] {
+					t.Fatalf("kernel divergence at [%d][%d][%d]: separable %d, naive %d",
+						w, d, c, sr[c], nr[c])
 				}
 			}
 		}
 	}
-	if KernelSeparable.String() != "separable" || KernelNaive.String() != "naive" {
-		t.Error("kernel names wrong")
-	}
-	if Kernel(9).String() == "" {
-		t.Error("unknown kernel has empty string")
-	}
 }
 
-// TestBuildAggregateTableMatchesWindowSums: the separably-priced
-// whole-run aggregate must equal the column sums of the per-window
-// table on random instances.
-func TestBuildAggregateTableMatchesWindowSums(t *testing.T) {
+// TestAggregateMatchesResidenceSums: the table-derived whole-run
+// aggregate must equal the model's residence cost summed over every
+// window, cell for cell, on random instances.
+func TestAggregateMatchesResidenceSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for iter := 0; iter < 20; iter++ {
 		tr := randomCostTrace(rng)
 		m := NewModel(tr)
-		table := m.BuildResidenceTable()
-		agg := m.BuildAggregateTable()
+		agg := m.BuildResidenceTable().Aggregate()
 		for d := 0; d < m.NumData; d++ {
 			for c := 0; c < m.Grid.NumProcs(); c++ {
 				var want int64
 				for w := 0; w < m.NumWindows(); w++ {
-					want += table.At(w, d, c)
+					want += m.Residence(w, trace.DataID(d), c)
 				}
 				if agg[d][c] != want {
 					t.Fatalf("iter %d: agg[%d][%d] = %d, want %d", iter, d, c, agg[d][c], want)
@@ -337,18 +325,13 @@ func BenchmarkBuildResidenceTable(b *testing.B) {
 	})
 }
 
-// BenchmarkBuildAggregateTable times the whole-run aggregation SCDS
-// and LOMCDS use for initial placement, under both kernels.
-func BenchmarkBuildAggregateTable(b *testing.B) {
-	m := benchModel(4, 16, 1024)
-	for _, kernel := range []Kernel{KernelSeparable, KernelNaive} {
-		b.Run(kernel.String(), func(b *testing.B) {
-			m.Kernel = kernel
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = m.BuildAggregateTable()
-			}
-		})
+// BenchmarkAggregate times the whole-run aggregation SCDS and LOMCDS
+// use for initial placement.
+func BenchmarkAggregate(b *testing.B) {
+	table := benchModel(4, 16, 1024).BuildResidenceTable()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = table.Aggregate()
 	}
 }
 

@@ -11,8 +11,8 @@
 // O(X) / O(Y), and emit R[w][d][c] = Cx[cx] + Cy[cy]. The whole table
 // costs O(W*D*(X+Y+P)) independent of how dense the reference string
 // is, against O(W*D*P*refs) for the naive per-cell summation. The naive
-// kernel is kept both as the differential referee's counterpart and as
-// a fallback selectable through Model.Kernel.
+// kernel stays off the production path: BuildResidenceTableNaive exposes
+// it only as the differential referee's counterpart.
 package cost
 
 import (
@@ -21,29 +21,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/trace"
 )
-
-// Kernel selects the algorithm BuildResidenceTable uses.
-type Kernel int
-
-const (
-	// KernelSeparable is the prefix-sum kernel (the default):
-	// O(X+Y+P) per (window, item) pair, independent of reference count.
-	KernelSeparable Kernel = iota
-	// KernelNaive prices every cell by summing over the window's
-	// referencing processors: O(P*refs) per (window, item) pair.
-	KernelNaive
-)
-
-// String returns the kernel name.
-func (k Kernel) String() string {
-	switch k {
-	case KernelSeparable:
-		return "separable"
-	case KernelNaive:
-		return "naive"
-	}
-	return fmt.Sprintf("Kernel(%d)", int(k))
-}
 
 // axisCosts fills out[x] with the weighted one-dimensional distance sum
 // sum_i vol[i] * |i - x| for every coordinate x, in O(len(vol)) via the
@@ -102,8 +79,8 @@ func (m *Model) projectVolumes(counts []int, colVol, rowVol []int64) bool {
 }
 
 // buildNaive computes the table cell by cell, summing every reference's
-// distance — the original kernel, kept as the in-package counterpart
-// for differential testing and as a Kernel option.
+// distance — the original kernel, kept as the counterpart for
+// differential testing.
 func (m *Model) buildNaive() ResidenceTable {
 	nw, nd, np := m.NumWindows(), m.NumData, m.Grid.NumProcs()
 	table := NewResidenceTable(nw, nd, np)
@@ -140,57 +117,4 @@ func (m *Model) checkShape(table ResidenceTable) {
 			table.NumWindows(), table.NumData(), table.NumProcs(),
 			m.NumWindows(), m.NumData, m.Grid.NumProcs()))
 	}
-}
-
-// BuildAggregateTable returns A[d][c], the residence cost of item d at
-// center c summed over every window — the "merged single execution
-// window" SCDS and LOMCDS minimize over for initial placement. Because
-// residence cost is linear in the reference volumes, the whole-run
-// aggregate is priced directly from the per-item volume totals with the
-// selected kernel, without materializing (or re-reading) the per-window
-// table.
-func (m *Model) BuildAggregateTable() [][]int64 {
-	defer m.stage("cost.aggregate_table")()
-	nd, np := m.NumData, m.Grid.NumProcs()
-	nx, ny := m.Grid.Width(), m.Grid.Height()
-	flat := make([]int64, nd*np)
-	agg := make([][]int64, nd)
-	for d := range agg {
-		agg[d], flat = flat[:np], flat[np:]
-	}
-	parallel.ForEach(nd, func(d int) {
-		merged := make([]int, np)
-		for w := range m.counts {
-			for p, v := range m.counts[w][d] {
-				merged[p] += v
-			}
-		}
-		row := agg[d]
-		switch m.Kernel {
-		case KernelNaive:
-			for c := 0; c < np; c++ {
-				var total int64
-				for p, v := range merged {
-					if v != 0 {
-						total += int64(v) * int64(m.dist[p][c])
-					}
-				}
-				row[c] = total
-			}
-		default:
-			colVol := make([]int64, nx)
-			rowVol := make([]int64, ny)
-			if !m.projectVolumes(merged, colVol, rowVol) {
-				return // never referenced: all-zero row is exact
-			}
-			colCost := make([]int64, nx)
-			rowCost := make([]int64, ny)
-			axisCosts(colVol, colCost)
-			axisCosts(rowVol, rowCost)
-			for c := 0; c < np; c++ {
-				row[c] = colCost[m.colOf[c]] + rowCost[m.rowOf[c]]
-			}
-		}
-	})
-	return agg
 }

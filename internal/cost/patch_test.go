@@ -85,14 +85,15 @@ func TestPatchMatchesRebuild(t *testing.T) {
 				t.Fatalf("instance %d step %d: model tracks %d windows, trace has %d",
 					i, step, m.NumWindows(), len(tr.Windows))
 			}
-			// The patched counts must also feed the aggregate table (the
-			// SCDS/LOMCDS input) identically to a fresh model's.
-			agg, freshAgg := m.BuildAggregateTable(), fresh.BuildAggregateTable()
-			for d := range freshAgg {
-				for c := range freshAgg[d] {
-					if agg[d][c] != freshAgg[d][c] {
-						t.Fatalf("instance %d step %d: aggregate[%d][%d] = %d, fresh gives %d",
-							i, step, d, c, agg[d][c], freshAgg[d][c])
+			// The patched counts must also price residence (what Evaluate
+			// reads) identically to a fresh model's.
+			for w := 0; w < fresh.NumWindows(); w++ {
+				for d := 0; d < fresh.NumData; d++ {
+					for c := 0; c < fresh.Grid.NumProcs(); c++ {
+						if got, want := m.Residence(w, trace.DataID(d), c), fresh.Residence(w, trace.DataID(d), c); got != want {
+							t.Fatalf("instance %d step %d: residence[%d][%d][%d] = %d, fresh gives %d",
+								i, step, w, d, c, got, want)
+						}
 					}
 				}
 			}

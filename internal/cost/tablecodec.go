@@ -152,13 +152,13 @@ func DecodeTable(data []byte, maxCells int64) (trace.Fingerprint, ResidenceTable
 }
 
 // CheckShape reports whether t has the windows x data x processors
-// shape tr implies. It is the one adoption check every path that takes
-// a table it did not build from tr itself — peer fill, replica prefill,
+// shape sh declares. It is the one adoption check every path that takes
+// a table it did not build itself — peer fill, replica prefill,
 // cold-tier promotion, session restore — runs before using it.
-func (t ResidenceTable) CheckShape(tr *trace.Trace) error {
-	if t.nw != tr.NumWindows() || t.nd != tr.NumData || t.np != tr.Grid.NumProcs() {
+func (t ResidenceTable) CheckShape(sh trace.Shape) error {
+	if t.nw != sh.NumWindows || t.nd != sh.NumData || t.np != sh.Grid.NumProcs() {
 		return fmt.Errorf("table shape %dx%dx%d does not match trace %dx%dx%d",
-			t.nw, t.nd, t.np, tr.NumWindows(), tr.NumData, tr.Grid.NumProcs())
+			t.nw, t.nd, t.np, sh.NumWindows, sh.NumData, sh.Grid.NumProcs())
 	}
 	return nil
 }

@@ -284,7 +284,7 @@ func TestCheckShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := gen.Generate(6, grid.Square(3))
-	if err := NewModel(tr).BuildResidenceTable().CheckShape(tr); err != nil {
+	if err := NewModel(tr).BuildResidenceTable().CheckShape(tr.Shape()); err != nil {
 		t.Fatalf("table built from the trace refused: %v", err)
 	}
 	nw, nd, np := tr.NumWindows(), tr.NumData, tr.Grid.NumProcs()
@@ -293,7 +293,7 @@ func TestCheckShape(t *testing.T) {
 		NewResidenceTable(nw, nd-1, np),
 		NewResidenceTable(nw, nd, np+1),
 	} {
-		err := bad.CheckShape(tr)
+		err := bad.CheckShape(tr.Shape())
 		if err == nil || !strings.Contains(err.Error(), "does not match trace") {
 			t.Fatalf("shape %dx%dx%d accepted or misreported: %v", bad.NumWindows(), bad.NumData(), bad.NumProcs(), err)
 		}

@@ -9,7 +9,7 @@
 // an independent 1-D relaxation along x followed by one along y. Each
 // 1-D relaxation is two linear sweeps (one per direction) with the
 // running best shifted by size per step — the same trick the residence
-// table uses (cost.Kernel), applied to the scheduler's own hot path.
+// table's separable kernel uses, applied to the scheduler's own hot path.
 // One layer costs O(P) instead of the dense O(P²), turning GOMCDS from
 // O(D·W·P²) into O(D·W·P).
 //
@@ -22,7 +22,7 @@ package costgraph
 import "fmt"
 
 // Kernel selects the layered-relaxation algorithm GOMCDS runs per
-// layer, mirroring cost.Kernel for the residence table.
+// layer.
 type Kernel int
 
 const (

@@ -131,7 +131,7 @@ func NewSession(t *trace.Trace, scheduler sched.Scheduler, capacity int, opts Op
 // originating session because the DP is a pure function of the table.
 func RestoreSession(t *trace.Trace, scheduler sched.Scheduler, capacity int, seq uint64, table cost.ResidenceTable, opts Options) (*Session, error) {
 	if t != nil {
-		if err := table.CheckShape(t); err != nil {
+		if err := table.CheckShape(t.Shape()); err != nil {
 			return nil, fmt.Errorf("delta: restored %v", err)
 		}
 	}

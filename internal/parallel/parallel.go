@@ -7,6 +7,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync"
 )
@@ -109,4 +110,41 @@ func MapReduceN[T any](n, workers int, fn func(i int) T, zero T, merge func(a, b
 // of the results. It is the common reduction in cost evaluation.
 func SumInt64(n int, fn func(i int) int64) int64 {
 	return MapReduce(n, fn, 0, func(a, b int64) int64 { return a + b })
+}
+
+// AwaitDone runs fn in a goroutine and waits for it or for the context,
+// whichever finishes first. An expired context returns its error at
+// once while fn runs on in the background, its result discarded. done,
+// when non-nil, fires exactly once, when fn actually returns — or
+// immediately, without running fn, if the context was dead before fn
+// started — so a worker pool can hold its slot for the full lifetime of
+// the computation, not just of the wait. done fires before fn's result
+// is delivered, so a caller holding a result knows its slot is free: a
+// client's next request cannot be shed by the one just answered.
+func AwaitDone[T any](ctx context.Context, fn func() (T, error), done func()) (T, error) {
+	var zero T
+	if err := ctx.Err(); err != nil {
+		if done != nil {
+			done()
+		}
+		return zero, err
+	}
+	type result struct {
+		v   T
+		err error
+	}
+	ch := make(chan result, 1)
+	go func() {
+		v, err := fn()
+		if done != nil {
+			done()
+		}
+		ch <- result{v, err}
+	}()
+	select {
+	case r := <-ch:
+		return r.v, r.err
+	case <-ctx.Done():
+		return zero, ctx.Err()
+	}
 }

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -147,4 +149,41 @@ func BenchmarkForEach(b *testing.B) {
 			ForEach(256, work)
 		}
 	})
+}
+
+// TestAwaitDoneExpiredContext: with an already-dead context fn never
+// runs and done still fires exactly once, before AwaitDone returns; a
+// nil done is allowed. (sched's TestRunContextDone* tests cover the
+// abandoned-run path through RunContextDone.)
+func TestAwaitDoneExpiredContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran, fired := false, 0
+	_, err := AwaitDone(ctx, func() (int, error) { ran = true; return 0, nil }, func() { fired++ })
+	if !errors.Is(err, context.Canceled) || ran || fired != 1 {
+		t.Fatalf("err = %v, ran = %v, done fired %d times; want Canceled, false, 1", err, ran, fired)
+	}
+	if _, err := AwaitDone(ctx, func() (int, error) { return 0, nil }, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("nil done: err = %v, want context.Canceled", err)
+	}
+	v, err := AwaitDone(context.Background(), func() (int, error) { return 7, nil }, nil)
+	if v != 7 || err != nil {
+		t.Fatalf("live context: got %d, %v; want 7, nil", v, err)
+	}
+}
+
+// TestAwaitDoneFiresBeforeResult: by the time a caller holds fn's
+// result, done has fired. A worker pool releasing its slot in done
+// would otherwise shed a client's next request against the slot its
+// previous, already answered request still held.
+func TestAwaitDoneFiresBeforeResult(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		var fired atomic.Bool
+		if _, err := AwaitDone(context.Background(), func() (int, error) { return i, nil }, func() { fired.Store(true) }); err != nil {
+			t.Fatal(err)
+		}
+		if !fired.Load() {
+			t.Fatalf("iteration %d: result delivered before done fired", i)
+		}
+	}
 }

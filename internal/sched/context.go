@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
@@ -31,13 +32,13 @@ import (
 // the background.
 func NewProblemContext(ctx context.Context, t *trace.Trace, capacity int) (*Problem, error) {
 	stages := obs.StagesFrom(ctx)
-	return await(ctx, func() (*Problem, error) {
+	return parallel.AwaitDone(ctx, func() (*Problem, error) {
 		m := cost.NewModel(t)
 		if stages != nil {
 			m.Stages = stages
 		}
 		return &Problem{Model: m, Table: m.BuildResidenceTable(), Capacity: capacity}, nil
-	})
+	}, nil)
 }
 
 // RunContext runs s.Schedule(p) unless the context expires first.
@@ -57,7 +58,7 @@ func RunContext(ctx context.Context, s Scheduler, p *Problem) (cost.Schedule, er
 // grinding through the remaining items with the result discarded.
 func RunContextDone(ctx context.Context, s Scheduler, p *Problem, done func()) (cost.Schedule, error) {
 	stages := obs.StagesFrom(ctx)
-	return awaitDone(ctx, func() (cost.Schedule, error) {
+	return parallel.AwaitDone(ctx, func() (cost.Schedule, error) {
 		sp := stages.Start("sched." + strings.ToLower(s.Name()))
 		defer sp.End()
 		if cs, ok := s.(ContextScheduler); ok {
@@ -65,38 +66,4 @@ func RunContextDone(ctx context.Context, s Scheduler, p *Problem, done func()) (
 		}
 		return s.Schedule(p)
 	}, done)
-}
-
-// await runs fn in a goroutine and waits for it or the context,
-// whichever finishes first.
-func await[T any](ctx context.Context, fn func() (T, error)) (T, error) {
-	return awaitDone(ctx, fn, nil)
-}
-
-func awaitDone[T any](ctx context.Context, fn func() (T, error), done func()) (T, error) {
-	var zero T
-	if err := ctx.Err(); err != nil {
-		if done != nil {
-			done()
-		}
-		return zero, err
-	}
-	type result struct {
-		v   T
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		v, err := fn()
-		ch <- result{v, err}
-		if done != nil {
-			done()
-		}
-	}()
-	select {
-	case r := <-ch:
-		return r.v, r.err
-	case <-ctx.Done():
-		return zero, ctx.Err()
-	}
 }

@@ -170,11 +170,11 @@ func TestRunContextDoneFiresAfterAbandonment(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	go func() {
-		_, err := awaitDone(ctx, func() (int, error) {
+		slow := hookScheduler{name: "slow", hook: func() {
 			close(started)
 			<-release // simulate a long scheduler run
-			return 42, nil
-		}, func() { close(done) })
+		}}
+		_, err := RunContextDone(ctx, slow, NewProblem(contextTrace(), 0), func() { close(done) })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want context.Canceled", err)
 		}

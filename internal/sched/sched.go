@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/costgraph"
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/placement"
@@ -34,14 +35,61 @@ import (
 // Problem is a prepared scheduling instance: the cost model, its
 // precomputed residence table, and the memory capacity. Build one with
 // NewProblem and feed it to any scheduler; the residence table is
-// shared across scheduler runs.
+// shared across scheduler runs. SCDS, LOMCDS, GOMCDS and Evaluate read
+// only the table, the grid, the item sizes and the capacity, so Model
+// may be nil: the problem is then table-only, over Grid with unit item
+// sizes. ExactSCDS, ExactLOMCDS and the window, online and replica
+// schedulers read the reference counts and need the Model.
 type Problem struct {
 	Model *cost.Model
 	Table cost.ResidenceTable
+	Grid  grid.Grid // the array when Model is nil; ignored otherwise
 
 	// Capacity is the per-processor memory size in data items;
 	// 0 or less means unbounded.
 	Capacity int
+}
+
+// grid, size and stages read the array, item d's movement volume and
+// the stage sink (none without a model) wherever the instance keeps
+// them, so no scheduler branches on it.
+func (p *Problem) grid() grid.Grid {
+	if p.Model != nil {
+		return p.Model.Grid
+	}
+	return p.Grid
+}
+
+func (p *Problem) size(d int) int64 {
+	if p.Model != nil {
+		return int64(p.Model.DataSize[d])
+	}
+	return 1
+}
+
+func (p *Problem) stages() obs.Stages {
+	if p.Model != nil {
+		return p.Model.Stages
+	}
+	return nil
+}
+
+// Evaluate returns the cost breakdown of a schedule from the table
+// alone: residence is the sum of R[w][d][centers[w][d]], movement the
+// sum of size x distance between consecutive centers. It equals
+// Model.Evaluate on the model the table was built from.
+func (p *Problem) Evaluate(s cost.Schedule) cost.Breakdown {
+	g := p.grid()
+	var bd cost.Breakdown
+	for w, row := range s.Centers {
+		for d, c := range row {
+			bd.Residence += p.Table.At(w, d, c)
+			if w > 0 {
+				bd.Move += p.size(d) * int64(g.Dist(s.Centers[w-1][d], c))
+			}
+		}
+	}
+	return bd
 }
 
 // NewProblem builds a Problem from a trace, computing the residence
@@ -59,9 +107,9 @@ func NewProblemFromModel(m *cost.Model, capacity int) *Problem {
 
 // feasible reports whether the capacity can hold all data at all.
 func (p *Problem) feasible() error {
-	if p.Capacity > 0 && p.Capacity*p.Model.Grid.NumProcs() < p.Model.NumData {
+	if np := p.grid().NumProcs(); p.Capacity > 0 && p.Capacity*np < p.Table.NumData() {
 		return fmt.Errorf("sched: %d data items exceed total memory %d processors x %d slots",
-			p.Model.NumData, p.Model.Grid.NumProcs(), p.Capacity)
+			p.Table.NumData(), np, p.Capacity)
 	}
 	return nil
 }
@@ -129,12 +177,12 @@ func (SCDS) Schedule(p *Problem) (cost.Schedule, error) {
 	if err := p.feasible(); err != nil {
 		return cost.Schedule{}, err
 	}
-	nd, np, nw := p.Model.NumData, p.Model.Grid.NumProcs(), p.Model.NumWindows()
+	nd, np, nw := p.Table.NumData(), p.Table.NumProcs(), p.Table.NumWindows()
 
 	// Total residence cost of each item at each candidate center,
 	// aggregated over every window (the merged single execution
-	// window), priced separably from the whole-run volume histograms.
-	agg := p.Model.BuildAggregateTable()
+	// window).
+	agg := p.Table.Aggregate()
 
 	// Assignment is sequential: items compete for memory slots in ID
 	// order, exactly as Algorithm 1's outer loop iterates.
@@ -168,23 +216,13 @@ func (LOMCDS) Schedule(p *Problem) (cost.Schedule, error) {
 	if err := p.feasible(); err != nil {
 		return cost.Schedule{}, err
 	}
-	nd, np, nw := p.Model.NumData, p.Model.Grid.NumProcs(), p.Model.NumWindows()
+	nd, np, nw := p.Table.NumData(), p.Table.NumProcs(), p.Table.NumWindows()
+	g := p.grid()
 	centers := make([][]int, nw)
 
 	// Whole-run aggregate residence, used to pre-place items before
-	// their first reference (priced separably from the whole-run volume
-	// histograms); and the per-(window, item) referenced-ness.
-	agg := p.Model.BuildAggregateTable()
-	referenced := make([][]bool, nw)
-	for w := range referenced {
-		referenced[w] = make([]bool, nd)
-	}
-	counts := p.Model.Counts()
-	parallel.ForEach(nd, func(d int) {
-		for w := 0; w < nw; w++ {
-			referenced[w][d] = counts.Referenced(w, trace.DataID(d))
-		}
-	})
+	// their first reference.
+	agg := p.Table.Aggregate()
 
 	prev := make([]int, nd)
 	for d := range prev {
@@ -197,14 +235,14 @@ func (LOMCDS) Schedule(p *Problem) (cost.Schedule, error) {
 		row := make([]int, nd)
 		for d := 0; d < nd; d++ {
 			var list []int
-			switch {
-			case referenced[w][d]:
-				list = processorList(p.Table.Row(w, d), scratch)
+			switch tableRow := p.Table.Row(w, d); {
+			case referenced(tableRow):
+				list = processorList(tableRow, scratch)
 			case prev[d] >= 0:
 				// No center defined by this window: prefer staying put,
 				// then the nearest processors.
 				for c := 0; c < np; c++ {
-					distRow[c] = int64(p.Model.Dist(prev[d], c))
+					distRow[c] = int64(g.Dist(prev[d], c))
 				}
 				list = processorList(distRow, scratch)
 			default:
@@ -216,6 +254,19 @@ func (LOMCDS) Schedule(p *Problem) (cost.Schedule, error) {
 		centers[w] = row
 	}
 	return cost.Schedule{Centers: centers}, nil
+}
+
+// referenced reports whether a window references an item, read off its
+// residence row: volumes are positive (trace.Validate), so on two or
+// more processors a referenced item's row has a nonzero cell. On a 1x1
+// array every row is zero, and processor 0 is the only choice anyway.
+func referenced(row []int64) bool {
+	for _, v := range row {
+		if v != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // GOMCDS is the global-optimal multiple-center scheduler (Algorithm 2):
@@ -267,7 +318,8 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 	if err := p.feasible(); err != nil {
 		return cost.Schedule{}, err
 	}
-	nd, np, nw := p.Model.NumData, p.Model.Grid.NumProcs(), p.Model.NumWindows()
+	nd, np, nw := p.Table.NumData(), p.Table.NumProcs(), p.Table.NumWindows()
+	gr := p.grid()
 	centers := make([][]int, nw)
 	for w := range centers {
 		centers[w] = make([]int, nd)
@@ -275,7 +327,7 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 	if nw == 0 {
 		return cost.Schedule{Centers: centers}, nil
 	}
-	sp := obs.Stages(p.Model.Stages).Start(g.dpStage())
+	sp := p.stages().Start(g.dpStage())
 	defer sp.End()
 
 	if p.Capacity <= 0 {
@@ -294,7 +346,7 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 				if ctx.Err() != nil {
 					return
 				}
-				solver := costgraph.GetSolver(p.Model.Grid.Width(), p.Model.Grid.Height())
+				solver := costgraph.GetSolver(gr.Width(), gr.Height())
 				path := g.bestPath(p, d, nil, solver)
 				for w := 0; w < nw; w++ {
 					centers[w][d] = path[w]
@@ -312,10 +364,10 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 					return
 				}
 				lo, hi := b*nd/blocks, (b+1)*nd/blocks
-				solver := costgraph.GetSolver(p.Model.Grid.Width(), p.Model.Grid.Height())
+				solver := costgraph.GetSolver(gr.Width(), gr.Height())
 				sizes := solver.BatchSizes(hi - lo)
 				for i := range sizes {
-					sizes[i] = int64(p.Model.DataSize[lo+i])
+					sizes[i] = p.size(lo + i)
 				}
 				totals, paths := solver.SolveBatch(cells, nw, nd, lo, hi, sizes)
 				for i := 0; i < hi-lo; i++ {
@@ -342,7 +394,7 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 	for w := range trackers {
 		trackers[w] = placement.NewTracker(np, p.Capacity)
 	}
-	solver := costgraph.GetSolver(p.Model.Grid.Width(), p.Model.Grid.Height())
+	solver := costgraph.GetSolver(gr.Width(), gr.Height())
 	defer costgraph.PutSolver(solver)
 	for d := 0; d < nd; d++ {
 		if err := ctx.Err(); err != nil {
@@ -366,7 +418,7 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 // forbidden and are materialized (table value or Inf) under capacity
 // tracking.
 func (g GOMCDS) bestPath(p *Problem, d int, trackers []*placement.Tracker, solver *costgraph.Solver) []int {
-	nw, np := p.Model.NumWindows(), p.Model.Grid.NumProcs()
+	nw, np := p.Table.NumWindows(), p.Table.NumProcs()
 	nodeCost := solver.NodeCost(nw)
 	for w := 0; w < nw; w++ {
 		if trackers == nil {
@@ -383,11 +435,12 @@ func (g GOMCDS) bestPath(p *Problem, d int, trackers []*placement.Tracker, solve
 			}
 		}
 	}
-	size := int64(p.Model.DataSize[d])
+	size := p.size(d)
 	var total int64
 	var path []int
 	if g.Kernel == costgraph.KernelNaive {
-		total, path = costgraph.ShortestLayeredPathNaive(nodeCost, p.Model.Grid.Width(), p.Model.Grid.Height(), size)
+		gr := p.grid()
+		total, path = costgraph.ShortestLayeredPathNaive(nodeCost, gr.Width(), gr.Height(), size)
 	} else {
 		total, path = solver.Solve(nodeCost, size)
 	}
@@ -412,14 +465,14 @@ func (f Fixed) Name() string { return f.Label }
 
 // Schedule implements Scheduler.
 func (f Fixed) Schedule(p *Problem) (cost.Schedule, error) {
-	if len(f.Assign) != p.Model.NumData {
+	if len(f.Assign) != p.Table.NumData() {
 		return cost.Schedule{}, fmt.Errorf("sched: fixed assignment covers %d items, trace has %d",
-			len(f.Assign), p.Model.NumData)
+			len(f.Assign), p.Table.NumData())
 	}
-	if err := f.Assign.Validate(p.Model.Grid, p.Capacity); err != nil {
+	if err := f.Assign.Validate(p.grid(), p.Capacity); err != nil {
 		return cost.Schedule{}, err
 	}
-	return cost.Uniform(f.Assign, p.Model.NumWindows()), nil
+	return cost.Uniform(f.Assign, p.Table.NumWindows()), nil
 }
 
 // All returns the paper's three schedulers in presentation order

@@ -257,7 +257,7 @@ func TestCanceledWaiterDoesNotInflateSharedBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entry, role, _ := svc.cache.acquire(tr.Fingerprint())
+	entry, role, _, _ := svc.cache.acquire(tr.Fingerprint(), true)
 	if role != cacheRoleBuilder {
 		t.Fatal("test did not win builder election on an empty cache")
 	}
@@ -283,8 +283,7 @@ func TestCanceledWaiterDoesNotInflateSharedBuilds(t *testing.T) {
 	}
 
 	// Finish the build so the abandoned background run can drain.
-	m := cost.NewModel(tr)
-	svc.cache.publish(entry, m, m.BuildResidenceTable())
+	svc.cache.publish(entry, cost.NewModel(tr).BuildResidenceTable())
 	svc.Close()
 	st := svc.Stats()
 	if st.CacheSharedBuild != 0 {

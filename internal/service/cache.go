@@ -9,19 +9,20 @@ import (
 	"repro/internal/trace"
 )
 
-// cacheEntry is one cached {cost model, residence table} pair plus the
-// schedules memoized over it. model and table are written exactly once
-// by the elected builder (or promoter), before ready is closed; readers
-// must wait on ready first (the close establishes the happens-before
-// edge), so no lock is needed after that. The table is immutable once
-// published: demotion and eviction swap the cache's own reference,
-// never the entry, so in-flight requests holding one keep a consistent
-// view. The memo only grows, under memoMu (see memo.go), and goes
-// wherever the entry goes.
+// cacheEntry is one cached residence table plus the schedules memoized
+// over it. The table, the request's grid and the unit item sizes are
+// the whole scheduling input (sched.Problem with a nil Model), so no
+// cost model is kept. table is written exactly once by the elected
+// builder (or promoter), before ready is closed; readers must wait on
+// ready first (the close establishes the happens-before edge), so no
+// lock is needed after that. The table is immutable once published:
+// demotion and eviction swap the cache's own reference, never the
+// entry, so in-flight requests holding one keep a consistent view. The
+// memo only grows, under memoMu (see memo.go), and goes wherever the
+// entry goes.
 type cacheEntry struct {
 	fp    trace.Fingerprint
 	ready chan struct{}
-	model *cost.Model
 	table cost.ResidenceTable
 
 	memoMu sync.Mutex
@@ -94,11 +95,9 @@ type cacheNode struct {
 // otherwise cost nothing, so any number of them could pile up.
 const cacheNodeOverhead = 512
 
-// flatTableBytes is the size of a hot-tier table's representation: the
-// cell backing only. The cost model alongside it is deliberately
-// excluded — it is rebuilt from the trace on promotion, not stored
-// cold, and counting it would make the budget depend on model
-// internals.
+// flatTableBytes is the size of a hot-tier table's representation: its
+// cell backing, which is all a hot entry holds besides the fixed
+// per-node overhead and its charged memo.
 func flatTableBytes(t cost.ResidenceTable) int64 {
 	return 8 * int64(len(t.Cells()))
 }
@@ -219,10 +218,13 @@ func newTableCache(maxBytes int64, coldTier bool) *tableCache {
 }
 
 // acquire resolves fp against both tiers and elects the caller's role.
-// cacheRoleWait callers wait on entry.ready before touching model and
-// table; cacheRoleBuilder callers must build and publish; a
-// cacheRolePromoter receives the compressed payload to decode (outside
-// any lock) and must likewise publish.
+// cacheRoleWait callers wait on entry.ready before touching the table;
+// cacheRoleBuilder callers must build and publish; a cacheRolePromoter
+// receives the compressed payload to decode (outside any lock) and must
+// likewise publish. Promotion needs only the payload and the request's
+// shape, but building needs the trace: a caller without one passes
+// build=false, and an absent fingerprint then reports false and touches
+// nothing — the caller decodes the trace and acquires again.
 //
 // Misses and promotions are counted here: election makes the work
 // inevitable (it runs to completion even if the requester is later
@@ -230,54 +232,40 @@ func newTableCache(maxBytes int64, coldTier bool) *tableCache {
 // are NOT counted here — a waiter whose caller cancels mid-wait never
 // receives the table, so those settle later, once the request actually
 // completes (see settle).
-func (c *tableCache) acquire(fp trace.Fingerprint) (entry *cacheEntry, role cacheRole, comp []byte) {
+func (c *tableCache) acquire(fp trace.Fingerprint, build bool) (entry *cacheEntry, role cacheRole, comp []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sketch.bump(fp)
-	if n, ok := c.items[fp]; ok {
-		if n.state == tierCold {
-			// Elect this caller to promote: move the node to the hot
-			// list now so concurrent requests wait on the entry instead
-			// of re-electing, exactly like an in-flight build. The
-			// compressed payload stays on the node (and is returned) —
-			// it is immutable, so the promoter can read it after the
-			// node itself is evicted or re-demoted.
-			e := &cacheEntry{fp: fp, ready: make(chan struct{})}
-			c.cold.Remove(n.el)
-			n.el = c.hot.PushFront(n)
-			n.state = tierPromoting
-			n.entry = e
-			c.promotions++
-			return e, cacheRolePromoter, n.comp
-		}
-		c.touch(n)
-		return n.entry, cacheRoleWait, nil
-	}
-	c.misses++
-	e := &cacheEntry{fp: fp, ready: make(chan struct{})}
-	n := &cacheNode{fp: fp, state: tierBuilding, entry: e, bytes: cacheNodeOverhead}
-	n.el = c.hot.PushFront(n)
-	c.items[fp] = n
-	c.bytes += n.bytes
-	return e, cacheRoleBuilder, nil
-}
-
-// acquireResident is acquire for a caller that has no decoded trace:
-// it serves only a fingerprint whose entry is ready or in flight,
-// refreshing its recency and counting its sketch bump exactly as
-// acquire would. An absent or cold fingerprint reports false and
-// touches nothing, because building or promoting needs the trace; the
-// caller decodes it and calls acquire.
-func (c *tableCache) acquireResident(fp trace.Fingerprint) (*cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.items[fp]
-	if !ok || n.state == tierCold {
-		return nil, false
+	n, resident := c.items[fp]
+	if !resident && !build {
+		return nil, 0, nil, false
 	}
 	c.sketch.bump(fp)
+	switch {
+	case !resident:
+		c.misses++
+		e := &cacheEntry{fp: fp, ready: make(chan struct{})}
+		n := &cacheNode{fp: fp, state: tierBuilding, entry: e, bytes: cacheNodeOverhead}
+		n.el = c.hot.PushFront(n)
+		c.items[fp] = n
+		c.bytes += n.bytes
+		return e, cacheRoleBuilder, nil, true
+	case n.state == tierCold:
+		// Elect this caller to promote: move the node to the hot list
+		// now so concurrent requests wait on the entry instead of
+		// re-electing, exactly like an in-flight build. The compressed
+		// payload stays on the node (and is returned) — it is
+		// immutable, so the promoter can read it after the node itself
+		// is evicted or re-demoted.
+		e := &cacheEntry{fp: fp, ready: make(chan struct{})}
+		c.cold.Remove(n.el)
+		n.el = c.hot.PushFront(n)
+		n.state = tierPromoting
+		n.entry = e
+		c.promotions++
+		return e, cacheRolePromoter, n.comp, true
+	}
 	c.touch(n)
-	return n.entry, true
+	return n.entry, cacheRoleWait, nil, true
 }
 
 // touch refreshes a node's recency in whichever tier list holds it.
@@ -344,7 +332,7 @@ func (c *tableCache) encodedTable(fp trace.Fingerprint) ([]byte, bool) {
 // the cache statistics about local request traffic. An entry already
 // present (any tier, or still building) wins; the caller drops its
 // table.
-func (c *tableCache) adopt(fp trace.Fingerprint, m *cost.Model, t cost.ResidenceTable) bool {
+func (c *tableCache) adopt(fp trace.Fingerprint, t cost.ResidenceTable) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.items[fp]; ok {
@@ -355,7 +343,7 @@ func (c *tableCache) adopt(fp trace.Fingerprint, m *cost.Model, t cost.Residence
 	// demand request would — without it, any eviction pressure would
 	// reject the freshly adopted table against a once-seen victim.
 	c.sketch.bump(fp)
-	e := &cacheEntry{fp: fp, ready: make(chan struct{}), model: m, table: t}
+	e := &cacheEntry{fp: fp, ready: make(chan struct{}), table: t}
 	close(e.ready)
 	n := &cacheNode{fp: fp, state: tierHot, entry: e, bytes: cacheNodeOverhead + flatTableBytes(t)}
 	n.el = c.hot.PushFront(n)
@@ -381,12 +369,11 @@ func (c *tableCache) settle(o cacheOutcome) {
 	}
 }
 
-// publish installs the built (or promoted) model and table and wakes
-// all waiters. Only the elected builder or promoter may call it,
-// exactly once. Publication is also where the cache bounds are
-// enforced: the node's representation size is known only now.
-func (c *tableCache) publish(e *cacheEntry, m *cost.Model, t cost.ResidenceTable) {
-	e.model = m
+// publish installs the built (or promoted) table and wakes all
+// waiters. Only the elected builder or promoter may call it, exactly
+// once (or abandon instead). Publication is also where the cache bounds
+// are enforced: the node's representation size is known only now.
+func (c *tableCache) publish(e *cacheEntry, t cost.ResidenceTable) {
 	e.table = t
 	close(e.ready)
 	c.mu.Lock()
@@ -405,6 +392,19 @@ func (c *tableCache) publish(e *cacheEntry, m *cost.Model, t cost.ResidenceTable
 	n.comp = nil
 	c.hot.MoveToFront(n.el)
 	c.enforce(n)
+}
+
+// abandon is publish for an elected promoter that could produce no
+// table: it drops the entry's node, if the cache still holds it, and
+// wakes the waiters onto the zero table, which fails their shape check
+// (see Service.resolveTable) instead of leaving them blocked.
+func (c *tableCache) abandon(e *cacheEntry) {
+	close(e.ready)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n, ok := c.items[e.fp]; ok && n.entry == e {
+		c.remove(n)
+	}
 }
 
 // chargeMemo adds a newly memoized schedule's bytes to e's node and
@@ -457,9 +457,8 @@ func (c *tableCache) demoteVictim(newest *cacheNode) *cacheNode {
 }
 
 // demote compresses a hot table into the cold tier, freeing the flat
-// cells and the cost model (the model is rebuilt from the trace on
-// promotion — it is about as large as the table itself, so keeping it
-// would defeat the compression). A table whose compressed form is not
+// cells and the entry's memo; promotion needs only the payload and the
+// request's shape to restore the table. A table whose compressed form is not
 // actually smaller than its flat cells (tiny tables, where the 66-byte
 // header dominates) is evicted instead: keeping it cold would grow the
 // cache. Called with c.mu held.

@@ -28,13 +28,13 @@ func fpN(n byte) trace.Fingerprint {
 func TestTableCacheTinyCapacitySingleflights(t *testing.T) {
 	for _, max := range []int64{0, 1} {
 		c := newTableCache(max, true)
-		e, role, _ := c.acquire(fpN(1))
+		e, role, _, _ := c.acquire(fpN(1), true)
 		if role != cacheRoleBuilder {
 			t.Fatalf("max=%d: first acquire did not elect a builder", max)
 		}
-		c.publish(e, nil, cost.ResidenceTable{})
+		c.publish(e, cost.ResidenceTable{})
 		for i := 0; i < 3; i++ {
-			e2, role, _ := c.acquire(fpN(1))
+			e2, role, _, _ := c.acquire(fpN(1), true)
 			if role != cacheRoleWait {
 				t.Fatalf("max=%d: acquire %d re-elected role %d for a cached fingerprint (the entry evicted itself)", max, i, role)
 			}
@@ -78,14 +78,14 @@ func TestTinyCacheTablesBuiltEqualsDistinctTraces(t *testing.T) {
 func TestTableCacheNeverEvictsJustInserted(t *testing.T) {
 	c := newTableCache(1, true)
 	for n := byte(1); n <= 4; n++ {
-		e, role, _ := c.acquire(fpN(n))
+		e, role, _, _ := c.acquire(fpN(n), true)
 		if role != cacheRoleBuilder {
 			t.Fatalf("fingerprint %d: expected builder election", n)
 		}
 		if _, ok := c.items[fpN(n)]; !ok {
 			t.Fatalf("fingerprint %d: just-inserted entry already evicted", n)
 		}
-		c.publish(e, nil, cost.ResidenceTable{})
+		c.publish(e, cost.ResidenceTable{})
 	}
 	if cs := c.counters(); cs.entries() != 1 || cs.evictions != 3 {
 		t.Fatalf("entries=%d evictions=%d, want 1 entry and 3 evictions of older entries", cs.entries(), cs.evictions)
@@ -96,7 +96,7 @@ func TestTableCacheNeverEvictsJustInserted(t *testing.T) {
 // table of the given shape, as the request path would.
 func buildInto(t *testing.T, c *tableCache, fp trace.Fingerprint, nw, nd, np int) {
 	t.Helper()
-	e, role, _ := c.acquire(fp)
+	e, role, _, _ := c.acquire(fp, true)
 	if role != cacheRoleBuilder {
 		t.Fatalf("fingerprint %v: expected builder election, got role %d", fp[0], role)
 	}
@@ -104,7 +104,7 @@ func buildInto(t *testing.T, c *tableCache, fp trace.Fingerprint, nw, nd, np int
 	for i, cells := 0, table.Cells(); i < len(cells); i++ {
 		cells[i] = int64(100 + i%7) // smooth-ish, nonzero, deterministic
 	}
-	c.publish(e, nil, table)
+	c.publish(e, table)
 	c.settle(cacheOutcomeBuild)
 }
 
@@ -130,7 +130,7 @@ func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 		t.Fatalf("cache bytes %d exceed the 6000-byte budget", cs.bytes)
 	}
 
-	e, role, comp := c.acquire(fpN(1))
+	e, role, comp, _ := c.acquire(fpN(1), true)
 	if role != cacheRolePromoter {
 		t.Fatalf("acquire of the demoted fingerprint elected role %d, want promoter", role)
 	}
@@ -146,10 +146,10 @@ func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 	}
 	// Concurrent requests for an in-flight promotion must wait on the
 	// entry, not re-elect.
-	if _, role2, _ := c.acquire(fpN(1)); role2 != cacheRoleWait {
+	if _, role2, _, _ := c.acquire(fpN(1), true); role2 != cacheRoleWait {
 		t.Fatalf("second acquire during promotion elected role %d, want wait", role2)
 	}
-	c.publish(e, nil, table)
+	c.publish(e, table)
 	c.settle(cacheOutcomePromote)
 
 	cs = c.counters()
@@ -179,7 +179,7 @@ func TestTableCacheColdTierDisabledEvicts(t *testing.T) {
 		t.Fatalf("demotions=%d evictions=%d cold=%d with cold tier disabled, want 0/1/0",
 			cs.demotions, cs.evictions, cs.coldEntries)
 	}
-	if _, role, _ := c.acquire(fpN(1)); role != cacheRoleBuilder {
+	if _, role, _, _ := c.acquire(fpN(1), true); role != cacheRoleBuilder {
 		t.Fatalf("evicted fingerprint re-acquired as role %d, want builder", role)
 	}
 }
@@ -204,7 +204,7 @@ func TestTableCacheAdmissionprotectsHotVictim(t *testing.T) {
 	buildInto(t, c, fpN(1), 8, 8, 8)
 	// Make fp1 provably hot.
 	for i := 0; i < 5; i++ {
-		e, role, _ := c.acquire(fpN(1))
+		e, role, _, _ := c.acquire(fpN(1), true)
 		if role != cacheRoleWait {
 			t.Fatalf("warm acquire %d elected role %d", i, role)
 		}
@@ -227,9 +227,9 @@ func TestTableCacheAdmissionprotectsHotVictim(t *testing.T) {
 	// genuinely recurring newcomer still displaces the old resident
 	// once its frequency catches up.
 	for i := 0; i < 6; i++ {
-		e, role, _ := c.acquire(fpN(2))
+		e, role, _, _ := c.acquire(fpN(2), true)
 		if role == cacheRoleBuilder {
-			c.publish(e, nil, func() cost.ResidenceTable {
+			c.publish(e, func() cost.ResidenceTable {
 				tb := cost.NewResidenceTable(8, 8, 8)
 				return tb
 			}())
@@ -250,15 +250,15 @@ func TestTableCacheByteAccountingConsistent(t *testing.T) {
 		buildInto(t, c, fpN(n), 8, int(n), 8)
 	}
 	for _, n := range []byte{3, 7, 11, 2, 12} {
-		if e, role, comp := c.acquire(fpN(n)); role == cacheRolePromoter {
+		if e, role, comp, _ := c.acquire(fpN(n), true); role == cacheRolePromoter {
 			_, table, err := cost.DecodeTable(comp, 0)
 			if err != nil {
 				t.Fatalf("fingerprint %d: cold payload corrupt: %v", n, err)
 			}
-			c.publish(e, nil, table)
+			c.publish(e, table)
 			c.settle(cacheOutcomePromote)
 		} else if role == cacheRoleBuilder {
-			c.publish(e, nil, cost.NewResidenceTable(8, int(n), 8))
+			c.publish(e, cost.NewResidenceTable(8, int(n), 8))
 			c.settle(cacheOutcomeBuild)
 		}
 	}
@@ -295,8 +295,8 @@ func TestCacheNodeOverheadCoversFootprint(t *testing.T) {
 		for i := 0; i < nodes; i++ {
 			var fp trace.Fingerprint
 			binary.LittleEndian.PutUint64(fp[:], uint64(i)*0x9e3779b97f4a7c15)
-			e, _, _ := c.acquire(fp)
-			c.publish(e, nil, cost.ResidenceTable{})
+			e, _, _, _ := c.acquire(fp, true)
+			c.publish(e, cost.ResidenceTable{})
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)

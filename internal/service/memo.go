@@ -120,14 +120,14 @@ func (s *Service) memoized(stages obs.Stages, entry *cacheEntry, scheduler sched
 		return r.copyCenters(shape.NumWindows, shape.NumData), r.cost, nil
 	}
 	s.memoMisses.Add(1)
-	p := &sched.Problem{Model: entry.model, Table: entry.table, Capacity: capacity}
+	p := &sched.Problem{Table: entry.table, Grid: shape.Grid, Capacity: capacity}
 	sp := stages.Start("sched." + strings.ToLower(scheduler.Name()))
 	schedule, err := scheduler.Schedule(p)
 	sp.End()
 	if err != nil {
 		r.err = err // an infeasible capacity is as deterministic as a schedule
 	} else {
-		bd := p.Model.Evaluate(schedule)
+		bd := p.Evaluate(schedule)
 		r.cost = CostJSON{Residence: bd.Residence, Move: bd.Move, Total: bd.Total()}
 		if stored {
 			r.centers = flattenCenters(schedule.Centers)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cost"
 	"repro/internal/trace"
 )
 
@@ -68,13 +67,11 @@ func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 		return nil // already resident (either tier); nothing to transfer
 	}
 
-	table, err := s.peerTable(fp, tr, req.PeerHint)
+	table, err := s.peerTable(fp, tr.Shape(), req.PeerHint)
 	if err != nil {
 		return fmt.Errorf("service: prefill from %s: %w", req.PeerHint, err)
 	}
-	m := cost.NewModel(tr)
-	m.Stages = s.stages
-	if s.cache.adopt(fp, m, table) {
+	if s.cache.adopt(fp, table) {
 		s.tablesPrefilled.Add(1)
 	}
 	return nil

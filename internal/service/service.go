@@ -5,14 +5,16 @@
 // A Service accepts schedule requests (a trace in the pimtrace v1 text
 // codec plus an algorithm name and memory capacity), runs the requested
 // scheduler, and returns the center matrix with its cost breakdown.
-// Three properties distinguish it from calling sched directly:
+// Four properties distinguish it from calling sched directly:
 //
-//   - Model reuse. Cost models and residence tables — the dominant cost
-//     of a scheduler run — are cached in an LRU keyed by the trace's
-//     canonical trace.Fingerprint. Requests carrying a trace already
-//     seen skip the rebuild entirely; concurrent misses on the same
-//     fingerprint are deduplicated so the table is built exactly once
-//     (singleflight).
+//   - Table reuse. Residence tables — the dominant cost of a scheduler
+//     run, and together with the grid the schedulers' whole input — are
+//     cached in a byte-bounded, two-tier cache keyed by the trace's
+//     canonical trace.Fingerprint (cache.go). Requests carrying a trace
+//     already seen skip the rebuild entirely; concurrent misses on the
+//     same fingerprint are deduplicated so the table is built exactly
+//     once (singleflight). No cost model is kept: the trace is decoded
+//     only to build a table on a true miss.
 //   - Decode and schedule reuse. A trace text seen before resolves to
 //     its fingerprint through a bounded alias (trace.TextAlias) without
 //     a decode, and each cached entry memoizes the schedules computed
@@ -43,6 +45,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/verify"
@@ -146,7 +149,7 @@ type Config struct {
 	PeerFillTimeout time.Duration
 }
 
-// PeerFillFunc fetches a peer's cached {model, residence table} for a
+// PeerFillFunc fetches a peer's cached residence table for a
 // fingerprint. peerURL is the base URL of the shard to ask; the
 // returned table must have been built from the exact trace the
 // fingerprint names (implementations verify the fingerprint echoed in
@@ -532,7 +535,7 @@ func (s *Service) schedule(ctx context.Context, req Request) (*Response, error) 
 type traceInput struct {
 	text     string
 	sum      trace.Summary
-	tr       *trace.Trace // nil after an alias hit until a build, promotion or verify decodes
+	tr       *trace.Trace // nil after an alias hit until a build (true miss) or verify decodes
 	peerHint string
 }
 
@@ -593,7 +596,7 @@ func runTrace[T any](s *Service, ctx context.Context, text, peerHint string, nee
 	}
 
 	var outcome cacheOutcome
-	v, err := awaitDone(ctx, func() (T, error) {
+	v, err := parallel.AwaitDone(ctx, func() (T, error) {
 		if s.testHookRunning != nil {
 			s.testHookRunning()
 		}
@@ -688,7 +691,7 @@ func (s *Service) runSpec(stages obs.Stages, in *traceInput, entry *cacheEntry, 
 			return nil, fmt.Errorf("service: referee rejected schedule: %v", err)
 		}
 		claim := verify.Breakdown{Residence: cst.Residence, Move: cst.Move}
-		if err := verify.CrossCheck(in.tr, schedule, entry.model.DataSize, claim); err != nil {
+		if err := verify.CrossCheck(in.tr, schedule, nil, claim); err != nil {
 			return nil, fmt.Errorf("service: %v", err)
 		}
 		resp.Verified = &CostJSON{Residence: claim.Residence, Move: claim.Move, Total: claim.Total()}
@@ -697,69 +700,83 @@ func (s *Service) runSpec(stages obs.Stages, in *traceInput, entry *cacheEntry, 
 }
 
 // resolveTable resolves a request's fingerprint against the table
-// cache. After an alias hit the request has no decoded trace, which
-// suffices for a ready or in-flight entry; an absent or cold one needs
-// the trace, so it is decoded here, in the worker, and the request
-// joins the election. The elected builder first tries a peer fill when
-// a hint is present, falling back silently to a local build; an
-// elected promoter decodes the cold tier's compressed payload back to a
-// flat table; everyone else either finds the entry ready (hit) or waits
-// out the in-flight work (shared build). The returned entry is always
-// ready. The caller settles the returned outcome into the cache
-// counters once its request completes.
+// cache. A resident fingerprint needs no decoded trace: a ready or
+// in-flight entry is waited on, and a cold one elects the request to
+// promote it from the compressed payload and the request's shape. Only
+// an absent fingerprint needs the trace, so only then is an aliased
+// text decoded, here in the worker, before the request joins the
+// election. The elected builder first tries a peer fill when a hint is
+// present, falling back silently to a local build; everyone else either
+// finds the entry ready (hit) or waits out the in-flight work (shared
+// build). The returned entry is always ready. The caller settles the
+// returned outcome into the cache counters once its request completes.
 func (s *Service) resolveTable(stages obs.Stages, in *traceInput) (*cacheEntry, cacheOutcome, error) {
 	fp := in.sum.Fingerprint
-	if in.tr == nil {
-		if entry, ok := s.cache.acquireResident(fp); ok {
-			return entry, awaitEntry(stages, entry), nil
+	entry, role, comp, ok := s.cache.acquire(fp, in.tr != nil)
+	if !ok {
+		if err := s.ensureTrace(stages, in); err != nil {
+			return nil, 0, err
 		}
-		if err := s.decodeInput(stages, in); err != nil {
-			// The alias holds only texts that decoded cleanly.
-			return nil, 0, fmt.Errorf("service: aliased trace text no longer decodes: %v", err)
-		}
+		entry, role, comp, _ = s.cache.acquire(fp, true)
 	}
-	tr := in.tr
-	entry, role, comp := s.cache.acquire(fp)
 	switch role {
 	case cacheRoleBuilder:
-		// The model outlives this request in the cache, so it must
-		// not capture a request-scoped sink: service histograms only.
-		m := cost.NewModel(tr)
-		m.Stages = s.stages
-		if table, ok := s.fetchPeerTable(stages, fp, tr, in.peerHint); ok {
+		if table, ok := s.fetchPeerTable(stages, fp, in.sum.Shape, in.peerHint); ok {
 			// Adopted, not built: tables_built stays flat, which is what
 			// keeps the fleet-wide tables_built == distinct-traces
 			// invariant true across shard topology changes.
-			s.cache.publish(entry, m, table)
+			s.cache.publish(entry, table)
 		} else {
-			sp := stages.Start("table.build")
-			s.cache.publish(entry, m, m.BuildResidenceTable())
-			s.tablesBuilt.Add(1)
-			sp.End()
+			s.cache.publish(entry, s.buildTable(stages, in.tr))
 		}
 		return entry, cacheOutcomeBuild, nil
 	case cacheRolePromoter:
-		// The cold tier held the table compressed; decode it instead of
-		// rebuilding. The model was dropped at demotion (it is as large
-		// as the table) and is rebuilt from the trace here.
-		m := cost.NewModel(tr)
-		m.Stages = s.stages
 		sp := stages.Start("table.promote")
-		table, err := s.decodePromoted(comp, fp, tr)
+		table, err := s.decodePromoted(comp, fp, in.sum.Shape)
 		sp.End()
 		if err != nil {
 			// A shard decoding a payload it compressed itself should
 			// never get here; treat it as a miss and rebuild rather
 			// than failing the request.
-			sp := stages.Start("table.build")
-			table = m.BuildResidenceTable()
-			s.tablesBuilt.Add(1)
-			sp.End()
+			if err := s.ensureTrace(stages, in); err != nil {
+				s.cache.abandon(entry)
+				return nil, 0, err
+			}
+			table = s.buildTable(stages, in.tr)
 		}
-		s.cache.publish(entry, m, table)
+		s.cache.publish(entry, table)
 		return entry, cacheOutcomePromote, nil
 	}
-	return entry, awaitEntry(stages, entry), nil
+	o := awaitEntry(stages, entry)
+	if err := entry.table.CheckShape(in.sum.Shape); err != nil {
+		// Only an abandoned promotion publishes no table.
+		return nil, 0, fmt.Errorf("service: cached table for %s: %v", fp, err)
+	}
+	return entry, o, nil
+}
+
+// ensureTrace decodes the request's trace text unless an earlier step
+// already did. The alias holds only texts that decoded cleanly, so an
+// error here means that guarantee broke.
+func (s *Service) ensureTrace(stages obs.Stages, in *traceInput) error {
+	if in.tr != nil {
+		return nil
+	}
+	if err := s.decodeInput(stages, in); err != nil {
+		return fmt.Errorf("service: aliased trace text no longer decodes: %v", err)
+	}
+	return nil
+}
+
+// buildTable computes tr's residence table locally, counting it in
+// tables_built. The model exists only for the build.
+func (s *Service) buildTable(stages obs.Stages, tr *trace.Trace) cost.ResidenceTable {
+	sp := stages.Start("table.build")
+	defer sp.End()
+	m := cost.NewModel(tr)
+	m.Stages = s.stages
+	s.tablesBuilt.Add(1)
+	return m.BuildResidenceTable()
 }
 
 // awaitEntry waits for an entry a request did not elect itself to fill,
@@ -775,7 +792,7 @@ func awaitEntry(stages obs.Stages, entry *cacheEntry) cacheOutcome {
 		// Another request is building this entry; its worker
 		// always completes (pure CPU work), so waiting here
 		// cannot hang. Our own caller is still free to time out
-		// via awaitDone.
+		// via parallel.AwaitDone.
 		sp := stages.Start("table.wait")
 		<-entry.ready
 		sp.End()
@@ -785,9 +802,9 @@ func awaitEntry(stages obs.Stages, entry *cacheEntry) cacheOutcome {
 
 // decodePromoted decodes a cold-tier payload back to a flat table,
 // cross-checking the embedded fingerprint and the shape against the
-// request's trace — the same paranoia peer fill applies, because a
-// promoted table feeds schedules exactly like an adopted one.
-func (s *Service) decodePromoted(comp []byte, fp trace.Fingerprint, tr *trace.Trace) (cost.ResidenceTable, error) {
+// request's — the same paranoia peer fill applies, because a promoted
+// table feeds schedules exactly like an adopted one.
+func (s *Service) decodePromoted(comp []byte, fp trace.Fingerprint, sh trace.Shape) (cost.ResidenceTable, error) {
 	gotFP, table, err := cost.DecodeTable(comp, s.cfg.maxTableCells())
 	if err != nil {
 		return cost.ResidenceTable{}, err
@@ -795,19 +812,19 @@ func (s *Service) decodePromoted(comp []byte, fp trace.Fingerprint, tr *trace.Tr
 	if gotFP != fp {
 		return cost.ResidenceTable{}, fmt.Errorf("cold table is for %s, want %s", gotFP, fp)
 	}
-	return table, table.CheckShape(tr)
+	return table, table.CheckShape(sh)
 }
 
 // fetchPeerTable asks the hinted peer for its cached table, bounded by
 // the peer-fill deadline. Every failure mode — no hook, no hint, peer
 // down or slow, corrupt payload, or a table whose shape does not match
 // the trace — reports false, and the caller builds locally.
-func (s *Service) fetchPeerTable(stages obs.Stages, fp trace.Fingerprint, tr *trace.Trace, peerHint string) (cost.ResidenceTable, bool) {
+func (s *Service) fetchPeerTable(stages obs.Stages, fp trace.Fingerprint, sh trace.Shape, peerHint string) (cost.ResidenceTable, bool) {
 	if s.cfg.PeerFill == nil || peerHint == "" {
 		return cost.ResidenceTable{}, false
 	}
 	sp := stages.Start("table.peerfill")
-	table, err := s.peerTable(fp, tr, peerHint)
+	table, err := s.peerTable(fp, sh, peerHint)
 	sp.End()
 	if err != nil {
 		s.peerFillFallback.Add(1)
@@ -822,40 +839,12 @@ func (s *Service) fetchPeerTable(stages obs.Stages, fp trace.Fingerprint, tr *tr
 // adoption path hint fill and replica prefill share. The fetch deadline
 // is independent of any request context: a builder's work survives an
 // abandoned requester, and the fetch must stay bounded either way.
-func (s *Service) peerTable(fp trace.Fingerprint, tr *trace.Trace, peerURL string) (cost.ResidenceTable, error) {
+func (s *Service) peerTable(fp trace.Fingerprint, sh trace.Shape, peerURL string) (cost.ResidenceTable, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.peerFillTimeout())
 	defer cancel()
 	table, err := s.cfg.PeerFill(ctx, fp, peerURL)
 	if err != nil {
 		return cost.ResidenceTable{}, err
 	}
-	return table, table.CheckShape(tr)
-}
-
-// awaitDone runs fn in a goroutine and waits for it or for the context,
-// whichever finishes first; done fires exactly once, when fn actually
-// returns (or immediately if the context was dead before fn started).
-// It mirrors sched.RunContextDone for the service's own composite work.
-func awaitDone[T any](ctx context.Context, fn func() (T, error), done func()) (T, error) {
-	var zero T
-	if err := ctx.Err(); err != nil {
-		done()
-		return zero, err
-	}
-	type result struct {
-		v   T
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		v, err := fn()
-		ch <- result{v, err}
-		done()
-	}()
-	select {
-	case r := <-ch:
-		return r.v, r.err
-	case <-ctx.Done():
-		return zero, ctx.Err()
-	}
+	return table, table.CheckShape(sh)
 }

@@ -1,0 +1,221 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/grid"
+	"repro/internal/obs"
+	"repro/internal/trace"
+	"repro/internal/verify"
+)
+
+// Table-only cache entries: a hot entry holds its residence table and
+// memo and nothing else, and a cold one is promoted from its payload and
+// the request's shape alone. scripts/check.sh runs these tests, with the
+// table-only scheduler referee in internal/verify, as a named -race
+// gate.
+
+// postCounting runs one /schedule request through the HTTP handler with
+// a stage sink on its context, returning the status, the body and how
+// many spans of each stage the request recorded.
+func postCounting(t *testing.T, svc *Service, body any) (int, []byte, map[string]int) {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	spans := make(map[string]int)
+	sink := obs.Stages(func(stage string, _ time.Duration) {
+		mu.Lock()
+		spans[stage]++
+		mu.Unlock()
+	})
+	req := httptest.NewRequest(http.MethodPost, "/schedule", bytes.NewReader(b))
+	req = req.WithContext(obs.WithStages(req.Context(), sink))
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, req)
+	mu.Lock()
+	defer mu.Unlock()
+	return rec.Code, rec.Body.Bytes(), spans
+}
+
+// TestPromotionWithoutTrace: after its table is demoted, a trace text
+// repeated through the alias is promoted from the cold payload without
+// decoding the trace or rebuilding the table, and the answer is
+// bit-identical to the one served before the demotion.
+func TestPromotionWithoutTrace(t *testing.T) {
+	// Two ~60 KiB tables against a 100 KB budget: building the second
+	// demotes the first (as in TestColdTierHitBitIdentical).
+	svc := New(Config{CacheBytes: 100_000})
+	defer svc.Close()
+	reqA := Request{Trace: traceText(t, "lu", 8, grid.Square(4)), Algorithm: "lomcds", Capacity: 8}
+	reqB := Request{Trace: traceText(t, "matsquare", 8, grid.Square(4)), Algorithm: "lomcds", Capacity: 8}
+
+	code, before, spans := postCounting(t, svc, reqA)
+	if code != http.StatusOK || spans["decode"] != 1 {
+		t.Fatalf("first request: status %d, %d decode spans; want 200 and one decode:\n%s", code, spans["decode"], before)
+	}
+	if code, body, _ := postCounting(t, svc, reqB); code != http.StatusOK {
+		t.Fatalf("second trace: status %d: %s", code, body)
+	}
+	st := svc.Stats()
+	if st.CacheDemotions != 1 || st.CacheColdEntries != 1 {
+		t.Fatalf("demotions %d, cold entries %d after two over-budget tables; want 1 and 1", st.CacheDemotions, st.CacheColdEntries)
+	}
+
+	code, after, spans := postCounting(t, svc, reqA)
+	if code != http.StatusOK {
+		t.Fatalf("repeat: status %d: %s", code, after)
+	}
+	if spans["table.promote"] != 1 || spans["decode"] != 0 || spans["table.build"] != 0 {
+		t.Fatalf("repeat recorded spans %v; want one table.promote, no decode, no table.build", spans)
+	}
+	now := svc.Stats()
+	if now.TablesBuilt != st.TablesBuilt || now.CachePromotions != st.CachePromotions+1 {
+		t.Fatalf("repeat: tables_built %d -> %d, promotions %d -> %d; want no build and one promotion",
+			st.TablesBuilt, now.TablesBuilt, st.CachePromotions, now.CachePromotions)
+	}
+	if now.TraceAliasHits != st.TraceAliasHits+1 {
+		t.Fatalf("repeat did not resolve through the alias (hits %d -> %d)", st.TraceAliasHits, now.TraceAliasHits)
+	}
+	if scrub(after) != scrub(before) {
+		t.Fatalf("promoted answer differs from the pre-demotion one:\n got %s\nwant %s", after, before)
+	}
+}
+
+// TestHotCacheHeapWithinCacheBytes fills a service with hot entries
+// through the real /schedule build path and checks that the live heap
+// they pin stays within what CacheBytes charges for them plus a fixed
+// slack. A hot entry that also kept a cost model (one int per table
+// cell in its reference counts) would pin about 2.2x its charge.
+func TestHotCacheHeapWithinCacheBytes(t *testing.T) {
+	// Slack covers what is live but legitimately uncharged: the trace
+	// alias (one key and Summary per text), the stage histograms and
+	// runtime noise. It is far below the ~128 KiB a single table adds.
+	const (
+		budget = 16 << 20
+		slack  = 1 << 20
+		traces = 96 // 96 x ~133 KiB charged stays under the budget: all hot
+	)
+	g := grid.Square(4)
+	rng := rand.New(rand.NewSource(16))
+	texts := make([]string, traces)
+	for i := range texts {
+		// 16 windows x 64 items x 16 processors = 128 KiB of cells.
+		tr := verify.RandomTrace(rng, g, 64, 16, 96)
+		var buf bytes.Buffer
+		if err := trace.Encode(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		texts[i] = buf.String()
+	}
+
+	svc := New(Config{CacheBytes: budget})
+	defer svc.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, text := range texts {
+		if code, body := serveJSON(t, svc, "/schedule", Request{Trace: text, Algorithm: "scds"}); code != http.StatusOK {
+			t.Fatalf("trace %d: status %d: %s", i, code, body)
+		}
+		texts[i] = "" // keep only what the service holds
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	st := svc.Stats()
+	if st.TablesBuilt != traces || st.CacheHotEntries != traces || st.CacheDemotions != 0 {
+		t.Fatalf("tables_built %d, hot entries %d, demotions %d; want %d hot tables and no demotion",
+			st.TablesBuilt, st.CacheHotEntries, st.CacheDemotions, traces)
+	}
+	if st.CacheBytes < budget/2 {
+		t.Fatalf("cache charges only %d bytes of a %d budget; the fill is too small to measure", st.CacheBytes, budget)
+	}
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("heap growth %d bytes for %d charged (%.2fx)", growth, st.CacheBytes, float64(growth)/float64(st.CacheBytes))
+	if growth > st.CacheBytes+slack {
+		t.Fatalf("hot cache pins %d heap bytes, charge is %d (+%d slack): CacheBytes undercounts hot entries",
+			growth, st.CacheBytes, slack)
+	}
+	runtime.KeepAlive(svc)
+}
+
+// TestAbandonedPromotionFailsWaiters drives the promoter's last resort:
+// a cold payload that does not decode, behind an alias entry whose text
+// does not decode either (both guarded against, neither reachable from
+// outside). The promoter must drop the node and fail with an internal
+// error, and a request already waiting on the entry must fail its shape
+// check instead of blocking or scheduling over an empty table.
+func TestAbandonedPromotionFailsWaiters(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	tr, err := trace.Decode(strings.NewReader(traceText(t, "lu", 4, grid.Square(2))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := trace.Summary{Fingerprint: tr.Fingerprint(), Shape: tr.Shape()}
+	const broken = "not a trace"
+	svc.alias.Add(trace.HashText(broken), sum)
+	c := svc.cache
+	coldCorrupt := func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		n := &cacheNode{fp: sum.Fingerprint, state: tierCold, comp: []byte("corrupt"), bytes: cacheNodeOverhead + 7}
+		n.el = c.cold.PushFront(n)
+		c.items[n.fp] = n
+		c.bytes += n.bytes
+	}
+	checkDropped := func() {
+		t.Helper()
+		if st := svc.Stats(); st.CacheEntries != 0 || st.CacheBytes != 0 || st.TablesBuilt != 0 {
+			t.Fatalf("after abandon: entries %d, bytes %d, tables_built %d; want the node dropped and nothing built",
+				st.CacheEntries, st.CacheBytes, st.TablesBuilt)
+		}
+	}
+
+	// The promoter: a request that elects itself and can produce no table.
+	coldCorrupt()
+	if _, err := svc.Schedule(context.Background(), Request{Trace: broken, Algorithm: "scds"}); err == nil || isRequestError(err) {
+		t.Fatalf("promoter over a corrupt payload and text: err = %v, want an internal error", err)
+	}
+	checkDropped()
+
+	// A waiter: the test holds the election and abandons once the
+	// waiter's acquire (its sketch bump) has handed it the entry.
+	coldCorrupt()
+	e, role, _, _ := c.acquire(sum.Fingerprint, false)
+	if role != cacheRolePromoter {
+		t.Fatalf("role %d on a cold node, want promoter", role)
+	}
+	estimate := func() uint8 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.sketch.estimate(sum.Fingerprint)
+	}
+	bumps := estimate()
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, _, err := svc.resolveTable(nil, &traceInput{text: broken, sum: sum})
+		waiterErr <- err
+	}()
+	for estimate() == bumps {
+		runtime.Gosched()
+	}
+	c.abandon(e)
+	if err := <-waiterErr; err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("waiter on an abandoned promotion: err = %v, want a shape mismatch", err)
+	}
+	checkDropped()
+}

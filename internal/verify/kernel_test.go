@@ -34,11 +34,11 @@ func residenceFromTrace(tr *trace.Trace, w int, d trace.DataID, c int) int64 {
 
 // checkKernelsAgree builds the residence table with both kernels and
 // demands cell-for-cell agreement with each other and with the
-// referee's from-trace recomputation; it also pins the aggregate table
-// to the per-window column sums under both kernel settings.
+// referee's from-trace recomputation; it also pins the table-derived
+// aggregate to the recomputed per-window sums.
 func checkKernelsAgree(t *testing.T, tr *trace.Trace, label string) {
 	t.Helper()
-	m := cost.NewModel(tr) // KernelSeparable is the default
+	m := cost.NewModel(tr)
 	fast := m.BuildResidenceTable()
 	naive := m.BuildResidenceTableNaive()
 	nw, nd, np := m.NumWindows(), m.NumData, m.Grid.NumProcs()
@@ -57,19 +57,16 @@ func checkKernelsAgree(t *testing.T, tr *trace.Trace, label string) {
 			}
 		}
 	}
-	for _, kernel := range []cost.Kernel{cost.KernelSeparable, cost.KernelNaive} {
-		m.Kernel = kernel
-		agg := m.BuildAggregateTable()
-		for d := 0; d < nd; d++ {
-			for c := 0; c < np; c++ {
-				var want int64
-				for w := 0; w < nw; w++ {
-					want += naive.At(w, d, c)
-				}
-				if agg[d][c] != want {
-					t.Fatalf("%s: %v aggregate[%d][%d] = %d, per-window sum gives %d",
-						label, kernel, d, c, agg[d][c], want)
-				}
+	agg := fast.Aggregate()
+	for d := 0; d < nd; d++ {
+		for c := 0; c < np; c++ {
+			var want int64
+			for w := 0; w < nw; w++ {
+				want += residenceFromTrace(tr, w, trace.DataID(d), c)
+			}
+			if agg[d][c] != want {
+				t.Fatalf("%s: aggregate[%d][%d] = %d, per-window recomputation gives %d",
+					label, d, c, agg[d][c], want)
 			}
 		}
 	}

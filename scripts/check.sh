@@ -79,6 +79,24 @@ echo "== two-tier cache gates (-race) =="
 go test -race -run '^(TestColdTierHitBitIdentical|TestCacheTierRaceStress|TestImportRejectsOversizedTablePayload|TestZeroCellTablesBoundedByBytes|TestTableGetServesV2HotAndCold)$' ./internal/service
 go test -race -run '^(TestPeerFillRejectsOversizedTablePayload|TestPrefillRejectsOversizedPeerTable|TestPeerFillBodyCapFollowsCellBudget|TestPimtabV1Refused)$' ./internal/cluster
 
+# Table-only cache entries: SCDS, LOMCDS and GOMCDS read only the
+# residence table, the grid and the capacity, so the cache keeps no
+# cost model. The referee pins table-only and model-backed Problems to
+# bit-identical schedules, errors and breakdowns (plus an independent
+# counts-based SCDS/LOMCDS and the table-derived aggregate) over seeded
+# traces with 1x1 and 1xN arrays, unreferenced items and unbounded,
+# tight and infeasible capacities; the heap-bound test fills a service
+# with hot entries through /schedule and holds the live heap to what
+# CacheBytes charges plus a fixed slack; promotion through the alias
+# must decode neither the trace nor rebuild; a promotion that can
+# produce no table fails its waiters instead of stranding them. All
+# under the race detector; they already ran under ./... above, the
+# named gate survives narrower invocations.
+echo "== table-only cache entries (-race) =="
+go test -race -run '^(TestTableOnlyProblemReferee|TestTableOnlyProblemDegenerate)$' ./internal/verify
+go test -race -run '^TestAggregateMatchesResidenceSums$' ./internal/cost
+go test -race -run '^(TestHotCacheHeapWithinCacheBytes|TestPromotionWithoutTrace|TestAbandonedPromotionFailsWaiters)$' ./internal/service
+
 # Session-lifecycle race gates: an in-flight op racing DELETE
 # /session/{id} must end in a clean 404 with the sessions gauge and the
 # MaxSessions slot settling exactly once. The stress variant hammers
