@@ -28,8 +28,10 @@
 // already holds the table (no rebuild). Identical requests are not
 // coalesced here: each is forwarded, and the owning shard's schedule
 // memo runs the scheduler once per (trace, algorithm, capacity). A
-// trace text the router has routed before is keyed through its
-// bounded text alias without a second decode.
+// request body the router has routed before is keyed through its
+// bounded alias with no JSON decode, and a known trace text under a new
+// body without a trace decode; the trace text is taken out of the body
+// only for a replica prefill, once per key.
 //
 // POST /admin/drain?backend=URL takes a shard out administratively:
 // its pinned sessions are exported, imported on their new owners

@@ -50,7 +50,7 @@ if command -v jq >/dev/null; then
 fi
 CREATED="$(curl -s -X POST "$BASE/session" --data-binary @"$SREQ")"
 echo "$CREATED" | (jq '{session_id, num_windows, seq, fingerprint}' 2>/dev/null || cat)
-SID="$(echo "$CREATED" | sed -n 's/.*"session_id": "\([^"]*\)".*/\1/p')"
+SID="$(echo "$CREATED" | sed -n 's/.*"session_id": *"\([^"]*\)".*/\1/p')"
 echo "-- cold schedule (all layers) --"
 curl -s -X POST "$BASE/session/$SID/schedule" |
 	(jq '{cost, layers_recomputed, cached}' 2>/dev/null || cat)

@@ -295,7 +295,10 @@ func jsonEqualCenters(a, b [][]int) bool {
 // /schedule requests each reach their shard, every caller receives the
 // same body (up to the per-request elapsed_us and cache_hit fields),
 // and the fleet runs the scheduler exactly once — the owning shard's
-// schedule memo collapses the rest, whether they overlapped or not.
+// schedule memo collapses the rest, whether they overlapped or not. At
+// each hop the alias counts one outcome per request; how many of the
+// racing callers found the body already aliased depends on timing, but
+// a sequential repeat afterwards is exactly one body hit at both hops.
 func TestRouterIdenticalSinglesShareOneMemoFill(t *testing.T) {
 	const callers = 8
 	backends := []*backend{
@@ -350,28 +353,49 @@ func TestRouterIdenticalSinglesShareOneMemoFill(t *testing.T) {
 		}
 	}
 
-	var built, memoHits, memoMisses, aliasHits, aliasMisses uint64
-	for _, b := range backends {
-		st := b.svc.Stats()
-		built += st.TablesBuilt
-		memoHits += st.MemoHits
-		memoMisses += st.MemoMisses
-		aliasHits += st.TraceAliasHits
-		aliasMisses += st.TraceAliasMisses
+	type fleetAlias struct{ built, memoHits, memoMisses, hits, misses, bodyHits uint64 }
+	fleet := func() (f fleetAlias) {
+		for _, b := range backends {
+			st := b.svc.Stats()
+			f.built += st.TablesBuilt
+			f.memoHits += st.MemoHits
+			f.memoMisses += st.MemoMisses
+			f.hits += st.TraceAliasHits
+			f.misses += st.TraceAliasMisses
+			f.bodyHits += st.TraceAliasBodyHits
+		}
+		return f
 	}
-	if built != 1 || memoMisses != 1 || memoHits != callers-1 {
+	f := fleet()
+	if f.built != 1 || f.memoMisses != 1 || f.memoHits != callers-1 {
 		t.Fatalf("fleet tables_built = %d, memo misses = %d, memo hits = %d; want 1, 1, %d",
-			built, memoMisses, memoHits, callers-1)
+			f.built, f.memoMisses, f.memoHits, callers-1)
 	}
-	if aliasHits+aliasMisses != callers || aliasMisses < 1 {
-		t.Fatalf("fleet alias hits %d + misses %d, want %d with at least one miss", aliasHits, aliasMisses, callers)
+	if f.hits+f.misses != callers || f.misses < 1 || f.bodyHits > f.hits {
+		t.Fatalf("fleet alias hits %d (%d body) + misses %d, want %d with at least one miss and body hits within hits",
+			f.hits, f.bodyHits, f.misses, callers)
 	}
 	st := rt.Stats()
 	if st.Requests != callers {
 		t.Fatalf("router requests = %d, want %d upstream sends", st.Requests, callers)
 	}
-	if st.AliasHits+st.AliasMisses != callers || st.AliasMisses < 1 {
-		t.Fatalf("router alias hits %d + misses %d, want %d with at least one miss", st.AliasHits, st.AliasMisses, callers)
+	if st.AliasHits+st.AliasMisses != callers || st.AliasMisses < 1 || st.AliasBodyHits > st.AliasHits {
+		t.Fatalf("router alias hits %d (%d body) + misses %d, want %d with at least one miss and body hits within hits",
+			st.AliasHits, st.AliasBodyHits, st.AliasMisses, callers)
+	}
+
+	if status, data := postRaw(t, ts.Client(), ts.URL+"/schedule", body); status != http.StatusOK ||
+		!bytes.Equal(withoutRequestFields(t, data), want) {
+		t.Fatalf("sequential repeat: status %d, body\n%s\nwant\n%s", status, data, want)
+	}
+	g, st2 := fleet(), rt.Stats()
+	if g.hits != f.hits+1 || g.bodyHits != f.bodyHits+1 || g.misses != f.misses {
+		t.Fatalf("sequential repeat: fleet alias hits %d->%d, body hits %d->%d, misses %d->%d; want one body hit",
+			f.hits, g.hits, f.bodyHits, g.bodyHits, f.misses, g.misses)
+	}
+	if st2.AliasHits != st.AliasHits+1 || st2.AliasBodyHits != st.AliasBodyHits+1 || st2.AliasMisses != st.AliasMisses {
+		t.Fatalf("sequential repeat: router alias hits %d->%d, body hits %d->%d, misses %d->%d; want one body hit",
+			st.AliasHits, st2.AliasHits, st.AliasBodyHits, st2.AliasBodyHits, st.AliasMisses, st2.AliasMisses)
 	}
 }
 

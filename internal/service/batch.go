@@ -94,7 +94,7 @@ func (s *Service) scheduleBatch(ctx context.Context, req BatchRequest) (*BatchRe
 		schedulers[i] = scheduler
 		needTrace = needTrace || spec.Verify
 	}
-	return runTrace(s, ctx, req.Trace, req.PeerHint, needTrace,
+	return runTrace(s, ctx, &traceInput{text: req.Trace, peerHint: req.PeerHint}, needTrace,
 		func(stages obs.Stages, in *traceInput, entry *cacheEntry, cacheHit bool) (*BatchResponse, error) {
 			resp := &BatchResponse{
 				Fingerprint: in.sum.Fingerprint.String(),

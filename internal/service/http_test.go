@@ -243,8 +243,8 @@ func TestHTTPHealthzAndStats(t *testing.T) {
 // TestHTTPMetricsEndpoint scrapes /metrics around /schedule round-trips
 // and asserts the counters and stage histograms move: two identical
 // requests must show one table build (miss) and one cache hit; one
-// decode, fingerprint and scheduler run (the repeat is an alias hit and
-// a memo hit, so it runs none of them); and an encode sample and a
+// decode, fingerprint and scheduler run (the repeat is a body-alias hit
+// and a memo hit, so it runs none of them); and an encode sample and a
 // completed-request latency observation per request.
 func TestHTTPMetricsEndpoint(t *testing.T) {
 	svc := New(Config{})
@@ -311,6 +311,7 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		"pim_request_duration_seconds_count":                    2,
 		"pim_trace_alias_hits_total":                            1,
 		"pim_trace_alias_misses_total":                          1,
+		"pim_trace_alias_body_hits_total":                       1,
 		"pim_schedule_memo_hits_total":                          1,
 		"pim_schedule_memo_misses_total":                        1,
 		`pim_stage_duration_seconds_count{stage="decode"}`:      1,

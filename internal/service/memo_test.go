@@ -37,7 +37,7 @@ func serveJSON(t *testing.T, svc *Service, path string, body any) (int, []byte) 
 	return rec.Code, rec.Body.Bytes()
 }
 
-var perRequestFields = regexp.MustCompile(`"(elapsed_us|cache_hit)": [a-z0-9]+`)
+var perRequestFields = regexp.MustCompile(`"(elapsed_us|cache_hit)":\s*[a-z0-9]+`)
 
 // scrub blanks the two fields that legitimately differ between
 // identical /schedule requests, leaving every other byte of the body.
@@ -134,11 +134,12 @@ func randomTraceText(t *testing.T, rng *rand.Rand) (string, []memoSpec) {
 
 // TestMemoRefereeDifferential: for seeded random traces under every
 // algorithm at an unbounded, a tight and an infeasible capacity, a
-// fresh service, an aliased repeat (new spec, known text), a memo hit,
-// a verify=true request and batch specs (memo misses on a fresh
-// service, memo hits on a warm one) all give the same answer; a
-// comment/whitespace variant of the text is a new alias key but the
-// same fingerprint, table and memo entry.
+// fresh service, an aliased repeat (new spec, known text), a memo hit
+// (the same body again: a body-alias hit), a verify=true request and
+// batch specs (memo misses on a fresh service, memo hits on a warm one)
+// all give the same answer; a comment/whitespace variant of the text is
+// a new alias key but the same fingerprint, table and memo entry. Alias
+// counts are exact: one outcome per request, and a body hit is a hit.
 func TestMemoRefereeDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for ti := 0; ti < 6; ti++ {
@@ -169,9 +170,10 @@ func TestMemoRefereeDifferential(t *testing.T) {
 		}
 		st := warm.Stats()
 		n := uint64(len(specs))
-		if st.TraceAliasMisses != 1 || st.TraceAliasHits != 2*n-1 || st.MemoMisses != n || st.MemoHits != n || st.TablesBuilt != 1 {
-			t.Fatalf("trace %d: alias %d/%d, memo %d/%d, built %d; want alias 1 miss/%d hits, memo %d/%d, 1 build",
-				ti, st.TraceAliasMisses, st.TraceAliasHits, st.MemoMisses, st.MemoHits, st.TablesBuilt, 2*n-1, n, n)
+		if st.TraceAliasMisses != 1 || st.TraceAliasHits != 2*n-1 || st.TraceAliasBodyHits != n ||
+			st.MemoMisses != n || st.MemoHits != n || st.TablesBuilt != 1 {
+			t.Fatalf("trace %d: alias %d/%d (%d body), memo %d/%d, built %d; want alias 1 miss/%d hits (%d body), memo %d/%d, 1 build",
+				ti, st.TraceAliasMisses, st.TraceAliasHits, st.TraceAliasBodyHits, st.MemoMisses, st.MemoHits, st.TablesBuilt, 2*n-1, n, n, n)
 		}
 
 		for _, sp := range specs {
@@ -179,6 +181,12 @@ func TestMemoRefereeDifferential(t *testing.T) {
 			if got, want := canonicalSingle(t, data), canonicalSingle(t, fresh[sp]); got != want {
 				t.Fatalf("trace %d %v: verify=true gave\n%s\nwant\n%s", ti, sp, got, want)
 			}
+		}
+		// The query flag is read per request, so each body is still a
+		// body hit; verify decodes the trace lazily from the held body.
+		if st := warm.Stats(); st.TraceAliasMisses != 1 || st.TraceAliasBodyHits != 2*n || st.TraceAliasHits != 3*n-1 {
+			t.Fatalf("trace %d: after verify=true, alias misses %d, hits %d, body hits %d; want 1, %d, %d",
+				ti, st.TraceAliasMisses, st.TraceAliasHits, st.TraceAliasBodyHits, 3*n-1, 2*n)
 		}
 
 		batch := BatchRequest{Trace: text}
@@ -209,8 +217,8 @@ func TestMemoRefereeDifferential(t *testing.T) {
 			t.Fatalf("trace %d: text variant gave\n%s\nwant\n%s", ti, data, fresh[specs[0]])
 		}
 		after := warm.Stats()
-		if after.TraceAliasMisses != before.TraceAliasMisses+1 || after.MemoHits != before.MemoHits+1 ||
-			after.MemoMisses != before.MemoMisses || after.TablesBuilt != before.TablesBuilt {
+		if after.TraceAliasMisses != before.TraceAliasMisses+1 || after.TraceAliasBodyHits != before.TraceAliasBodyHits ||
+			after.MemoHits != before.MemoHits+1 || after.MemoMisses != before.MemoMisses || after.TablesBuilt != before.TablesBuilt {
 			t.Fatalf("trace %d: text variant moved alias misses %d->%d, memo hits %d->%d, memo misses %d->%d, builds %d->%d; want a new alias key on the same entry and memo",
 				ti, before.TraceAliasMisses, after.TraceAliasMisses, before.MemoHits, after.MemoHits,
 				before.MemoMisses, after.MemoMisses, before.TablesBuilt, after.TablesBuilt)

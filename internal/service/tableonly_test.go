@@ -50,10 +50,11 @@ func postCounting(t *testing.T, svc *Service, body any) (int, []byte, map[string
 	return rec.Code, rec.Body.Bytes(), spans
 }
 
-// TestPromotionWithoutTrace: after its table is demoted, a trace text
-// repeated through the alias is promoted from the cold payload without
-// decoding the trace or rebuilding the table, and the answer is
-// bit-identical to the one served before the demotion.
+// TestPromotionWithoutTrace: after its table is demoted, a request body
+// repeated through the alias (a body hit: no JSON decode either) is
+// promoted from the cold payload without decoding the trace or
+// rebuilding the table, and the answer is bit-identical to the one
+// served before the demotion.
 func TestPromotionWithoutTrace(t *testing.T) {
 	// Two ~60 KiB tables against a 100 KB budget: building the second
 	// demotes the first (as in TestColdTierHitBitIdentical).
@@ -86,8 +87,9 @@ func TestPromotionWithoutTrace(t *testing.T) {
 		t.Fatalf("repeat: tables_built %d -> %d, promotions %d -> %d; want no build and one promotion",
 			st.TablesBuilt, now.TablesBuilt, st.CachePromotions, now.CachePromotions)
 	}
-	if now.TraceAliasHits != st.TraceAliasHits+1 {
-		t.Fatalf("repeat did not resolve through the alias (hits %d -> %d)", st.TraceAliasHits, now.TraceAliasHits)
+	if now.TraceAliasHits != st.TraceAliasHits+1 || now.TraceAliasBodyHits != st.TraceAliasBodyHits+1 || now.TraceAliasMisses != st.TraceAliasMisses {
+		t.Fatalf("repeat: alias hits %d -> %d, body hits %d -> %d, misses %d -> %d; want one body hit",
+			st.TraceAliasHits, now.TraceAliasHits, st.TraceAliasBodyHits, now.TraceAliasBodyHits, st.TraceAliasMisses, now.TraceAliasMisses)
 	}
 	if scrub(after) != scrub(before) {
 		t.Fatalf("promoted answer differs from the pre-demotion one:\n got %s\nwant %s", after, before)
@@ -101,7 +103,7 @@ func TestPromotionWithoutTrace(t *testing.T) {
 // cell in its reference counts) would pin about 2.2x its charge.
 func TestHotCacheHeapWithinCacheBytes(t *testing.T) {
 	// Slack covers what is live but legitimately uncharged: the trace
-	// alias (one key and Summary per text), the stage histograms and
+	// alias (a text key and a body key per trace), the stage histograms and
 	// runtime noise. It is far below the ~128 KiB a single table adds.
 	const (
 		budget = 16 << 20
@@ -167,7 +169,7 @@ func TestAbandonedPromotionFailsWaiters(t *testing.T) {
 	}
 	sum := trace.Summary{Fingerprint: tr.Fingerprint(), Shape: tr.Shape()}
 	const broken = "not a trace"
-	svc.alias.Add(trace.HashText(broken), sum)
+	svc.alias.Add(trace.HashText(broken), aliasEntry{Summary: sum})
 	c := svc.cache
 	coldCorrupt := func() {
 		c.mu.Lock()
