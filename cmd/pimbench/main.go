@@ -16,6 +16,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,9 +26,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/grid"
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/report"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -238,7 +237,7 @@ func run(args []string, out io.Writer) error {
 	if want("dpkernel") {
 		ran = true
 		noReferee("dpkernel")
-		if err := dpKernelStudy(out, g, *n, *capFactor, cfg.Stages); err != nil {
+		if err := dpKernelStudy(out, g, *n, cfg.Stages); err != nil {
 			return err
 		}
 	}
@@ -320,14 +319,15 @@ func kernelStudy(out io.Writer, g grid.Grid, n int, stages func(string, time.Dur
 	return nil
 }
 
-// dpKernelStudy times GOMCDS end to end with the separable min-plus
-// sweep DP kernel against the dense O(P²) relaxation on a dense random
-// capacitated instance, and cross-checks that the two schedules are
-// identical placement for placement (same centers, hence same cost),
-// so the printed speedup is attested to be a speedup of the *same*
-// scheduler. The companion artifact to `-table kernel` (PR 2's
-// residence-kernel comparison).
-func dpKernelStudy(out io.Writer, g grid.Grid, n, capFactor int, stages func(string, time.Duration)) error {
+// dpKernelStudy times the two layered-DP kernels on every item's
+// residence rows of one dense random instance: the separable min-plus
+// sweep GOMCDS runs (costgraph.Solver.Solve) against the dense O(P²)
+// relaxation the tests keep as their oracle
+// (costgraph.ShortestLayeredPathNaive). It fails unless the kernels
+// agree on every item's total and path, so the printed speedup is a
+// speedup of the same answer. The companion artifact to `-table kernel`
+// (PR 2's residence-kernel comparison).
+func dpKernelStudy(out io.Writer, g grid.Grid, n int, stages func(string, time.Duration)) error {
 	rng := rand.New(rand.NewSource(1998))
 	nd, np := trimData(n*n), g.NumProcs()
 	tr := trace.New(g, nd)
@@ -340,36 +340,37 @@ func dpKernelStudy(out io.Writer, g grid.Grid, n, capFactor int, stages func(str
 			win.Add(rng.Intn(np), trace.DataID(rng.Intn(nd)))
 		}
 	}
-	capacity := 0
-	if nd > 0 && capFactor > 0 {
-		capacity = capFactor * placement.MinCapacity(nd, np)
-	}
 	m := cost.NewModel(tr)
 	m.Stages = stages
-	p := sched.NewProblemFromModel(m, capacity)
+	table := m.BuildResidenceTable()
 
-	start := time.Now()
-	sweep, err := sched.GOMCDS{Kernel: costgraph.KernelSweep}.Schedule(p)
-	if err != nil {
-		return err
+	solver := costgraph.NewSolver(g.Width(), g.Height())
+	nodeCost := make([][]int64, table.NumWindows())
+	var sweepDur, naiveDur time.Duration
+	var total int64
+	for d := 0; d < nd; d++ {
+		for w := range nodeCost {
+			nodeCost[w] = table.Row(w, d)
+		}
+		size := int64(m.DataSize[d])
+		start := time.Now()
+		sweepTotal, sweepPath := solver.Solve(nodeCost, size)
+		sweepDur += time.Since(start)
+		start = time.Now()
+		naiveTotal, naivePath := costgraph.ShortestLayeredPathNaive(nodeCost, g.Width(), g.Height(), size)
+		naiveDur += time.Since(start)
+		if sweepTotal != naiveTotal || !slices.Equal(sweepPath, naivePath) {
+			return fmt.Errorf("dpkernel divergence on item %d: sweep (%d, %v), naive (%d, %v)",
+				d, sweepTotal, sweepPath, naiveTotal, naivePath)
+		}
+		total += sweepTotal
 	}
-	sweepDur := time.Since(start)
-	start = time.Now()
-	naive, err := sched.GOMCDS{Kernel: costgraph.KernelNaive}.Schedule(p)
-	if err != nil {
-		return err
-	}
-	naiveDur := time.Since(start)
 
-	if !sweep.Equal(naive) {
-		return fmt.Errorf("dpkernel divergence: sweep and naive GOMCDS schedules differ")
-	}
-
-	tbl := report.NewTable(fmt.Sprintf("GOMCDS DP kernels (%v array, %d items, %d windows, capacity %d)",
-		g, nd, tr.NumWindows(), capacity),
+	tbl := report.NewTable(fmt.Sprintf("GOMCDS DP kernels (%v array, %d items, %d windows, one path per item)",
+		g, nd, tr.NumWindows()),
 		"kernel", "time", "total cost")
-	tbl.AddF(costgraph.KernelSweep, sweepDur.Round(time.Microsecond), m.TotalCost(sweep))
-	tbl.AddF(costgraph.KernelNaive, naiveDur.Round(time.Microsecond), m.TotalCost(naive))
+	tbl.AddF("sweep", sweepDur.Round(time.Microsecond), total)
+	tbl.AddF("naive", naiveDur.Round(time.Microsecond), total)
 	if err := tbl.Render(out); err != nil {
 		return err
 	}

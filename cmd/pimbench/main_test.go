@@ -71,8 +71,9 @@ func TestKernelArtifact(t *testing.T) {
 }
 
 // TestDPKernelArtifact: the DP-kernel comparison must attest that the
-// sweep and dense GOMCDS runs produced identical schedules before it
-// reports any timing, so the speedup is a speedup of equal output.
+// sweep and dense kernels returned identical paths for every item
+// before it reports any timing, so the speedup is a speedup of equal
+// output.
 func TestDPKernelArtifact(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-table", "dpkernel", "-n", "4"}, &out); err != nil {

@@ -272,6 +272,124 @@ func TestClusterDrainMigratesSessionsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDrainFailedMigrationKeepsSession: when the destination refuses
+// the import (here it is at MaxSessions and answers 429), the session
+// is still live on the drained source, so the router keeps its pin
+// there. The session must go on answering through the router, its next
+// delta and schedule bit-identical to a serial replay, instead of
+// turning into a 404 for a session that still exists.
+func TestDrainFailedMigrationKeepsSession(t *testing.T) {
+	backends := []*backend{
+		newBackend(t, service.Config{MaxSessions: 1}),
+		newBackend(t, service.Config{MaxSessions: 1}),
+	}
+	rt, ts := newTestRouter(t, RouterConfig{Backends: backendURLs(backends)})
+	ref := service.New(service.Config{})
+	defer ref.Close()
+
+	req := service.CreateSessionRequest{Trace: clusterTrace(t, 3), Algorithm: "gomcds"}
+	status, body := postJSON(t, ts.Client(), ts.URL+"/session", req)
+	if status != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", status, body)
+	}
+	var info service.SessionInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	refInfo, err := ref.CreateSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Fill the other backend's only session slot directly, so the
+	// drain's import there is refused.
+	src, dst := backends[0], backends[1]
+	if src.svc.Stats().SessionsActive != 1 {
+		src, dst = dst, src
+	}
+	if status, body := postJSON(t, ts.Client(), dst.ts.URL+"/session", service.CreateSessionRequest{
+		Trace: clusterTrace(t, 4), Algorithm: "scds",
+	}); status != http.StatusCreated {
+		t.Fatalf("filler session: status %d: %s", status, body)
+	}
+
+	resp, err := ts.Client().Post(ts.URL+"/admin/drain?backend="+src.ts.URL, "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = readAllAndClose(resp)
+	var drained struct {
+		Migrated int `json:"migrated"`
+		Failed   int `json:"failed"`
+	}
+	if err := json.Unmarshal(body, &drained); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("drain: status %d: %s (%v)", resp.StatusCode, body, err)
+	}
+	if drained.Migrated != 0 || drained.Failed != 1 {
+		t.Fatalf("drain migrated %d, failed %d; want 0 migrated, 1 failed (import refused)", drained.Migrated, drained.Failed)
+	}
+	if src.svc.Stats().SessionsActive != 1 {
+		t.Fatal("the failed migration removed the session from its source")
+	}
+
+	for seq := 0; seq < 2; seq++ {
+		dd := delta.Delta{Op: delta.OpAppendWindow, Refs: []delta.Ref{
+			{Proc: 0, Data: 1, Volume: 5 + seq},
+			{Proc: 1, Data: 2, Volume: 3},
+		}}
+		status, body := postJSON(t, ts.Client(), ts.URL+"/session/"+info.SessionID+"/delta", dd)
+		if status != http.StatusOK {
+			t.Fatalf("delta %d after the failed drain: status %d: %s", seq, status, body)
+		}
+		var got service.DeltaResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.ApplySessionDelta(refInfo.SessionID, dd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Seq != want.Seq || got.Fingerprint != want.Fingerprint || got.NumWindows != want.NumWindows {
+			t.Fatalf("delta %d diverged: routed %+v, serial %+v", seq, got, want)
+		}
+
+		status, body = postJSON(t, ts.Client(), ts.URL+"/session/"+info.SessionID+"/schedule", struct{}{})
+		if status != http.StatusOK {
+			t.Fatalf("schedule %d after the failed drain: status %d: %s", seq, status, body)
+		}
+		var gotSched service.SessionScheduleResponse
+		if err := json.Unmarshal(body, &gotSched); err != nil {
+			t.Fatal(err)
+		}
+		wantSched, err := ref.ScheduleSession(refInfo.SessionID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotSched.Fingerprint != wantSched.Fingerprint || gotSched.Seq != wantSched.Seq ||
+			gotSched.Cost != wantSched.Cost || !jsonEqualCenters(gotSched.Centers, wantSched.Centers) {
+			t.Fatalf("schedule %d diverged: routed fp=%s seq=%d cost=%+v, serial fp=%s seq=%d cost=%+v",
+				seq, gotSched.Fingerprint, gotSched.Seq, gotSched.Cost, wantSched.Fingerprint, wantSched.Seq, wantSched.Cost)
+		}
+	}
+	if st := rt.Stats(); st.SessionsPinned != 1 {
+		t.Fatalf("sessions pinned after a failed migration = %d, want 1", st.SessionsPinned)
+	}
+
+	// Once the drained source really goes away, the kept pin must not
+	// turn into a permanent 503: the first failed proxy drops it, and
+	// the session is then a clean 404.
+	src.ts.Close()
+	if status, body := postJSON(t, ts.Client(), ts.URL+"/session/"+info.SessionID+"/schedule", struct{}{}); status != http.StatusServiceUnavailable {
+		t.Fatalf("schedule on the stopped source: status %d: %s, want 503", status, body)
+	}
+	if status, body := postJSON(t, ts.Client(), ts.URL+"/session/"+info.SessionID+"/schedule", struct{}{}); status != http.StatusNotFound {
+		t.Fatalf("schedule after the source's pin was dropped: status %d: %s, want 404", status, body)
+	}
+	if st := rt.Stats(); st.SessionsPinned != 0 {
+		t.Fatalf("sessions pinned after the drained source died = %d, want 0", st.SessionsPinned)
+	}
+}
+
 // jsonEqualCenters compares two center matrices by value.
 func jsonEqualCenters(a, b [][]int) bool {
 	if len(a) != len(b) {

@@ -348,7 +348,13 @@ func (rt *Router) eject(backend string) {
 	rt.healthMu.Unlock()
 
 	rt.forgetFills(backend)
+	rt.dropPins(backend)
+}
 
+// dropPins forgets the settled session pins on a dead backend: their
+// sessions died with it. Pins a drain is moving are the drain's to
+// settle.
+func (rt *Router) dropPins(backend string) {
 	rt.sessMu.Lock()
 	for id, pin := range rt.sessions {
 		if pin.backend == backend && pin.moving == nil {
@@ -502,9 +508,11 @@ func (rt *Router) handleBySession(w http.ResponseWriter, r *http.Request) {
 		r.Header.Get("Content-Type"), body, "")
 	if res.rr == nil && res.connErr {
 		// The pinned shard is gone, and the session's state with it:
-		// eject now (which also drops this and its sibling pins) so the
+		// eject now and drop this and its sibling pins (a drained shard
+		// has left the ring already, so eject alone would not) so the
 		// next request gets a clean 404 instead of another doomed proxy.
 		rt.eject(backend)
+		rt.dropPins(backend)
 		res.errMsg = "cluster: session backend unreachable: " + res.errMsg
 	}
 	status := rt.writeResult(w, res)
@@ -926,14 +934,15 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 	migrated, failed := 0, 0
 	for _, c := range claims {
 		dst, err := rt.migrateSession(r.Context(), c.id, backend)
+		// A failed migration leaves the session live on the source
+		// (export does not remove it, and the drained source stays up
+		// until its operator stops it), so the pin stays there.
 		rt.sessMu.Lock()
 		if pin, ok := rt.sessions[c.id]; ok {
-			if err != nil {
-				delete(rt.sessions, c.id)
-			} else {
+			if err == nil {
 				pin.backend = dst
-				pin.moving = nil
 			}
+			pin.moving = nil
 		}
 		rt.sessMu.Unlock()
 		close(c.gate)

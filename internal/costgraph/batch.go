@@ -8,10 +8,10 @@
 // the loop nest: it sweeps every item of one layer before advancing to
 // the next, so one layer pass streams through one contiguous run of
 // the flat residence table ((w*nd + d)*np + c layout — all items of a
-// window are adjacent). The recurrence applied per item is exactly the
-// one Solve applies, including tie-breaks, so batched paths are
-// bit-identical to per-item paths; internal/verify and the costgraph
-// tests pin that.
+// window are adjacent). Each item advances through the same layer step
+// and walk-back Solve uses, so batched paths are bit-identical to
+// per-item paths, tie-breaks included; internal/verify and the
+// costgraph tests pin that.
 package costgraph
 
 import "fmt"
@@ -68,45 +68,25 @@ func (s *Solver) SolveBatch(cells []int64, layers, stride, lo, hi int, sizes []i
 		base := (lo + i) * np
 		copy(fb[i*np:(i+1)*np], cells[base:base+np])
 	}
+	// Item i's predecessor row for layer l starts at (l*items+i)*np: the
+	// cube is item-interleaved, so consecutive layers of one item sit
+	// items*np apart.
 	for l := 1; l < layers; l++ {
 		layerBase := l * stride * np
 		for i := 0; i < items; i++ {
-			copy(s.f, fb[i*np:(i+1)*np])
-			s.relax(sizes[i])
-			cur := cells[layerBase+(lo+i)*np : layerBase+(lo+i+1)*np]
 			fr := fb[i*np : (i+1)*np]
-			pr := pred[(l*items+i)*np : (l*items+i+1)*np]
-			for to := 0; to < np; to++ {
-				if cur[to] == Inf || s.g[to] == Inf {
-					fr[to] = Inf
-					pr[to] = -1
-				} else {
-					fr[to] = s.g[to] + cur[to]
-					pr[to] = s.ga[to]
-				}
-			}
+			cur := cells[layerBase+(lo+i)*np : layerBase+(lo+i+1)*np]
+			s.step(fr, cur, sizes[i], fr, pred[(l*items+i)*np:(l*items+i+1)*np])
 		}
 	}
 
 	for i := 0; i < items; i++ {
-		bestEnd, best := -1, int64(Inf)
-		for p, c := range fb[i*np : (i+1)*np] {
-			if c < best {
-				best, bestEnd = c, p
-			}
-		}
 		path := paths[i*layers : (i+1)*layers]
-		if bestEnd == -1 {
-			totals[i] = Inf
+		totals[i] = walkBack(fb[i*np:(i+1)*np], pred[i*np:], items*np, path)
+		if totals[i] == Inf {
 			for l := range path {
 				path[l] = -1
 			}
-			continue
-		}
-		totals[i] = best
-		path[layers-1] = bestEnd
-		for l := layers - 1; l > 0; l-- {
-			path[l-1] = pred[(l*items+i)*np+path[l]]
 		}
 	}
 	return totals, paths

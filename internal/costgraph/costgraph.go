@@ -13,12 +13,14 @@
 //   - ShortestLayeredPath, a dynamic program specialized to the layered
 //     structure of cost-graphs that avoids materializing the O(n·m²)
 //     edges but still relaxes every (from, to) pair per layer; and
-//   - Solver / ShortestLayeredPathGrid (sweep.go), the production
-//     kernel: the same DP with the per-layer relaxation done as a
-//     separable min-plus sweep in O(P) instead of O(P²), valid because
-//     the grid transition cost is size times the Manhattan distance.
-//     Tests and internal/verify pin it to the dense version
-//     path-for-path.
+//   - Solver (sweep.go), the production kernel: the same DP with the
+//     per-layer relaxation done as a separable min-plus sweep in O(P)
+//     instead of O(P²), valid because the grid transition cost is size
+//     times the Manhattan distance. Solve, SolveFromInto and SolveBatch
+//     share one layer step and one walk-back. Tests and internal/verify
+//     pin it to the dense version (ShortestLayeredPathNaive)
+//     path-for-path; the dense kernels are test oracles, never on the
+//     scheduling path.
 package costgraph
 
 import (
@@ -40,7 +42,6 @@ type edge struct {
 type Graph struct {
 	adj      [][]edge
 	indegree []int
-	edges    int
 }
 
 // NewGraph returns a graph with n vertices, numbered 0..n-1, and no
@@ -55,9 +56,6 @@ func NewGraph(n int) *Graph {
 // NumNodes returns the vertex count.
 func (g *Graph) NumNodes() int { return len(g.adj) }
 
-// NumEdges returns the edge count.
-func (g *Graph) NumEdges() int { return g.edges }
-
 // AddEdge adds a directed edge from -> to with weight w. It panics on
 // out-of-range endpoints or negative weight, both programming errors in
 // graph construction.
@@ -70,7 +68,6 @@ func (g *Graph) AddEdge(from, to int, w int64) {
 	}
 	g.adj[from] = append(g.adj[from], edge{to: to, w: w})
 	g.indegree[to]++
-	g.edges++
 }
 
 // TopoOrder returns a topological ordering of the vertices, or an error

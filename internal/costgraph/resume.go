@@ -13,35 +13,30 @@
 // stores the argmin for every node of every layer, not just along the
 // previously chosen path, so the walk-back is exact.
 //
-// SolveFrom is the session-facing form of Solve: the caller owns the f
-// and pred matrices (they are the per-item DP state an incremental
-// session keeps between deltas) and tells the solver the first layer
-// whose cached rows are stale.
+// SolveFromInto is the session-facing form of Solve: the caller owns
+// the f and pred matrices (they are the per-item DP state an
+// incremental session keeps between deltas) and tells the solver the
+// first layer whose cached rows are stale.
 package costgraph
 
 import "fmt"
 
-// SolveFrom runs the layered shortest path like Solve, resuming from a
-// cached prefix. f and pred are caller-owned flat layers x np matrices
-// (row l occupies [l*np, (l+1)*np)); rows [0, start) must hold the
-// rows a previous Solve-equivalent run produced over byte-identical
-// node-cost layers [0, start). SolveFrom recomputes rows start..L-1 in
-// place, leaving f and pred valid for the whole trace, and returns the
-// total and path exactly as Solve would — bit-identical costs, paths
-// and tie-breaks, because the recurrence it applies to the suffix is
-// the same one that produced the prefix. start = 0 recomputes
-// everything (a full Solve into caller-owned state); start = L
-// recomputes nothing and only re-derives the best final node and path
-// from the cached rows.
-func (s *Solver) SolveFrom(nodeCost [][]int64, size int64, start int, f []int64, pred []int) (int64, []int) {
-	return s.SolveFromInto(nodeCost, size, start, f, pred, nil)
-}
-
-// SolveFromInto is SolveFrom with a caller-supplied path buffer: when
-// path has capacity for one node per layer the chosen path is written
-// into it and the same backing is returned, making a steady-state
-// resume allocation-free. A nil or short buffer falls back to a fresh
-// allocation; a blocked instance returns (Inf, nil) regardless.
+// SolveFromInto runs the layered shortest path like Solve, resuming
+// from a cached prefix. f and pred are caller-owned flat layers x np
+// matrices (row l occupies [l*np, (l+1)*np)); rows [0, start) must hold
+// the rows a previous run produced over byte-identical node-cost layers
+// [0, start). SolveFromInto recomputes rows start..L-1 in place,
+// leaving f and pred valid for the whole trace, and returns the total
+// and path exactly as Solve would — bit-identical costs, paths and
+// tie-breaks, because the recurrence it applies to the suffix is the
+// same one that produced the prefix. start = 0 recomputes everything (a
+// full Solve into caller-owned state); start = L recomputes nothing and
+// only re-derives the best final node and path from the cached rows.
+//
+// When path has capacity for one node per layer the chosen path is
+// written into it and the same backing is returned, making a
+// steady-state resume allocation-free; a nil or short buffer falls back
+// to a fresh allocation. A blocked instance returns (Inf, nil).
 func (s *Solver) SolveFromInto(nodeCost [][]int64, size int64, start int, f []int64, pred []int, path []int) (int64, []int) {
 	np := checkGridLayers(nodeCost, s.width, s.height)
 	L := len(nodeCost)
@@ -63,38 +58,15 @@ func (s *Solver) SolveFromInto(nodeCost [][]int64, size int64, start int, f []in
 		start = 1
 	}
 	for l := start; l < L; l++ {
-		copy(s.f, f[(l-1)*np:l*np])
-		s.relax(size)
-		cur := nodeCost[l]
-		fr := f[l*np : (l+1)*np]
-		pr := pred[l*np : (l+1)*np]
-		for to := 0; to < np; to++ {
-			if cur[to] == Inf || s.g[to] == Inf {
-				fr[to] = Inf
-				pr[to] = -1
-			} else {
-				fr[to] = s.g[to] + cur[to]
-				pr[to] = s.ga[to]
-			}
-		}
-	}
-
-	bestEnd, best := -1, int64(Inf)
-	for p, c := range f[(L-1)*np : L*np] {
-		if c < best {
-			best, bestEnd = c, p
-		}
-	}
-	if bestEnd == -1 {
-		return Inf, nil
+		s.step(f[(l-1)*np:l*np], nodeCost[l], size, f[l*np:(l+1)*np], pred[l*np:(l+1)*np])
 	}
 	if cap(path) < L {
 		path = make([]int, L)
 	}
 	path = path[:L]
-	path[L-1] = bestEnd
-	for l := L - 1; l > 0; l-- {
-		path[l-1] = pred[l*np+path[l]]
+	best := walkBack(f[(L-1)*np:L*np], pred, np, path)
+	if best == Inf {
+		return Inf, nil
 	}
 	return best, path
 }

@@ -6,17 +6,17 @@ import (
 	"testing"
 )
 
-// solveInto runs SolveFrom(start=0) into fresh caller-owned state and
+// solveInto runs SolveFromInto(start=0) into fresh caller-owned state and
 // returns the state alongside the answer.
 func solveInto(s *Solver, nodeCost [][]int64, size int64) (int64, []int, []int64, []int) {
 	np := s.width * s.height
 	f := make([]int64, len(nodeCost)*np)
 	pred := make([]int, len(nodeCost)*np)
-	total, path := s.SolveFrom(nodeCost, size, 0, f, pred)
+	total, path := s.SolveFromInto(nodeCost, size, 0, f, pred, nil)
 	return total, path, f, pred
 }
 
-// TestSolveFromScratchMatchesSolve pins SolveFrom(start=0) to Solve on
+// TestSolveFromScratchMatchesSolve pins SolveFromInto(start=0) to Solve on
 // random instances: identical totals and identical paths, including
 // forbidden-Inf vertices and tie-heavy costs.
 func TestSolveFromScratchMatchesSolve(t *testing.T) {
@@ -27,7 +27,7 @@ func TestSolveFromScratchMatchesSolve(t *testing.T) {
 		wantTotal, wantPath := s.Solve(nodeCost, size)
 		gotTotal, gotPath, _, _ := solveInto(s, nodeCost, size)
 		if gotTotal != wantTotal || !reflect.DeepEqual(gotPath, wantPath) {
-			t.Fatalf("iter %d (%dx%d, size %d, %d layers): SolveFrom(0) (%d, %v) != Solve (%d, %v)",
+			t.Fatalf("iter %d (%dx%d, size %d, %d layers): SolveFromInto(0) (%d, %v) != Solve (%d, %v)",
 				iter, w, h, size, len(nodeCost), gotTotal, gotPath, wantTotal, wantPath)
 		}
 	}
@@ -57,7 +57,7 @@ func TestSolveFromSuffixResume(t *testing.T) {
 			}
 		}
 
-		gotTotal, gotPath := s.SolveFrom(nodeCost, size, start, f, pred)
+		gotTotal, gotPath := s.SolveFromInto(nodeCost, size, start, f, pred, nil)
 		wantTotal, wantPath := s.Solve(nodeCost, size)
 		if gotTotal != wantTotal || !reflect.DeepEqual(gotPath, wantPath) {
 			t.Fatalf("iter %d (%dx%d, size %d, resume at %d/%d): resumed (%d, %v) != full (%d, %v)",
@@ -81,7 +81,7 @@ func TestSolveFromFullStartOnlyRederivesPath(t *testing.T) {
 		wantTotal, wantPath, f, pred := solveInto(s, nodeCost, size)
 		fCopy := append([]int64(nil), f...)
 		predCopy := append([]int(nil), pred...)
-		gotTotal, gotPath := s.SolveFrom(nodeCost, size, len(nodeCost), f, pred)
+		gotTotal, gotPath := s.SolveFromInto(nodeCost, size, len(nodeCost), f, pred, nil)
 		if gotTotal != wantTotal || !reflect.DeepEqual(gotPath, wantPath) {
 			t.Fatalf("iter %d: start=L gave (%d, %v), want (%d, %v)", iter, gotTotal, gotPath, wantTotal, wantPath)
 		}
@@ -95,7 +95,7 @@ func TestSolveFromFullStartOnlyRederivesPath(t *testing.T) {
 // and the guard rails on bad arguments.
 func TestSolveFromEmptyAndPanics(t *testing.T) {
 	s := NewSolver(2, 2)
-	if total, path := s.SolveFrom(nil, 1, 0, nil, nil); total != 0 || path != nil {
+	if total, path := s.SolveFromInto(nil, 1, 0, nil, nil, nil); total != 0 || path != nil {
 		t.Fatalf("empty instance gave (%d, %v), want (0, nil)", total, path)
 	}
 
@@ -111,10 +111,10 @@ func TestSolveFromEmptyAndPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("negative start", func() { s.SolveFrom(nodeCost, 1, -1, f, pred) })
-	mustPanic("start past L", func() { s.SolveFrom(nodeCost, 1, 3, f, pred) })
-	mustPanic("short f", func() { s.SolveFrom(nodeCost, 1, 0, f[:4], pred) })
-	mustPanic("short pred", func() { s.SolveFrom(nodeCost, 1, 0, f, pred[:4]) })
+	mustPanic("negative start", func() { s.SolveFromInto(nodeCost, 1, -1, f, pred, nil) })
+	mustPanic("start past L", func() { s.SolveFromInto(nodeCost, 1, 3, f, pred, nil) })
+	mustPanic("short f", func() { s.SolveFromInto(nodeCost, 1, 0, f[:4], pred, nil) })
+	mustPanic("short pred", func() { s.SolveFromInto(nodeCost, 1, 0, f, pred[:4], nil) })
 }
 
 // TestSolveFromAllForbiddenSuffix resumes into a suffix whose layers are
@@ -125,7 +125,7 @@ func TestSolveFromAllForbiddenSuffix(t *testing.T) {
 	nodeCost := [][]int64{{0, 1}, {1, 0}, {2, 2}}
 	_, _, f, pred := solveInto(s, nodeCost, 1)
 	nodeCost[2] = []int64{Inf, Inf}
-	total, path := s.SolveFrom(nodeCost, 1, 2, f, pred)
+	total, path := s.SolveFromInto(nodeCost, 1, 2, f, pred, nil)
 	if total != Inf || path != nil {
 		t.Fatalf("all-forbidden suffix gave (%d, %v), want (Inf, nil)", total, path)
 	}

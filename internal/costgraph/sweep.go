@@ -21,47 +21,11 @@ package costgraph
 
 import "fmt"
 
-// Kernel selects the layered-relaxation algorithm GOMCDS runs per
-// layer.
-type Kernel int
-
-const (
-	// KernelSweep is the separable min-plus sweep (the default):
-	// O(P) per layer via four directional sweeps.
-	KernelSweep Kernel = iota
-	// KernelNaive relaxes every (from, to) pair: O(P²) per layer.
-	KernelNaive
-)
-
-// String returns the kernel name.
-func (k Kernel) String() string {
-	switch k {
-	case KernelSweep:
-		return "sweep"
-	case KernelNaive:
-		return "naive"
-	}
-	return fmt.Sprintf("Kernel(%d)", int(k))
-}
-
-// ShortestLayeredPathGrid is ShortestLayeredPath specialized to the
+// ShortestLayeredPathNaive is ShortestLayeredPath specialized to the
 // grid transition cost size * ManhattanDist(from, to) on a width x
-// height array (nodes are row-major linear indices, as in grid.Grid).
-// It runs the separable sweep kernel in O(layers * width * height) and
-// returns the same total and the same path as the dense relaxation,
-// including on ties. Layers must all have width*height nodes. A node
-// cost of Inf marks the node forbidden, exactly as in
-// ShortestLayeredPath.
-//
-// Per-item callers should reuse a Solver instead; this convenience
-// wrapper allocates fresh scratch per call.
-func ShortestLayeredPathGrid(nodeCost [][]int64, width, height int, size int64) (int64, []int) {
-	return NewSolver(width, height).Solve(nodeCost, size)
-}
-
-// ShortestLayeredPathNaive is the dense O(P²)-per-layer reference with
-// the same grid signature as ShortestLayeredPathGrid, kept as the
-// differential counterpart and as the KernelNaive fallback.
+// height array (nodes are row-major linear indices, as in grid.Grid):
+// the dense O(P²)-per-layer reference the tests pin Solver to. Layers
+// must all have width*height nodes.
 func ShortestLayeredPathNaive(nodeCost [][]int64, width, height int, size int64) (int64, []int) {
 	checkGridLayers(nodeCost, width, height)
 	return ShortestLayeredPath(nodeCost, func(_, from, to int) int64 {
@@ -168,43 +132,63 @@ func (s *Solver) Solve(nodeCost [][]int64, size int64) (int64, []int) {
 	if L == 0 {
 		return 0, nil
 	}
-	if cap(s.pred) < L*np {
-		s.pred = make([]int, L*np)
-	}
-	s.pred = s.pred[:L*np]
+	s.pred = growInt(s.pred, L*np)
 
 	f := s.f
 	copy(f, nodeCost[0])
 	for l := 1; l < L; l++ {
-		s.relax(size)
-		cur := nodeCost[l]
-		pr := s.pred[l*np : (l+1)*np]
-		for to := 0; to < np; to++ {
-			if cur[to] == Inf || s.g[to] == Inf {
-				f[to] = Inf
-				pr[to] = -1
-			} else {
-				f[to] = s.g[to] + cur[to]
-				pr[to] = s.ga[to]
-			}
+		s.step(f, nodeCost[l], size, f, s.pred[l*np:(l+1)*np])
+	}
+	path := make([]int, L)
+	best := walkBack(f, s.pred, np, path)
+	if best == Inf {
+		return Inf, nil
+	}
+	return best, path
+}
+
+// step advances the DP by one layer: it relaxes the previous layer's
+// reach costs prev and adds the layer's node costs cur, writing the
+// layer's reach costs to f and its predecessors to pred. A node that is
+// forbidden (cur Inf) or unreachable (relaxed cost Inf) gets reach cost
+// Inf and predecessor -1. f may alias prev: the relaxation reads all of
+// prev before any of f is written.
+func (s *Solver) step(prev, cur []int64, size int64, f []int64, pred []int) {
+	s.relax(prev, size)
+	n := len(f)
+	cur, pred, g, ga := cur[:n], pred[:n], s.g[:n], s.ga[:n]
+	for to := 0; to < n; to++ {
+		if cur[to] == Inf || g[to] == Inf {
+			f[to] = Inf
+			pred[to] = -1
+		} else {
+			f[to] = g[to] + cur[to]
+			pred[to] = ga[to]
 		}
 	}
+}
 
+// walkBack selects the cheapest node of the final layer's reach costs
+// last (the smallest index on ties) and walks the predecessors back
+// from it into path, one node per layer. Layer l's predecessor row
+// starts at pred[l*stride]. It returns the path's total, or Inf with
+// path untouched when every final node is unreachable.
+func walkBack(last []int64, pred []int, stride int, path []int) int64 {
 	bestEnd, best := -1, int64(Inf)
-	for p, c := range f {
+	for p, c := range last {
 		if c < best {
 			best, bestEnd = c, p
 		}
 	}
 	if bestEnd == -1 {
-		return Inf, nil
+		return Inf
 	}
-	path := make([]int, L)
+	L := len(path)
 	path[L-1] = bestEnd
 	for l := L - 1; l > 0; l-- {
-		path[l-1] = s.pred[l*np+path[l]]
+		path[l-1] = pred[l*stride+path[l]]
 	}
-	return best, path
+	return best
 }
 
 // relax computes g[to] = min_from f[from] + size*dist(from, to) with
@@ -226,9 +210,9 @@ func (s *Solver) Solve(nodeCost [][]int64, size int64) (int64, []int) {
 // (row-major) index order. Inf sources never enter a sweep (the
 // running best is only shifted by size while finite), so forbidden
 // vertices cannot overflow or leak a predecessor.
-func (s *Solver) relax(size int64) {
+func (s *Solver) relax(f []int64, size int64) {
 	w, h := s.width, s.height
-	f, hc, ha, g, ga := s.f, s.hc, s.ha, s.g, s.ga
+	hc, ha, g, ga := s.hc, s.ha, s.g, s.ga
 
 	for y := 0; y < h; y++ {
 		base := y * w

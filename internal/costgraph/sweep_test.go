@@ -41,7 +41,7 @@ func TestSweepMatchesDense(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
 		nodeCost, w, h, size := randomGridInstance(rng)
 		wantTotal, wantPath := ShortestLayeredPathNaive(nodeCost, w, h, size)
-		gotTotal, gotPath := ShortestLayeredPathGrid(nodeCost, w, h, size)
+		gotTotal, gotPath := NewSolver(w, h).Solve(nodeCost, size)
 		if gotTotal != wantTotal || !reflect.DeepEqual(gotPath, wantPath) {
 			t.Fatalf("iter %d (%dx%d, size %d, %d layers): sweep (%d, %v) != dense (%d, %v)\nnodeCost=%v",
 				iter, w, h, size, len(nodeCost), gotTotal, gotPath, wantTotal, wantPath, nodeCost)
@@ -63,7 +63,7 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 			s = NewSolver(w, h)
 			solvers[key] = s
 		}
-		wantTotal, wantPath := ShortestLayeredPathGrid(nodeCost, w, h, size)
+		wantTotal, wantPath := NewSolver(w, h).Solve(nodeCost, size)
 		gotTotal, gotPath := s.Solve(nodeCost, size)
 		if gotTotal != wantTotal || !reflect.DeepEqual(gotPath, wantPath) {
 			t.Fatalf("iter %d (%dx%d): reused solver (%d, %v) != fresh (%d, %v)",
@@ -94,21 +94,21 @@ func TestSolverNodeCostReuse(t *testing.T) {
 }
 
 func TestSweepSingleLayer(t *testing.T) {
-	total, path := ShortestLayeredPathGrid([][]int64{{5, 2, 7}}, 3, 1, 1)
+	total, path := NewSolver(3, 1).Solve([][]int64{{5, 2, 7}}, 1)
 	if total != 2 || !reflect.DeepEqual(path, []int{1}) {
 		t.Fatalf("total=%d path=%v", total, path)
 	}
 }
 
 func TestSweepEmpty(t *testing.T) {
-	total, path := ShortestLayeredPathGrid(nil, 2, 2, 1)
+	total, path := NewSolver(2, 2).Solve(nil, 1)
 	if total != 0 || path != nil {
 		t.Fatalf("total=%d path=%v", total, path)
 	}
 }
 
 func TestSweepAllForbidden(t *testing.T) {
-	total, path := ShortestLayeredPathGrid([][]int64{{0, 0}, {Inf, Inf}}, 2, 1, 1)
+	total, path := NewSolver(2, 1).Solve([][]int64{{0, 0}, {Inf, Inf}}, 1)
 	if total != Inf || path != nil {
 		t.Fatalf("total=%d path=%v, want Inf/nil", total, path)
 	}
@@ -118,7 +118,7 @@ func TestSweepForbiddenFirstLayer(t *testing.T) {
 	// Mirrors TestLayeredForbiddenFirstLayer on a 2x1 grid with unit
 	// size: only path is (0,1) -> (1,0): 3 + 1 + 1 = 5.
 	nodeCost := [][]int64{{Inf, 3}, {1, Inf}}
-	total, path := ShortestLayeredPathGrid(nodeCost, 2, 1, 1)
+	total, path := NewSolver(2, 1).Solve(nodeCost, 1)
 	if total != 5 || !reflect.DeepEqual(path, []int{1, 0}) {
 		t.Fatalf("total=%d path=%v", total, path)
 	}
@@ -130,14 +130,14 @@ func TestSweepPanicsOnBadLayer(t *testing.T) {
 			t.Error("mis-sized layer did not panic")
 		}
 	}()
-	ShortestLayeredPathGrid([][]int64{{1, 2, 3}}, 2, 2, 1)
+	NewSolver(2, 2).Solve([][]int64{{1, 2, 3}}, 1)
 }
 
 func TestSweepZeroSize(t *testing.T) {
 	// With free movement every layer independently picks its cheapest
 	// node, smallest index on ties.
 	nodeCost := [][]int64{{4, 1, 1, 7}, {2, 2, 0, 5}}
-	total, path := ShortestLayeredPathGrid(nodeCost, 2, 2, 0)
+	total, path := NewSolver(2, 2).Solve(nodeCost, 0)
 	if total != 1 || !reflect.DeepEqual(path, []int{1, 2}) {
 		t.Fatalf("total=%d path=%v", total, path)
 	}

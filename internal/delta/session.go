@@ -60,9 +60,8 @@ type ScheduleResult struct {
 // carries the sequence number that orders it.
 //
 // The incremental DP path covers the common service configuration —
-// GOMCDS with the sweep kernel and unbounded capacity, where items are
-// independent and the per-item forward recurrence is strictly causal in
-// the window index. Any other algorithm/capacity combination still
+// GOMCDS with unbounded capacity, where items are independent and the
+// per-item forward recurrence is strictly causal in the window index. Any other algorithm/capacity combination still
 // benefits from incremental table patching (the dominant cost) but
 // re-runs its scheduler in full, because capacity tracking threads a
 // cross-item dependence (earlier items' placements forbid vertices for
@@ -175,7 +174,7 @@ func newSession(t *trace.Trace, scheduler sched.Scheduler, capacity int, seq uin
 	for i := range tr.Windows {
 		s.fp.AppendWindow(&tr.Windows[i])
 	}
-	if g, ok := scheduler.(sched.GOMCDS); ok && capacity == 0 && g.Kernel == costgraph.KernelSweep {
+	if _, ok := scheduler.(sched.GOMCDS); ok && capacity == 0 {
 		s.incremental = true
 		s.solver = costgraph.NewSolver(tr.Grid.Width(), tr.Grid.Height())
 		s.items = make([]itemState, tr.NumData)

@@ -74,7 +74,7 @@ func Tee(sinks ...Stages) Stages {
 type stagesKey struct{}
 
 // WithStages returns a context carrying the sink, for APIs (like
-// sched.RunContext) that take a context but no explicit sink.
+// service.Service.Schedule) that take a context but no explicit sink.
 func WithStages(ctx context.Context, s Stages) context.Context {
 	if s == nil {
 		return ctx

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -153,8 +154,8 @@ func BenchmarkForEach(b *testing.B) {
 
 // TestAwaitDoneExpiredContext: with an already-dead context fn never
 // runs and done still fires exactly once, before AwaitDone returns; a
-// nil done is allowed. (sched's TestRunContextDone* tests cover the
-// abandoned-run path through RunContextDone.)
+// nil done is allowed. TestAwaitDoneFiresAfterAbandonment covers a
+// context that expires while fn runs.
 func TestAwaitDoneExpiredContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -185,5 +186,55 @@ func TestAwaitDoneFiresBeforeResult(t *testing.T) {
 		if !fired.Load() {
 			t.Fatalf("iteration %d: result delivered before done fired", i)
 		}
+	}
+}
+
+// TestAwaitDoneFiresAfterAbandonment pins the worker-pool contract for
+// a context that expires while fn runs: the caller gets the context's
+// error at once, and done fires exactly once, only after fn returns —
+// so a concurrency slot is never released while the abandoned
+// computation still burns a CPU.
+func TestAwaitDoneFiresAfterAbandonment(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	started, release, returned := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var fnReturned atomic.Bool
+	var fired atomic.Int32
+	go func() {
+		<-started
+		cancel()
+	}()
+	go func() {
+		defer close(returned)
+		_, err := AwaitDone(ctx, func() (int, error) {
+			close(started)
+			<-release // a long computation the caller stops waiting for
+			fnReturned.Store(true)
+			return 1, nil
+		}, func() {
+			if !fnReturned.Load() {
+				t.Error("done fired before fn returned")
+			}
+			fired.Add(1)
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("AwaitDone did not return when its context expired mid-run")
+	}
+	if n := fired.Load(); n != 0 {
+		t.Fatalf("done fired %d times while fn was still running", n)
+	}
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for fired.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // a second, wrong firing would land here
+	if n := fired.Load(); n != 1 {
+		t.Fatalf("done fired %d times after fn returned, want exactly 1", n)
 	}
 }

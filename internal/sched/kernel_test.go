@@ -1,18 +1,17 @@
 package sched
 
 import (
-	"context"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/costgraph"
 	"repro/internal/grid"
 	"repro/internal/placement"
 	"repro/internal/trace"
 )
 
-// randomProblem builds a seeded random instance for the kernel and
+// randomKernelProblem builds a seeded random instance for the kernel and
 // allocation tests.
 func randomKernelProblem(rng *rand.Rand, g grid.Grid, nd, nw, refs, capacity int) *Problem {
 	tr := trace.New(g, nd)
@@ -25,11 +24,50 @@ func randomKernelProblem(rng *rand.Rand, g grid.Grid, nd, nw, refs, capacity int
 	return NewProblem(tr, capacity)
 }
 
-// TestGOMCDSKernelsProduceIdenticalSchedules pins the sweep and naive
-// DP kernels together at the scheduler level: same schedules (not just
-// costs) with and without capacity tracking, across random instances
-// including 1xN and Nx1 arrays.
-func TestGOMCDSKernelsProduceIdenticalSchedules(t *testing.T) {
+// denseGOMCDS is a reference GOMCDS built on the dense O(P²) kernel
+// alone: items in ID order, each item's layers read cell by cell from
+// the residence table with processors full in a window forbidden
+// (Inf), the path taken from costgraph.ShortestLayeredPathNaive and
+// reserved in per-window placement trackers. It shares no DP code with
+// the scheduler — not the sweep, the layer step, the walk-back, the
+// batched solver or the NodeCost scratch.
+func denseGOMCDS(p *Problem) cost.Schedule {
+	nd, np, nw := p.Table.NumData(), p.Table.NumProcs(), p.Table.NumWindows()
+	g := p.grid()
+	trackers := make([]*placement.Tracker, nw)
+	centers := make([][]int, nw)
+	for w := range trackers {
+		trackers[w] = placement.NewTracker(np, p.Capacity)
+		centers[w] = make([]int, nd)
+	}
+	for d := 0; d < nd; d++ {
+		nodeCost := make([][]int64, nw)
+		for w := range nodeCost {
+			nodeCost[w] = make([]int64, np)
+			for c := range nodeCost[w] {
+				if p.Capacity > 0 && trackers[w].Used(c) >= p.Capacity {
+					nodeCost[w][c] = costgraph.Inf
+				} else {
+					nodeCost[w][c] = p.Table.At(w, d, c)
+				}
+			}
+		}
+		_, path := costgraph.ShortestLayeredPathNaive(nodeCost, g.Width(), g.Height(), p.size(d))
+		for w, c := range path {
+			trackers[w].TryPlace(c)
+			centers[w][d] = c
+		}
+	}
+	return cost.Schedule{Centers: centers}
+}
+
+// TestGOMCDSMatchesDenseReference is the scheduler-level differential
+// for the DP kernel: GOMCDS must produce exactly the schedule (centers,
+// not just cost) of the dense reference, on both branches — the
+// batched layer-major solver without a capacity, the per-item solver
+// with forbidden vertices under a tight one — across random instances
+// with 1xN and Nx1 arrays and varied item sizes.
+func TestGOMCDSMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	grids := []grid.Grid{grid.Square(3), grid.New(6, 1), grid.New(1, 6), grid.New(4, 2)}
 	for iter := 0; iter < 30; iter++ {
@@ -41,11 +79,10 @@ func TestGOMCDSKernelsProduceIdenticalSchedules(t *testing.T) {
 			for d := range p.Model.DataSize {
 				p.Model.DataSize[d] = 1 + rng.Intn(3)
 			}
-			sweep := mustSchedule(t, GOMCDS{Kernel: costgraph.KernelSweep}, p)
-			naive := mustSchedule(t, GOMCDS{Kernel: costgraph.KernelNaive}, p)
-			if !sweep.Equal(naive) {
-				t.Fatalf("iter %d (%v, nd=%d, cap=%d): sweep schedule %v != naive %v",
-					iter, g, nd, capacity, sweep.Centers, naive.Centers)
+			got := mustSchedule(t, GOMCDS{}, p)
+			if want := denseGOMCDS(p); !got.Equal(want) {
+				t.Fatalf("iter %d (%v, nd=%d, cap=%d): GOMCDS schedule %v != dense reference %v",
+					iter, g, nd, capacity, got.Centers, want.Centers)
 			}
 		}
 	}
@@ -71,71 +108,4 @@ func TestGOMCDSCapacityAllocsBounded(t *testing.T) {
 	if limit := float64(nd * nw); allocs >= limit {
 		t.Fatalf("GOMCDS capacity run allocated %.0f times, want < %.0f (per-item scratch is back)", allocs, limit)
 	}
-}
-
-// TestGOMCDSPreCancelledContext checks the cancellation point: a
-// context that is already cancelled must abort both GOMCDS branches
-// promptly with the context's error and no partial schedule.
-func TestGOMCDSPreCancelledContext(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, capacity := range []int{0, 8} {
-		p := randomKernelProblem(rng, grid.Square(4), 16, 4, 64, capacity)
-		s, err := GOMCDS{}.ScheduleContext(ctx, p)
-		if err != context.Canceled {
-			t.Fatalf("capacity=%d: err = %v, want context.Canceled", capacity, err)
-		}
-		if s.Centers != nil {
-			t.Fatalf("capacity=%d: got partial schedule %v on cancellation", capacity, s.Centers)
-		}
-	}
-}
-
-// countingCtx reports Canceled from Err after a fixed number of calls,
-// making the "checks between items" property deterministic: the
-// capacity-tracked loop consults Err once per item, so a large instance
-// must stop early rather than run all D items.
-type countingCtx struct {
-	context.Context
-	calls       atomic.Int64
-	cancelAfter int64
-}
-
-func (c *countingCtx) Err() error {
-	if c.calls.Add(1) > c.cancelAfter {
-		return context.Canceled
-	}
-	return nil
-}
-
-func TestGOMCDSCancelsBetweenItems(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	const nd = 64
-	p := randomKernelProblem(rng, grid.Square(4), nd, 4, 64, 2*((nd+15)/16))
-	ctx := &countingCtx{Context: context.Background(), cancelAfter: 3}
-	if _, err := (GOMCDS{}).ScheduleContext(ctx, p); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled after mid-run cancellation", err)
-	}
-	if calls := ctx.calls.Load(); calls > 10 {
-		t.Fatalf("loop consulted ctx.Err %d times after cancellation, expected an early abort", calls)
-	}
-}
-
-// TestRunContextRoutesContextScheduler verifies the RunContext plumbing
-// hands the live context to ContextScheduler implementations: a
-// pre-cancelled context must yield the context error with the done
-// callback fired promptly (the background run aborts instead of
-// completing the full schedule).
-func TestRunContextRoutesContextScheduler(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	p := randomKernelProblem(rng, grid.Square(4), 32, 8, 128, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	done := make(chan struct{})
-	_, err := RunContextDone(ctx, GOMCDS{}, p, func() { close(done) })
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	<-done // fires immediately: pre-expiry short-circuits before the run
 }

@@ -17,7 +17,6 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -123,16 +122,6 @@ type Scheduler interface {
 	// Schedule computes the placement. It returns an error when the
 	// instance is infeasible (total memory smaller than the data set).
 	Schedule(p *Problem) (cost.Schedule, error)
-}
-
-// ContextScheduler is a Scheduler with internal cancellation points:
-// ScheduleContext observes the context between units of work and
-// returns the context's error promptly once it expires, instead of
-// running the full schedule to completion in the background.
-// RunContext routes through it when available.
-type ContextScheduler interface {
-	Scheduler
-	ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule, error)
 }
 
 // processorList returns the processor indices sorted by ascending cost
@@ -281,40 +270,18 @@ func referenced(row []int64) bool {
 // Without a capacity all items are independent and are scheduled in
 // parallel; the result is then exactly optimal per item.
 //
-// The per-item DP runs the separable min-plus sweep kernel by default
-// (costgraph.KernelSweep, O(P) per layer); set Kernel to
-// costgraph.KernelNaive for the dense O(P²) relaxation. Both kernels
-// produce identical schedules — internal/verify pins them together —
-// so the choice is purely a speed/diagnostics knob.
-type GOMCDS struct {
-	// Kernel selects the layered-DP relaxation. The zero value is
-	// costgraph.KernelSweep, the fast separable kernel.
-	Kernel costgraph.Kernel
-}
+// The per-item DP is costgraph's separable min-plus sweep, O(P) per
+// layer; the dense O(P²) relaxation stays in costgraph as the tests'
+// oracle.
+type GOMCDS struct{}
 
 // Name implements Scheduler.
 func (GOMCDS) Name() string { return "GOMCDS" }
 
-// Schedule implements Scheduler.
-func (g GOMCDS) Schedule(p *Problem) (cost.Schedule, error) {
-	return g.ScheduleContext(context.Background(), p)
-}
-
-// dpStage names the DP span recorded on the model's stage sink.
-func (g GOMCDS) dpStage() string {
-	if g.Kernel == costgraph.KernelNaive {
-		return "sched.dp.naive"
-	}
-	return "sched.dp.sweep"
-}
-
-// ScheduleContext implements ContextScheduler: it is Schedule with a
-// cancellation point between units of work (data items under a
-// capacity, item blocks on the batched unbounded path), so deadlines
-// and cancellation abort long runs mid-schedule instead of after the
-// full D-item loop. A partial schedule is never returned; on
-// cancellation the result is the zero Schedule and the context's error.
-func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule, error) {
+// Schedule implements Scheduler. The run has no cancellation point: a
+// caller that must stop waiting on it runs it under
+// parallel.AwaitDone, which lets the run finish in the background.
+func (GOMCDS) Schedule(p *Problem) (cost.Schedule, error) {
 	if err := p.feasible(); err != nil {
 		return cost.Schedule{}, err
 	}
@@ -327,66 +294,41 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 	if nw == 0 {
 		return cost.Schedule{Centers: centers}, nil
 	}
-	sp := p.stages().Start(g.dpStage())
+	sp := p.stages().Start("sched.dp.sweep")
 	defer sp.End()
 
 	if p.Capacity <= 0 {
-		// Independent items. With the sweep kernel the items are solved
-		// by the batched layer-major DP: contiguous item blocks stream
-		// through the flat residence table one window at a time, so one
-		// layer pass touches one contiguous run of table cells. With the
-		// naive kernel (a diagnostics knob) items are solved one at a
-		// time as before. Either way solvers come from the
-		// process-lifetime pool and survive across requests; cancellation
-		// is checked per item (naive) or per block (sweep) — work already
-		// in flight finishes its current unit, later units are skipped
-		// and the error returned.
-		if g.Kernel == costgraph.KernelNaive {
-			parallel.ForEach(nd, func(d int) {
-				if ctx.Err() != nil {
-					return
-				}
-				solver := costgraph.GetSolver(gr.Width(), gr.Height())
-				path := g.bestPath(p, d, nil, solver)
-				for w := 0; w < nw; w++ {
-					centers[w][d] = path[w]
-				}
-				costgraph.PutSolver(solver)
-			})
-		} else {
-			cells := p.Table.Cells()
-			blocks := runtime.GOMAXPROCS(0)
-			if blocks > nd {
-				blocks = nd
+		// Independent items, solved by the batched layer-major DP:
+		// contiguous item blocks stream through the flat residence table
+		// one window at a time, so one layer pass touches one contiguous
+		// run of table cells. Solvers come from the process-lifetime pool
+		// and survive across requests.
+		cells := p.Table.Cells()
+		blocks := runtime.GOMAXPROCS(0)
+		if blocks > nd {
+			blocks = nd
+		}
+		parallel.ForEach(blocks, func(b int) {
+			lo, hi := b*nd/blocks, (b+1)*nd/blocks
+			solver := costgraph.GetSolver(gr.Width(), gr.Height())
+			sizes := solver.BatchSizes(hi - lo)
+			for i := range sizes {
+				sizes[i] = p.size(lo + i)
 			}
-			parallel.ForEach(blocks, func(b int) {
-				if ctx.Err() != nil {
-					return
+			totals, paths := solver.SolveBatch(cells, nw, nd, lo, hi, sizes)
+			for i := 0; i < hi-lo; i++ {
+				if totals[i] == costgraph.Inf {
+					// Feasibility was checked and nothing is forbidden
+					// without a capacity, so a blocked item is a bug.
+					panic("sched: GOMCDS found no feasible center sequence")
 				}
-				lo, hi := b*nd/blocks, (b+1)*nd/blocks
-				solver := costgraph.GetSolver(gr.Width(), gr.Height())
-				sizes := solver.BatchSizes(hi - lo)
-				for i := range sizes {
-					sizes[i] = p.size(lo + i)
+				path := paths[i*nw : (i+1)*nw]
+				for w := 0; w < nw; w++ {
+					centers[w][lo+i] = path[w]
 				}
-				totals, paths := solver.SolveBatch(cells, nw, nd, lo, hi, sizes)
-				for i := 0; i < hi-lo; i++ {
-					if totals[i] == costgraph.Inf {
-						// Feasibility was checked and nothing is forbidden
-						// without a capacity, so a blocked item is a bug.
-						panic("sched: GOMCDS found no feasible center sequence")
-					}
-					path := paths[i*nw : (i+1)*nw]
-					for w := 0; w < nw; w++ {
-						centers[w][lo+i] = path[w]
-					}
-				}
-				costgraph.PutSolver(solver)
-			})
-		}
-		if err := ctx.Err(); err != nil {
-			return cost.Schedule{}, err
-		}
+			}
+			costgraph.PutSolver(solver)
+		})
 		return cost.Schedule{Centers: centers}, nil
 	}
 
@@ -397,10 +339,7 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 	solver := costgraph.GetSolver(gr.Width(), gr.Height())
 	defer costgraph.PutSolver(solver)
 	for d := 0; d < nd; d++ {
-		if err := ctx.Err(); err != nil {
-			return cost.Schedule{}, err
-		}
-		path := g.bestPath(p, d, trackers, solver)
+		path := bestPath(p, d, trackers, solver)
 		for w := 0; w < nw; w++ {
 			if !trackers[w].TryPlace(path[w]) {
 				panic("sched: GOMCDS chose a full processor (forbidden vertex leaked)")
@@ -411,20 +350,14 @@ func (g GOMCDS) ScheduleContext(ctx context.Context, p *Problem) (cost.Schedule,
 	return cost.Schedule{Centers: centers}, nil
 }
 
-// bestPath runs the cost-graph shortest path for one item. trackers,
-// when non-nil, mark full processors as forbidden vertices. The
-// solver's NodeCost scratch assembles the layer costs without per-item
-// allocation: rows alias the residence table directly when nothing is
-// forbidden and are materialized (table value or Inf) under capacity
-// tracking.
-func (g GOMCDS) bestPath(p *Problem, d int, trackers []*placement.Tracker, solver *costgraph.Solver) []int {
+// bestPath runs the cost-graph shortest path for one item under
+// capacity tracking: processors full in a window are forbidden (Inf)
+// vertices of that layer. The solver's NodeCost scratch assembles the
+// layer costs without per-item allocation.
+func bestPath(p *Problem, d int, trackers []*placement.Tracker, solver *costgraph.Solver) []int {
 	nw, np := p.Table.NumWindows(), p.Table.NumProcs()
 	nodeCost := solver.NodeCost(nw)
 	for w := 0; w < nw; w++ {
-		if trackers == nil {
-			nodeCost[w] = p.Table.Row(w, d)
-			continue
-		}
 		row := nodeCost[w]
 		tableRow := p.Table.Row(w, d)
 		for c := 0; c < np; c++ {
@@ -435,15 +368,7 @@ func (g GOMCDS) bestPath(p *Problem, d int, trackers []*placement.Tracker, solve
 			}
 		}
 	}
-	size := p.size(d)
-	var total int64
-	var path []int
-	if g.Kernel == costgraph.KernelNaive {
-		gr := p.grid()
-		total, path = costgraph.ShortestLayeredPathNaive(nodeCost, gr.Width(), gr.Height(), size)
-	} else {
-		total, path = solver.Solve(nodeCost, size)
-	}
+	total, path := solver.Solve(nodeCost, p.size(d))
 	if path == nil || total == costgraph.Inf {
 		// Feasibility was checked: every window has at least one free
 		// slot for every item scheduled one at a time.

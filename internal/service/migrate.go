@@ -82,18 +82,12 @@ func (s *Service) ImportSession(exp SessionExport) (*SessionInfo, error) {
 	if exp.Capacity < 0 {
 		return nil, badRequest("negative capacity %d", exp.Capacity)
 	}
-	if int64(len(exp.Trace)) > s.cfg.maxBodyBytes() {
-		return nil, badRequest("trace text %d bytes exceeds limit %d", len(exp.Trace), s.cfg.maxBodyBytes())
-	}
 	wantFP, err := trace.ParseFingerprint(exp.Fingerprint)
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
-	tr, err := trace.Decode(strings.NewReader(exp.Trace))
+	tr, err := s.admitTrace(nil, exp.Trace)
 	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	if err := s.checkTraceScale(tr.Shape()); err != nil {
 		return nil, err
 	}
 	// The shipped table is decoded under the same cell budget the trace

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
-
-	"repro/internal/trace"
 )
 
 // PrefillRequest asks a shard to adopt a trace's residence table from a
@@ -42,14 +39,8 @@ func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 	if req.PeerHint == "" {
 		return badRequest("prefill without %s header", PeerHintHeader)
 	}
-	if int64(len(req.Trace)) > s.cfg.maxBodyBytes() {
-		return badRequest("trace text %d bytes exceeds limit %d", len(req.Trace), s.cfg.maxBodyBytes())
-	}
-	tr, err := trace.Decode(strings.NewReader(req.Trace))
+	tr, err := s.admitTrace(nil, req.Trace)
 	if err != nil {
-		return &RequestError{Err: err}
-	}
-	if err := s.checkTraceScale(tr.Shape()); err != nil {
 		return err
 	}
 

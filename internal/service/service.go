@@ -206,6 +206,34 @@ func (s *Service) checkTraceScale(sh trace.Shape) error {
 	return nil
 }
 
+// admitTrace is the admission every endpoint that takes a trace text
+// applies: bound the text's length, decode it and check its shape
+// against the cell budget. The decode is recorded as the "decode" stage
+// on stages (nil records nothing).
+func (s *Service) admitTrace(stages obs.Stages, text string) (*trace.Trace, error) {
+	if err := s.boundTrace(text); err != nil {
+		return nil, err
+	}
+	sp := stages.Start("decode")
+	tr, err := trace.Decode(strings.NewReader(text))
+	sp.End()
+	if err != nil {
+		return nil, &RequestError{Err: err}
+	}
+	if err := s.checkTraceScale(tr.Shape()); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// boundTrace refuses a trace text longer than the body limit.
+func (s *Service) boundTrace(text string) error {
+	if int64(len(text)) > s.cfg.maxBodyBytes() {
+		return badRequest("trace text %d bytes exceeds limit %d", len(text), s.cfg.maxBodyBytes())
+	}
+	return nil
+}
+
 // Request is one scheduling job: a trace in the pimtrace v1 text
 // format, the algorithm to run, and the per-processor memory capacity
 // (0 = unbounded). Verify additionally re-checks the schedule with the
@@ -677,15 +705,16 @@ func runTrace[T any](s *Service, ctx context.Context, in *traceInput, needTrace 
 	return v, err
 }
 
-// resolveText bounds a request's trace text and resolves it to its
-// fingerprint and shape. A body-alias hit arrives resolved; a text seen
-// before is answered from the alias without decoding. Either way the
-// shape still passes the cell budget on every request, and the trace is
-// decoded only if needTrace asks for its events. A new text is decoded,
-// checked against the budget and fingerprinted, and only a text that
-// passed all three enters the alias — and with it the body it came in,
-// if the HTTP layer asked for that — so a malformed or over-budget text
-// is refused afresh on every repeat.
+// resolveText resolves a request's trace text to its fingerprint and
+// shape. A body-alias hit arrives resolved; a text within the length
+// bound and seen before is answered from the alias without decoding.
+// Either way the shape still passes the cell budget on every request,
+// and the trace is decoded only if needTrace asks for its events. A new
+// text passes admitTrace (length bound, decode, cell budget) and is
+// fingerprinted, and only a text that passed all of these enters the
+// alias — and with it the body it came in, if the HTTP layer asked for
+// that — so a malformed or over-budget text is refused afresh on every
+// repeat.
 func (s *Service) resolveText(stages obs.Stages, in *traceInput, needTrace bool) error {
 	if in.held != nil {
 		if err := s.checkTraceScale(in.sum.Shape); err != nil {
@@ -696,8 +725,10 @@ func (s *Service) resolveText(stages obs.Stages, in *traceInput, needTrace bool)
 		}
 		return nil
 	}
-	if int64(len(in.text)) > s.cfg.maxBodyBytes() {
-		return badRequest("trace text %d bytes exceeds limit %d", len(in.text), s.cfg.maxBodyBytes())
+	// Bound the text before it is hashed: only texts that could be
+	// admitted count as alias traffic.
+	if err := s.boundTrace(in.text); err != nil {
+		return err
 	}
 	key := trace.HashText(in.text)
 	e, hit := s.alias.Lookup(key)
@@ -707,18 +738,18 @@ func (s *Service) resolveText(stages obs.Stages, in *traceInput, needTrace bool)
 			return err
 		}
 		in.sum = e.Summary
+		if needTrace {
+			if err := s.decodeInput(stages, in); err != nil {
+				return &RequestError{Err: err}
+			}
+		}
 	} else {
 		s.aliasMisses.Add(1)
-	}
-	if !hit || needTrace {
-		if err := s.decodeInput(stages, in); err != nil {
-			return &RequestError{Err: err}
-		}
-	}
-	if !hit {
-		if err := s.checkTraceScale(in.tr.Shape()); err != nil {
+		tr, err := s.admitTrace(stages, in.text)
+		if err != nil {
 			return err
 		}
+		in.tr = tr
 		sp := stages.Start("fingerprint")
 		in.sum = trace.Summary{Fingerprint: in.tr.Fingerprint(), Shape: in.tr.Shape()}
 		sp.End()

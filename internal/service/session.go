@@ -4,13 +4,11 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/delta"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // DefaultMaxSessions bounds concurrently live incremental sessions when
@@ -107,14 +105,8 @@ func (s *Service) CreateSession(req CreateSessionRequest) (*SessionInfo, error) 
 	if req.Capacity < 0 {
 		return nil, badRequest("negative capacity %d", req.Capacity)
 	}
-	if int64(len(req.Trace)) > s.cfg.maxBodyBytes() {
-		return nil, badRequest("trace text %d bytes exceeds limit %d", len(req.Trace), s.cfg.maxBodyBytes())
-	}
-	tr, err := trace.Decode(strings.NewReader(req.Trace))
+	tr, err := s.admitTrace(nil, req.Trace)
 	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	if err := s.checkTraceScale(tr.Shape()); err != nil {
 		return nil, err
 	}
 

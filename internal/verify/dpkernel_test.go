@@ -40,7 +40,7 @@ func pathCostFromScratch(nodeCost [][]int64, w int, size int64, path []int) int6
 func checkLayeredKernelsAgree(t *testing.T, nodeCost [][]int64, w, h int, size int64, label string) {
 	t.Helper()
 	naiveTotal, naivePath := costgraph.ShortestLayeredPathNaive(nodeCost, w, h, size)
-	sweepTotal, sweepPath := costgraph.ShortestLayeredPathGrid(nodeCost, w, h, size)
+	sweepTotal, sweepPath := costgraph.NewSolver(w, h).Solve(nodeCost, size)
 	if sweepTotal != naiveTotal {
 		t.Fatalf("%s (%dx%d, size %d): sweep total %d != naive total %d\nnodeCost=%v",
 			label, w, h, size, sweepTotal, naiveTotal, nodeCost)
@@ -156,7 +156,7 @@ func TestLayeredKernelSolverReuse(t *testing.T) {
 			s = costgraph.NewSolver(w, h)
 			solvers[key] = s
 		}
-		freshTotal, freshPath := costgraph.ShortestLayeredPathGrid(nodeCost, w, h, size)
+		freshTotal, freshPath := costgraph.NewSolver(w, h).Solve(nodeCost, size)
 		gotTotal, gotPath := s.Solve(nodeCost, size)
 		if gotTotal != freshTotal || !reflect.DeepEqual(gotPath, freshPath) {
 			t.Fatalf("instance %d (%dx%d): reused solver (%d, %v) != fresh (%d, %v)",

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/costgraph"
 	"repro/internal/grid"
 	"repro/internal/placement"
 	"repro/internal/sched"
@@ -133,10 +132,9 @@ func checkTableOnly(t *testing.T, tr *trace.Trace, label string) {
 	if tight > 1 {
 		capacities = append(capacities, tight-1) // positive and infeasible
 	}
-	schedulers := append(sched.All(), sched.GOMCDS{Kernel: costgraph.KernelNaive})
-	for _, s := range schedulers {
+	for _, s := range sched.All() {
 		for _, capacity := range capacities {
-			ctx := fmt.Sprintf("%s: %s%+v capacity %d", label, s.Name(), s, capacity)
+			ctx := fmt.Sprintf("%s: %s capacity %d", label, s.Name(), capacity)
 			withModel := &sched.Problem{Model: m, Table: table, Capacity: capacity}
 			tableOnly := &sched.Problem{Table: table, Grid: tr.Grid, Capacity: capacity}
 			want, wantErr := s.Schedule(withModel)

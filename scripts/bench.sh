@@ -4,8 +4,9 @@
 # Snapshot mode (default): runs the four headline comparisons —
 # BenchmarkResidenceKernel (separable prefix-sum residence kernel vs
 # naive per-cell kernel, 16x16 array), BenchmarkShortestLayeredPath
-# + BenchmarkGOMCDS (separable min-plus sweep DP vs dense O(P²)
-# relaxation, 16x16 array), BenchmarkDeltaApply (incremental session
+# (separable min-plus sweep DP vs dense O(P²) relaxation, 16x16 array)
+# + BenchmarkGOMCDS (the whole scheduler with the sweep DP, with a host
+# block), BenchmarkDeltaApply (incremental session
 # rescheduling one edited window vs a from-scratch rebuild, 16x16
 # array, 64 windows), and the service paths over a cached table
 # (BenchmarkServeSchedule memo-hit, memo-miss and cold closed-loop
@@ -113,31 +114,35 @@ echo "== layered DP kernel (GOMCDS) =="
 RAW_DP="$(go test -run '^$' -bench '^(BenchmarkShortestLayeredPath|BenchmarkGOMCDS)$' -benchmem -count "$COUNT" .)"
 echo "$RAW_DP"
 
-SCHED_SUMMARY="$(echo "$RAW_DP" | awk -v count="$COUNT" '
+SCHED_SUMMARY="$(echo "$RAW_DP" | awk -v count="$COUNT" \
+	-v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v gover="$(go env GOVERSION)" '
 /^BenchmarkShortestLayeredPath\/sweep\/16x16/ { swp += $3; nswp++ }
 /^BenchmarkShortestLayeredPath\/naive\/16x16/ { nai += $3; nnai++ }
 /^BenchmarkGOMCDS\/sweep/                     { gsw += $3; ngsw++ }
-/^BenchmarkGOMCDS\/naive/                     { gna += $3; ngna++ }
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
+/^cpu:/    { cpu = substr($0, 6) }
 END {
-	if (nswp == 0 || nnai == 0 || ngsw == 0 || ngna == 0) {
+	if (nswp == 0 || nnai == 0 || ngsw == 0) {
 		print "bench.sh: no layered-DP benchmark samples parsed" > "/dev/stderr"
 		exit 1
 	}
-	swp /= nswp; nai /= nnai; gsw /= ngsw; gna /= ngna
+	swp /= nswp; nai /= nnai; gsw /= ngsw
 	printf "{\n"
 	printf "  \"benchmark\": \"BenchmarkShortestLayeredPath\",\n"
 	printf "  \"grid\": \"16x16\",\n"
-	printf "  \"goos\": \"%s\",\n", goos
-	printf "  \"goarch\": \"%s\",\n", goarch
+	printf "  \"host\": {\n"
+	printf "    \"cpu\": \"%s\",\n", cpu
+	printf "    \"gomaxprocs\": %d,\n", gomaxprocs
+	printf "    \"go\": \"%s\",\n", gover
+	printf "    \"goos\": \"%s\",\n", goos
+	printf "    \"goarch\": \"%s\"\n", goarch
+	printf "  },\n"
 	printf "  \"count\": %d,\n", count
 	printf "  \"sweep_ns_per_op\": %.0f,\n", swp
 	printf "  \"naive_ns_per_op\": %.0f,\n", nai
 	printf "  \"speedup\": %.2f,\n", nai / swp
-	printf "  \"gomcds_sweep_ns_per_op\": %.0f,\n", gsw
-	printf "  \"gomcds_naive_ns_per_op\": %.0f,\n", gna
-	printf "  \"gomcds_speedup\": %.2f\n", gna / gsw
+	printf "  \"gomcds_sweep_ns_per_op\": %.0f\n", gsw
 	printf "}\n"
 }')"
 

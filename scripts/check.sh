@@ -57,16 +57,31 @@ echo "== alias/memo counter settlement (-race) =="
 go test -race -run '^TestAliasMemoCountersSettle$' ./internal/service
 go test -race -run '^(TestRouterIdenticalSinglesShareOneMemoFill|TestRouterRefusedBodiesNeverAliased|TestRouterPrefillOnBodyHit)$' ./internal/cluster
 
+# DP kernel referee: the sweep kernel against the dense O(P²)
+# relaxation path for path on seeded layered instances, the batched
+# layer-major solver against per-item Solve, and GOMCDS against a dense
+# reference scheduler (per-item ShortestLayeredPathNaive plus placement
+# trackers) at unbounded and tight capacity. Solve, SolveFromInto and
+# SolveBatch share one layer step and walk-back; these pin it. All under
+# the race detector; they already ran under ./... above, the named gate
+# survives narrower invocations.
+echo "== DP kernel referee (-race) =="
+go test -race -run '^TestLayeredKernelsAgree$' ./internal/verify
+go test -race -run '^TestSolveBatchMatchesSolve$' ./internal/costgraph
+go test -race -run '^TestGOMCDSMatchesDenseReference$' ./internal/sched
+
 # Hot-path allocation pins: the steady-state kernels (residence-row
 # pricing, batched sweep DP, resumable DP, session delta patch) must be
-# exactly zero allocs/op, the cache-hot full-service Schedule call must
-# stay inside its fixed budget, and so must a body-alias hit through the
+# exactly zero allocs/op, a capacity-tracked GOMCDS run must stay under
+# one allocation per (item, window), the cache-hot full-service Schedule
+# call must stay inside its fixed budget, and so must a body-alias hit through the
 # HTTP handler (allocs and bytes, so the request's JSON decode cannot
 # come back). They already ran under ./... above;
 # this named gate re-runs them without the race runtime so the pins
 # measure the production allocator, and survives narrower invocations.
 echo "== allocation pins (no race) =="
 go test -run '^(TestSolveBatchZeroAlloc|TestSolveFromIntoZeroAlloc)$' -v ./internal/costgraph
+go test -run '^TestGOMCDSCapacityAllocsBounded$' -v ./internal/sched
 go test -run '^(TestResidenceRowIntoZeroAlloc|TestPatchEditItemZeroAlloc|TestPatchRemoveWindowZeroAlloc)$' -v ./internal/cost
 go test -run '^(TestApplyEditItemZeroAlloc|TestScheduleIncrementalSuffixResumeAllocs)$' -v ./internal/delta
 go test -run '^(TestScheduleSteadyStateAllocsBounded|TestBodyAliasHitAllocsBounded)$' -v ./internal/service
