@@ -1,11 +1,14 @@
 package sched
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/grid"
+	"repro/internal/parallel"
 	"repro/internal/placement"
 	"repro/internal/trace"
 )
@@ -94,6 +97,39 @@ func mustSchedule(t *testing.T, s Scheduler, p *Problem) cost.Schedule {
 func TestNames(t *testing.T) {
 	if (SCDS{}).Name() != "SCDS" || (LOMCDS{}).Name() != "LOMCDS" || (GOMCDS{}).Name() != "GOMCDS" {
 		t.Fatal("scheduler names wrong")
+	}
+}
+
+// countingScheduler records whether Schedule was called.
+type countingScheduler struct {
+	Scheduler
+	calls *int
+}
+
+func (c countingScheduler) Schedule(p *Problem) (cost.Schedule, error) {
+	*c.calls++
+	return c.Scheduler.Schedule(p)
+}
+
+// TestRunContextDoneExpiredBeforeStart: a scheduler run under
+// parallel.AwaitDone (as the service runs one) with an already-dead
+// context never starts, returns the context's error, and still fires
+// done once so slot accounting balances.
+func TestRunContextDoneExpiredBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := randomProblem(rand.New(rand.NewSource(1)), false)
+	calls, fired := 0, 0
+	s := countingScheduler{Scheduler: SCDS{}, calls: &calls}
+	_, err := parallel.AwaitDone(ctx, func() (cost.Schedule, error) { return s.Schedule(p) }, func() { fired++ })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if calls != 0 {
+		t.Fatalf("scheduler ran %d times for an expired context", calls)
+	}
+	if fired != 1 {
+		t.Fatalf("done fired %d times, want 1", fired)
 	}
 }
 
