@@ -17,15 +17,17 @@
 // neighbours) and readmitting them when they recover. A request that
 // hits a dying shard is retried once against the key's new owner;
 // with an empty ring the router sheds with 503 + Retry-After. An
-// ejected backend must pass -readmit-after consecutive probes before
-// it rejoins, so a flapping shard does not remap its keys every
-// interval. With -peer-fill (default on) the router tells each shard
-// which peer owned its keys before a ring change, so a shard
-// inheriting keys can adopt the already-built tables instead of
-// rebuilding them; it also enables replication: each key's table is
-// pushed to its next -replication-1 ring owners after the primary
-// serves it, so a shard death fails schedules over to a replica that
-// already holds the table (no rebuild). Identical requests are not
+// ejected backend must pass two consecutive probes before it rejoins,
+// so a flapping shard does not remap its keys every interval. With
+// -peer-fill (default on) the router tells each shard which peer owned
+// its keys before a ring change, so a shard inheriting keys can adopt
+// the already-built tables instead of rebuilding them; it also enables
+// replication: each key's table is pushed to its next -replication-1
+// ring owners after the primary serves it, so a shard death fails
+// schedules over to a replica that already holds the table (no
+// rebuild). A replica that answers a push with 501 (a pimserve started
+// without -peer-fill) is not asked again for that key until it is
+// ejected. Identical requests are not
 // coalesced here: each is forwarded, and the owning shard's schedule
 // memo runs the scheduler once per (trace, algorithm, capacity). A
 // request body the router has routed before is keyed through its
@@ -73,12 +75,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pimrouter", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	backends := fs.String("backends", "", "comma-separated pimserve base URLs (required; host:port implies http://)")
-	replicas := fs.Int("replicas", cluster.DefaultReplicas, "virtual nodes per backend on the hash ring")
 	replication := fs.Int("replication", cluster.DefaultReplication, "ring owners per fingerprint key (primary + pushed replicas); 1 disables replication")
 	peerFill := fs.Bool("peer-fill", true, "attach peer-owner hints so shards can adopt tables from the previous key owner")
 	healthInterval := fs.Duration("health-interval", cluster.DefaultHealthInterval, "backend health probe period; <0 disables probing")
 	healthTimeout := fs.Duration("health-timeout", cluster.DefaultHealthTimeout, "deadline for one health probe")
-	readmitAfter := fs.Int("readmit-after", cluster.DefaultReadmitAfter, "consecutive passing probes before an ejected backend is readmitted")
 	maxBody := fs.Int64("max-body", cluster.DefaultRouterMaxBody, "request body limit in bytes")
 	drain := fs.Duration("drain", 10*time.Second, "shutdown grace period for in-flight requests")
 	if err := fs.Parse(args); err != nil {
@@ -95,9 +95,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	return serve(ctx, ln, cluster.RouterConfig{
 		Backends:       urls,
-		Replicas:       *replicas,
 		Replication:    *replication,
-		ReadmitAfter:   *readmitAfter,
 		PeerFill:       *peerFill,
 		HealthInterval: *healthInterval,
 		HealthTimeout:  *healthTimeout,
@@ -135,16 +133,12 @@ func serve(ctx context.Context, ln net.Listener, cfg cluster.RouterConfig, drain
 	router := cluster.NewRouter(cfg)
 	server := &http.Server{Handler: router.Handler()}
 
-	replicas := cfg.Replicas
-	if replicas <= 0 {
-		replicas = cluster.DefaultReplicas
-	}
 	replication := cfg.Replication
 	if replication <= 0 {
 		replication = cluster.DefaultReplication
 	}
-	fmt.Fprintf(out, "pimrouter: listening on %s, %d backends (replicas %d, replication %d, peer-fill %v, health every %v)\n",
-		ln.Addr(), router.Ring().Len(), replicas, replication, cfg.PeerFill, cfg.HealthInterval)
+	fmt.Fprintf(out, "pimrouter: listening on %s, %d backends (replication %d, peer-fill %v, health every %v)\n",
+		ln.Addr(), router.Ring().Len(), replication, cfg.PeerFill, cfg.HealthInterval)
 
 	errc := make(chan error, 1)
 	go func() { errc <- server.Serve(ln) }()

@@ -13,7 +13,8 @@ import (
 
 // NewPeerFill returns the service.PeerFillFunc a shard installs to
 // adopt tables from peers: GET {peer}/table/{fingerprint}, decode the
-// pimtab-v2 payload, and verify the echoed fingerprint. maxTableCells
+// pimtab-v2 payload, refusing one whose header names another
+// fingerprint before any cell is allocated. maxTableCells
 // bounds the cell count a payload's header may declare — pass the same
 // value as service.Config.MaxTableCells, so a shard never adopts a
 // table its own trace guards would refuse to build (<= 0 means only the
@@ -52,12 +53,9 @@ func NewPeerFill(client *http.Client, maxTableCells int64) service.PeerFillFunc 
 		if int64(len(payload)) > maxBytes {
 			return cost.ResidenceTable{}, fmt.Errorf("cluster: peer fill: table body over %d bytes, the most a table within the cell limit encodes to", maxBytes)
 		}
-		gotFP, table, err := cost.DecodeTable(payload, maxTableCells)
+		table, err := cost.DecodeTable(payload, fp, maxTableCells)
 		if err != nil {
 			return cost.ResidenceTable{}, fmt.Errorf("cluster: peer fill: %w", err)
-		}
-		if gotFP != fp {
-			return cost.ResidenceTable{}, fmt.Errorf("cluster: peer fill: payload is for %s, want %s", gotFP, fp)
 		}
 		return table, nil
 	}

@@ -51,21 +51,12 @@ type RouterConfig struct {
 	// eject and readmit them afterwards.
 	Backends []string
 
-	// Replicas is the ring's virtual-node count per backend; <= 0 means
-	// DefaultReplicas.
-	Replicas int
-
 	// Replication is the number of ring owners per fingerprint key
 	// (primary + replicas); <= 0 means DefaultReplication. With
 	// PeerFill on, the router pushes each key's table to the non-primary
 	// owners asynchronously after the primary serves it, so losing the
 	// primary costs a transfer, not a rebuild. 1 disables replication.
 	Replication int
-
-	// ReadmitAfter is the number of consecutive passing health probes
-	// required to readmit an ejected backend; <= 0 means
-	// DefaultReadmitAfter.
-	ReadmitAfter int
 
 	// PeerFill attaches an X-Pim-Peer hint to proxied schedule
 	// requests, naming the ring's previous owner of the key, so a shard
@@ -120,7 +111,7 @@ type Router struct {
 	streak   map[string]int
 	drained  map[string]struct{}
 
-	// Replica-fill bookkeeping: fills in flight and fills known done,
+	// Replica-fill bookkeeping: fills in flight and fills settled,
 	// keyed "backend|fingerprint". fillPending counts live fill
 	// goroutines; fillCond wakes WaitReplicaFills and Close.
 	fillMu       sync.Mutex
@@ -162,7 +153,7 @@ type Router struct {
 func NewRouter(cfg RouterConfig) *Router {
 	rt := &Router{
 		cfg:          cfg,
-		ring:         NewRing(cfg.Replicas),
+		ring:         NewRing(0),
 		client:       cfg.Client,
 		sessions:     make(map[string]*sessionPin),
 		streak:       make(map[string]int),
@@ -267,13 +258,6 @@ func (rt *Router) replication() int {
 	return rt.cfg.Replication
 }
 
-func (rt *Router) readmitAfter() int {
-	if rt.cfg.ReadmitAfter <= 0 {
-		return DefaultReadmitAfter
-	}
-	return rt.cfg.ReadmitAfter
-}
-
 func (rt *Router) healthLoop() {
 	defer close(rt.loopDone)
 	t := time.NewTicker(rt.healthInterval())
@@ -305,7 +289,7 @@ func (rt *Router) CheckHealth() {
 		case healthy && !rt.ring.Has(backend):
 			rt.healthMu.Lock()
 			rt.streak[backend]++
-			readmit := rt.streak[backend] >= rt.readmitAfter()
+			readmit := rt.streak[backend] >= DefaultReadmitAfter
 			if readmit {
 				delete(rt.streak, backend)
 			}
@@ -684,13 +668,16 @@ func (rt *Router) peerHintFor(key []byte, owner string) string {
 // owners: for each replica that has not been filled yet, an async POST
 // /table/prefill tells it to adopt the table from the shard that just
 // served the request, over the same pimtab-v2 codec peer fill uses.
-// Fills are deduplicated per (backend, fingerprint), forgotten when the
-// backend is ejected (a crash-restarted process lost its cache), and
-// never touch the request counters — they are the router's own
-// background traffic, not routed load. Each claimed replica is filled
-// by its own goroutine, which builds the prefill body from the request
-// body, so the trace text is taken out of a body once per unfilled
-// (replica, key), never per request and never under fillMu. Called
+// Fills are deduplicated per (backend, fingerprint) and settled by a
+// success or by a 501 (the replica has no peer-fill hook, so asking
+// again cannot succeed); settled fills are forgotten when the backend
+// is ejected (a crash-restarted process lost its cache, or came back
+// with peer fill on), and never touch the request counters — they are
+// the router's own background traffic, not routed load. Each claimed
+// replica is filled by its own goroutine, which builds the prefill body
+// from the request body, so the trace text is taken out of a body once
+// per unfilled (replica, key), never per request and never under
+// fillMu. Called
 // before the response is relayed, so once a client has its answer the
 // fill is at least in flight (WaitReplicaFills then makes tests
 // deterministic).
@@ -745,7 +732,7 @@ func (rt *Router) fillReplica(k, replica, source string, body []byte) {
 	}
 	rt.fillMu.Lock()
 	delete(rt.fillInflight, k)
-	if err == nil {
+	if err == nil || errors.Is(err, errPrefillUnsupported) {
 		rt.fillFilled[k] = struct{}{}
 	}
 	rt.fillPending--
@@ -768,13 +755,20 @@ func (rt *Router) postPrefill(replica, source string, body []byte) error {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	if resp.StatusCode == http.StatusNotImplemented {
+		return fmt.Errorf("cluster: prefill %s: %w", replica, errPrefillUnsupported)
+	}
 	if resp.StatusCode/100 != 2 {
 		return fmt.Errorf("cluster: prefill %s: status %d", replica, resp.StatusCode)
 	}
 	return nil
 }
 
-// forgetFills drops a backend's replica-fill completions so the fills
+// errPrefillUnsupported is a replica's 501 to a prefill: it runs
+// without a peer-fill hook, so the fill is settled, not retried.
+var errPrefillUnsupported = errors.New("replica has no peer fill (status 501)")
+
+// forgetFills drops a backend's settled replica fills so the fills
 // re-run when it returns (a restarted process has an empty cache).
 func (rt *Router) forgetFills(backend string) {
 	prefix := backend + "|"

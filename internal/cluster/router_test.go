@@ -545,6 +545,60 @@ func TestRouterFillsReplicasInParallel(t *testing.T) {
 	}
 }
 
+// A replica started without peer fill answers a prefill 501, and the
+// router settles that: ten requests for one key cost one prefill, not
+// ten, and the failure counts once. Ejecting the replica forgets the
+// settlement (it may come back with peer fill on), so the next request
+// asks again.
+func TestRouterSettlesUnsupportedPrefill(t *testing.T) {
+	var prefills atomic.Int64
+	var urls []string
+	for i := 0; i < 2; i++ {
+		b := newBackend(t, service.Config{}) // no PeerFill hook: prefill is a 501
+		h := b.svc.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/table/prefill" {
+				prefills.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	rt, ts := newTestRouter(t, RouterConfig{Backends: urls, PeerFill: true})
+	req := service.Request{Trace: clusterTrace(t, 3), Algorithm: "scds"}
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			if status, data := postJSON(t, ts.Client(), ts.URL+"/schedule", req); status != http.StatusOK {
+				t.Fatalf("status %d: %s", status, data)
+			}
+			rt.WaitReplicaFills()
+		}
+	}
+	send(10)
+	if n := prefills.Load(); n != 1 {
+		t.Fatalf("10 requests sent %d prefills to a replica that answers 501, want 1", n)
+	}
+	if st := rt.Stats(); st.ReplicaFills != 0 || st.ReplicaFillErrors != 1 {
+		t.Fatalf("replica fills %d, errors %d; want 0 and 1", st.ReplicaFills, st.ReplicaFillErrors)
+	}
+
+	tr, err := trace.Decode(strings.NewReader(req.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := tr.Fingerprint()
+	replica := rt.Ring().Owners(fp[:], 2)[1]
+	rt.eject(replica)
+	for i := 0; i < DefaultReadmitAfter; i++ {
+		rt.CheckHealth()
+	}
+	send(1)
+	if n := prefills.Load(); n != 2 {
+		t.Fatalf("after the replica's ejection and return: %d prefills, want 2", n)
+	}
+}
+
 // The router's own endpoints: /metrics exposes pim_router_* series,
 // /healthz tracks ring emptiness, /stats is valid JSON.
 func TestRouterObservability(t *testing.T) {

@@ -90,25 +90,29 @@ func AppendTable(dst []byte, fp trace.Fingerprint, t ResidenceTable) []byte {
 	return dst
 }
 
-// DecodeTable parses a payload produced by EncodeTable under a cell
-// budget (service.Config.MaxTableCells on every table-accepting path;
-// <= 0 falls back to the codec's hard ceiling), returning the
-// fingerprint it was built for and the reconstructed table. A shape
-// exceeding the budget is rejected at the header, before any
-// allocation, so a shipped table cannot commit a shard to memory its
-// own trace guards would refuse. It never panics: a wrong magic, an
-// impossible shape, a truncated cell stream or trailing junk all yield
-// descriptive errors.
-func DecodeTable(data []byte, maxCells int64) (trace.Fingerprint, ResidenceTable, error) {
-	var fp trace.Fingerprint
+// DecodeTable parses a payload produced by EncodeTable for the trace
+// fingerprint want, under a cell budget (service.Config.MaxTableCells on
+// every table-accepting path; <= 0 falls back to the codec's hard
+// ceiling), returning the reconstructed table. A payload built for any
+// other fingerprint, or a shape exceeding the budget, is rejected at the
+// header, before any allocation, so a shipped table can commit a shard
+// neither to a table for the wrong trace nor to memory its own trace
+// guards would refuse. It never panics: a wrong magic, an impossible
+// shape, a truncated cell stream or trailing junk all yield descriptive
+// errors.
+func DecodeTable(data []byte, want trace.Fingerprint, maxCells int64) (ResidenceTable, error) {
 	if len(data) < tableCodecHeaderLen {
-		return fp, ResidenceTable{}, fmt.Errorf("cost: table payload %d bytes, header needs %d", len(data), tableCodecHeaderLen)
+		return ResidenceTable{}, fmt.Errorf("cost: table payload %d bytes, header needs %d", len(data), tableCodecHeaderLen)
 	}
 	if string(data[:len(tableCodecMagic)]) != tableCodecMagic {
-		return fp, ResidenceTable{}, fmt.Errorf("cost: table payload has wrong magic %q", data[:len(tableCodecMagic)])
+		return ResidenceTable{}, fmt.Errorf("cost: table payload has wrong magic %q", data[:len(tableCodecMagic)])
 	}
 	data = data[len(tableCodecMagic):]
+	var fp trace.Fingerprint
 	copy(fp[:], data[:len(fp)])
+	if fp != want {
+		return ResidenceTable{}, fmt.Errorf("cost: table payload is for %s, want %s", fp, want)
+	}
 	data = data[len(fp):]
 	unw := binary.LittleEndian.Uint64(data[0:])
 	und := binary.LittleEndian.Uint64(data[8:])
@@ -120,11 +124,11 @@ func DecodeTable(data []byte, maxCells int64) (trace.Fingerprint, ResidenceTable
 	// allocation that the cell loop then indexes past.
 	const maxDim = math.MaxInt32
 	if unw > maxDim || und > maxDim || unp > maxDim {
-		return fp, ResidenceTable{}, fmt.Errorf("cost: table shape %dx%dx%d out of range", unw, und, unp)
+		return ResidenceTable{}, fmt.Errorf("cost: table shape %dx%dx%d out of range", unw, und, unp)
 	}
 	maxCells = clampTableCells(maxCells)
 	if unw*und*unp > uint64(maxCells) {
-		return fp, ResidenceTable{}, fmt.Errorf("cost: table shape %dx%dx%d exceeds %d-cell limit", unw, und, unp, maxCells)
+		return ResidenceTable{}, fmt.Errorf("cost: table shape %dx%dx%d exceeds %d-cell limit", unw, und, unp, maxCells)
 	}
 
 	t := NewResidenceTable(int(unw), int(und), int(unp))
@@ -135,7 +139,7 @@ func DecodeTable(data []byte, maxCells int64) (trace.Fingerprint, ResidenceTable
 		for i := range np {
 			u, n := binary.Uvarint(rest)
 			if n <= 0 {
-				return fp, ResidenceTable{}, fmt.Errorf("cost: table cell stream truncated at cell %d of %d", base+i, len(cells))
+				return ResidenceTable{}, fmt.Errorf("cost: table cell stream truncated at cell %d of %d", base+i, len(cells))
 			}
 			rest = rest[n:]
 			prev += unzigzag(u)
@@ -146,9 +150,9 @@ func DecodeTable(data []byte, maxCells int64) (trace.Fingerprint, ResidenceTable
 		}
 	}
 	if len(rest) != 0 {
-		return fp, ResidenceTable{}, fmt.Errorf("cost: table payload carries %d trailing bytes after %d cells", len(rest), len(cells))
+		return ResidenceTable{}, fmt.Errorf("cost: table payload carries %d trailing bytes after %d cells", len(rest), len(cells))
 	}
-	return fp, t, nil
+	return t, nil
 }
 
 // CheckShape reports whether t has the windows x data x processors

@@ -61,12 +61,9 @@ func TestTableCodecV2RoundTrip(t *testing.T) {
 		fp := tr.Fingerprint()
 		table := NewModel(tr).BuildResidenceTable()
 		payload := EncodeTable(fp, table)
-		gotFP, got, err := DecodeTable(payload, 0)
+		got, err := DecodeTable(payload, fp, 0)
 		if err != nil {
 			t.Fatalf("%s/%d: %v", sh.kind, sh.n, err)
-		}
-		if gotFP != fp {
-			t.Fatalf("%s/%d: fingerprint %s, want %s", sh.kind, sh.n, gotFP, fp)
 		}
 		if !sameTable(got, table) {
 			t.Fatalf("%s/%d: decoded table differs from original", sh.kind, sh.n)
@@ -76,12 +73,9 @@ func TestTableCodecV2RoundTrip(t *testing.T) {
 
 func TestTableCodecRoundTrip(t *testing.T) {
 	fp, table := builtTable(t)
-	gotFP, got, err := DecodeTable(EncodeTable(fp, table), 0)
+	got, err := DecodeTable(EncodeTable(fp, table), fp, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if gotFP != fp {
-		t.Fatalf("fingerprint %s, want %s", gotFP, fp)
 	}
 	if got.NumWindows() != table.NumWindows() || got.NumData() != table.NumData() || got.NumProcs() != table.NumProcs() {
 		t.Fatalf("shape %dx%dx%d, want %dx%dx%d",
@@ -104,12 +98,12 @@ func TestTableCodecRoundTrip(t *testing.T) {
 func TestTableCodecRoundTripEmpty(t *testing.T) {
 	var fp trace.Fingerprint
 	fp[0] = 0xab
-	gotFP, got, err := DecodeTable(EncodeTable(fp, NewResidenceTable(0, 3, 9)), 0)
+	got, err := DecodeTable(EncodeTable(fp, NewResidenceTable(0, 3, 9)), fp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotFP != fp || got.NumWindows() != 0 || got.NumData() != 3 || got.NumProcs() != 9 {
-		t.Fatalf("empty table round-trip: fp %s shape %dx%dx%d", gotFP, got.NumWindows(), got.NumData(), got.NumProcs())
+	if got.NumWindows() != 0 || got.NumData() != 3 || got.NumProcs() != 9 {
+		t.Fatalf("empty table round-trip: shape %dx%dx%d", got.NumWindows(), got.NumData(), got.NumProcs())
 	}
 }
 
@@ -123,7 +117,7 @@ func TestTableCodecV2RoundTripExtremeCells(t *testing.T) {
 	cells[2] = -1
 	cells[len(cells)-1] = math.MaxInt64
 	cells[len(cells)-2] = math.MinInt64
-	_, got, err := DecodeTable(EncodeTable(fp, table), 0)
+	got, err := DecodeTable(EncodeTable(fp, table), fp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +133,10 @@ func TestDecodeTableAnyCellLimit(t *testing.T) {
 	fp, table := builtTable(t)
 	cells := int64(table.NumWindows()) * int64(table.NumData()) * int64(table.NumProcs())
 	payload := EncodeTable(fp, table)
-	if _, _, err := DecodeTable(payload, cells); err != nil {
+	if _, err := DecodeTable(payload, fp, cells); err != nil {
 		t.Fatalf("rejected a table exactly at the budget: %v", err)
 	}
-	_, _, err := DecodeTable(payload, cells-1)
+	_, err := DecodeTable(payload, fp, cells-1)
 	if err == nil || !strings.Contains(err.Error(), "cell limit") {
 		t.Fatalf("budget %d did not reject a %d-cell table: %v", cells-1, cells, err)
 	}
@@ -180,10 +174,19 @@ func TestTableCodecV2RejectsCorruption(t *testing.T) {
 			binary.LittleEndian.PutUint64(q[len(tableCodecMagic)+48:], 1<<31-1)
 			return q
 		}, "cell limit"},
+		{"wrong fingerprint", func(p []byte) []byte {
+			// A payload for another trace is refused at the header, ahead
+			// of the shape checks: even an impossible shape reports the
+			// fingerprint.
+			q := append([]byte(nil), p...)
+			q[len(tableCodecMagic)] ^= 0xff
+			binary.LittleEndian.PutUint64(q[len(tableCodecMagic)+32:], 1<<62)
+			return q
+		}, "is for"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := DecodeTable(tc.mutate(payload), 0)
+			_, err := DecodeTable(tc.mutate(payload), fp, 0)
 			if err == nil {
 				t.Fatal("DecodeTable accepted a corrupt payload")
 			}
@@ -213,6 +216,16 @@ func TestTableCodecV2Compresses(t *testing.T) {
 	}
 }
 
+// payloadFingerprint is the fingerprint a payload's header declares
+// (zero when the payload is shorter than the header).
+func payloadFingerprint(data []byte) trace.Fingerprint {
+	var fp trace.Fingerprint
+	if len(data) >= tableCodecHeaderLen {
+		copy(fp[:], data[len(tableCodecMagic):])
+	}
+	return fp
+}
+
 // FuzzTableCodecV2 feeds arbitrary payloads to DecodeTable: it must
 // never panic, and anything it accepts must survive a re-encode/decode
 // cycle with identical values. Byte identity is NOT required — varints
@@ -228,15 +241,16 @@ func FuzzTableCodecV2(f *testing.F) {
 	// A stale pimtab-v1 tag must be rejected, not crash.
 	f.Add(append([]byte("pimtab-v1\n"), EncodeTable(fp, NewResidenceTable(2, 3, 4))[len(tableCodecMagic):]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fp, table, err := DecodeTable(data, 0)
+		fp := payloadFingerprint(data)
+		table, err := DecodeTable(data, fp, 0)
 		if err != nil {
 			return
 		}
-		fp2, table2, err := DecodeTable(EncodeTable(fp, table), 0)
+		table2, err := DecodeTable(EncodeTable(fp, table), fp, 0)
 		if err != nil {
 			t.Fatalf("re-decode of an accepted payload failed: %v", err)
 		}
-		if fp2 != fp || !sameTable(table2, table) {
+		if !sameTable(table2, table) {
 			t.Fatal("decode/encode/decode is not value-identity")
 		}
 	})
@@ -268,7 +282,7 @@ func BenchmarkTableCodecV2(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := DecodeTable(payload, 0); err != nil {
+			if _, err := DecodeTable(payload, fp, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -17,12 +17,6 @@ type Options struct {
 	// Stages receives one span per patch ("delta.patch") and per
 	// suffix-DP pass ("delta.dp.suffix"). Nil is a no-op.
 	Stages obs.Stages
-
-	// OnLayersRecomputed, when non-nil, is called after every schedule
-	// recomputation with the number of DP layers the call actually
-	// relaxed (the quantity the incremental machinery exists to keep
-	// small); services feed it into a gauge.
-	OnLayersRecomputed func(layers int)
 }
 
 // ApplyResult reports one applied delta: its sequence number in the
@@ -76,8 +70,7 @@ type Session struct {
 	capacity  int
 	seq       uint64
 
-	stages   obs.Stages
-	onLayers func(int)
+	stages obs.Stages
 
 	// incremental marks the per-item suffix-DP path; solver and items
 	// are only populated when it is set.
@@ -163,7 +156,6 @@ func newSession(t *trace.Trace, scheduler sched.Scheduler, capacity int, seq uin
 		capacity:  capacity,
 		seq:       seq,
 		stages:    opts.Stages,
-		onLayers:  opts.OnLayersRecomputed,
 	}
 	if table != nil {
 		s.table = *table
@@ -309,9 +301,6 @@ func (s *Session) Schedule() (ScheduleResult, error) {
 		if err != nil {
 			return ScheduleResult{}, err
 		}
-	}
-	if s.onLayers != nil {
-		s.onLayers(layers)
 	}
 	s.cached = true
 	return ScheduleResult{Schedule: s.cachedSched.Clone(), Cost: s.cachedBD, LayersRecomputed: layers}, nil

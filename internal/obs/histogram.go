@@ -105,17 +105,3 @@ var LatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
-
-// ExponentialBuckets returns n upper bounds starting at start, each
-// factor times the previous.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExponentialBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	buckets := make([]float64, n)
-	for i := range buckets {
-		buckets[i] = start
-		start *= factor
-	}
-	return buckets
-}

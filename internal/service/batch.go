@@ -84,12 +84,9 @@ func (s *Service) scheduleBatch(ctx context.Context, req BatchRequest) (*BatchRe
 	schedulers := make([]sched.Scheduler, len(req.Requests))
 	needTrace := false
 	for i, spec := range req.Requests {
-		scheduler, err := sched.ByName(spec.Algorithm)
+		scheduler, err := checkSpec(spec.Algorithm, spec.Capacity)
 		if err != nil {
-			return nil, badRequest("spec %d: %v", i, err)
-		}
-		if spec.Capacity < 0 {
-			return nil, badRequest("spec %d: negative capacity %d", i, spec.Capacity)
+			return nil, badRequest("spec %d: %s", i, specError(err))
 		}
 		schedulers[i] = scheduler
 		needTrace = needTrace || spec.Verify

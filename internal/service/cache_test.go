@@ -137,12 +137,9 @@ func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 	if len(comp) == 0 {
 		t.Fatal("promoter received no compressed payload")
 	}
-	gotFP, table, err := cost.DecodeTable(comp, 0)
+	table, err := cost.DecodeTable(comp, fpN(1), 0)
 	if err != nil {
-		t.Fatalf("cold payload does not decode: %v", err)
-	}
-	if gotFP != fpN(1) {
-		t.Fatalf("cold payload is for %v, want %v", gotFP, fpN(1))
+		t.Fatalf("cold payload does not decode for its fingerprint: %v", err)
 	}
 	// Concurrent requests for an in-flight promotion must wait on the
 	// entry, not re-elect.
@@ -251,7 +248,7 @@ func TestTableCacheByteAccountingConsistent(t *testing.T) {
 	}
 	for _, n := range []byte{3, 7, 11, 2, 12} {
 		if e, role, comp, _ := c.acquire(fpN(n), true); role == cacheRolePromoter {
-			_, table, err := cost.DecodeTable(comp, 0)
+			table, err := cost.DecodeTable(comp, fpN(n), 0)
 			if err != nil {
 				t.Fatalf("fingerprint %d: cold payload corrupt: %v", n, err)
 			}

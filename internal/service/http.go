@@ -32,11 +32,10 @@ import (
 //	GET    /stats                      counter snapshot as JSON
 //	GET    /metrics                    Prometheus text exposition
 //
-// Error responses are JSON objects {"error": "..."} with the status
-// conveying the class: 400 malformed request, 404 unknown path or
-// session, 405 bad method, 413 oversized body, 429 shed load (with
-// Retry-After), 503 shutting down, 504 deadline expired, 500 internal
-// inconsistency.
+// Error responses are JSON objects {"error": "..."}. A failed service
+// call's status follows the error contract in errorStatus; the HTTP
+// layer itself adds 404 for an unknown path, 405 for a bad method, 400
+// for an undecodable body and 413 for an oversized one.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/schedule", s.handleSchedule)
@@ -96,7 +95,7 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	resp, err := s.scheduleInput(r.Context(), req, in)
 	if err != nil {
-		s.scheduleError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	sp := s.stages.Start("encode")
@@ -109,23 +108,56 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 // locally. Its value is the peer's base URL.
 const PeerHintHeader = "X-Pim-Peer"
 
-// scheduleError maps a Schedule/ScheduleBatch error onto its status.
-func (s *Service) scheduleError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
+// errorStatus is the service's error contract: the one map from a
+// failed call's error to its HTTP status, for every entry point.
+//
+//	400  *RequestError: malformed trace, unknown algorithm, negative
+//	     capacity, infeasible schedule, bad payload
+//	404  *ErrSessionNotFound
+//	409  *ErrSessionExists
+//	429  ErrOverloaded (writeError adds Retry-After)
+//	501  ErrNoPeerFill
+//	502  a failed prefill fetch, including one that timed out
+//	503  ErrClosed
+//	504  the request's deadline expired or it was cancelled
+//	500  anything else
+//
+// The 502 row precedes the 504 row: a prefill fetch that timed out
+// wraps context.DeadlineExceeded, but the deadline was the peer's.
+func errorStatus(err error) int {
+	var notFound *ErrSessionNotFound
+	var exists *ErrSessionExists
+	var fetch *prefillFetchError
 	switch {
 	case isRequestError(err):
-		status = http.StatusBadRequest
+		return http.StatusBadRequest
+	case errors.As(err, &notFound):
+		return http.StatusNotFound
+	case errors.As(err, &exists):
+		return http.StatusConflict
 	case errors.Is(err, ErrOverloaded):
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrNoPeerFill):
+		return http.StatusNotImplemented
+	case errors.As(err, &fetch):
+		return http.StatusBadGateway
+	case errors.Is(err, ErrClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusInternalServerError
+}
+
+// writeError writes a failed call's error response under errorStatus.
+func (s *Service) writeError(w http.ResponseWriter, err error) {
+	status := errorStatus(err)
+	if status == http.StatusTooManyRequests {
 		// Headers must be installed before writeJSON calls
 		// WriteHeader: anything set afterwards is silently dropped.
 		// The backoff tracks the decaying average service time, so
 		// shed clients wait about one request's worth of work.
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		status = http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		status = http.StatusGatewayTimeout
 	}
 	httpError(w, status, err.Error())
 }
@@ -139,7 +171,7 @@ func (s *Service) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 
 	resp, err := s.ScheduleBatch(r.Context(), req)
 	if err != nil {
-		s.scheduleError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	sp := s.stages.Start("encode")
@@ -255,27 +287,6 @@ func putBuffer(b *bytes.Buffer) {
 	bufferPool.Put(b)
 }
 
-// sessionError maps the session API's error classes onto statuses.
-func (s *Service) sessionError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	var notFound *ErrSessionNotFound
-	var exists *ErrSessionExists
-	switch {
-	case errors.As(err, &notFound):
-		status = http.StatusNotFound
-	case errors.As(err, &exists):
-		status = http.StatusConflict
-	case isRequestError(err):
-		status = http.StatusBadRequest
-	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		status = http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed):
-		status = http.StatusServiceUnavailable
-	}
-	httpError(w, status, err.Error())
-}
-
 func (s *Service) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
 	if !s.decodeBody(w, r, &req) {
@@ -283,7 +294,7 @@ func (s *Service) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.CreateSession(req)
 	if err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -292,7 +303,7 @@ func (s *Service) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	info, err := s.SessionInfo(r.PathValue("id"))
 	if err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -300,7 +311,7 @@ func (s *Service) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	if err := s.DeleteSession(r.PathValue("id")); err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -313,7 +324,7 @@ func (s *Service) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.ApplySessionDelta(r.PathValue("id"), d)
 	if err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -322,7 +333,7 @@ func (s *Service) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleSessionSchedule(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.ScheduleSession(r.PathValue("id"))
 	if err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -331,7 +342,7 @@ func (s *Service) handleSessionSchedule(w http.ResponseWriter, r *http.Request) 
 func (s *Service) handleSessionExport(w http.ResponseWriter, r *http.Request) {
 	exp, err := s.ExportSession(r.PathValue("id"))
 	if err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, exp)
@@ -344,7 +355,7 @@ func (s *Service) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.ImportSession(exp)
 	if err != nil {
-		s.sessionError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -353,25 +364,21 @@ func (s *Service) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 // handleTablePrefill is the push side of replicated ownership: the
 // router names a trace and a peer, and this shard pulls the table from
 // that peer into its cache. 204 on success or no-op; 501 when the
-// service has no peer-fill hook; 502 when the peer fetch failed (the
-// router retries on the key's next request).
+// service has no peer-fill hook, answered before the body is read (the
+// router settles the fill for good); 502 when the peer fetch failed
+// (the router retries on the key's next request).
 func (s *Service) handleTablePrefill(w http.ResponseWriter, r *http.Request) {
+	if s.cfg.PeerFill == nil {
+		s.writeError(w, ErrNoPeerFill)
+		return
+	}
 	var req PrefillRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	req.PeerHint = r.Header.Get(PeerHintHeader)
 	if err := s.Prefill(r.Context(), req); err != nil {
-		status := http.StatusBadGateway
-		switch {
-		case isRequestError(err):
-			status = http.StatusBadRequest
-		case errors.Is(err, ErrNoPeerFill):
-			status = http.StatusNotImplemented
-		case errors.Is(err, ErrClosed):
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, err.Error())
+		s.writeError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/delta"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -75,12 +74,9 @@ func (s *Service) ImportSession(exp SessionExport) (*SessionInfo, error) {
 	if exp.SessionID == "" {
 		return nil, badRequest("import without session_id")
 	}
-	scheduler, err := sched.ByName(exp.Algorithm)
+	scheduler, err := checkSpec(exp.Algorithm, exp.Capacity)
 	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	if exp.Capacity < 0 {
-		return nil, badRequest("negative capacity %d", exp.Capacity)
+		return nil, err
 	}
 	wantFP, err := trace.ParseFingerprint(exp.Fingerprint)
 	if err != nil {
@@ -90,50 +86,31 @@ func (s *Service) ImportSession(exp SessionExport) (*SessionInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The shipped table is decoded under the same cell budget the trace
-	// guard enforces: the trace cross-check alone runs only after this
-	// decode, so without the budget a crafted payload header could
-	// commit the shard to an allocation its own guards would refuse.
-	tableFP, table, err := cost.DecodeTable(exp.Table, s.cfg.maxTableCells())
+	// The shipped table is decoded for the session's fingerprint and
+	// under the same cell budget the trace guard enforces: a payload for
+	// another trace, or whose header declares more cells than this shard
+	// would build, is refused before anything is allocated.
+	table, err := cost.DecodeTable(exp.Table, wantFP, s.cfg.maxTableCells())
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
-	if tableFP != wantFP {
-		return nil, badRequest("table payload fingerprint %s does not match session fingerprint %s",
-			tableFP, wantFP)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if _, ok := s.sessions[exp.SessionID]; ok {
-		return nil, &ErrSessionExists{ID: exp.SessionID}
-	}
-	if len(s.sessions) >= s.cfg.maxSessions() {
-		return nil, fmt.Errorf("%w: %d sessions live", ErrOverloaded, len(s.sessions))
-	}
-	sess, err := delta.RestoreSession(tr, scheduler, exp.Capacity, exp.Seq, table, delta.Options{
-		Stages: s.stages,
-		OnLayersRecomputed: func(layers int) {
-			s.deltaLayersRecomputed.Store(int64(layers))
-		},
+	info, err := s.openSession(exp.SessionID, tr, func(opts delta.Options) (*delta.Session, error) {
+		sess, err := delta.RestoreSession(tr, scheduler, exp.Capacity, exp.Seq, table, opts)
+		if err != nil {
+			return nil, &RequestError{Err: err}
+		}
+		// The restored session recomputes the chained fingerprint from
+		// the materialized trace; a mismatch with the envelope means the
+		// export was corrupted in flight and must not be resumed.
+		if got := sess.Fingerprint(); got != wantFP {
+			return nil, errors.New("service: restored session fingerprint " + got.String() +
+				" does not match export " + wantFP.String())
+		}
+		return sess, nil
 	})
 	if err != nil {
-		return nil, &RequestError{Err: err}
+		return nil, err
 	}
-	// The restored session recomputes the chained fingerprint from the
-	// materialized trace; a mismatch with the envelope means the export
-	// was corrupted in flight and must not be resumed.
-	if got := sess.Fingerprint(); got != wantFP {
-		return nil, errors.New("service: restored session fingerprint " + got.String() +
-			" does not match export " + wantFP.String())
-	}
-	if s.sessions == nil {
-		s.sessions = make(map[string]*sessionEntry)
-	}
-	s.sessions[exp.SessionID] = &sessionEntry{id: exp.SessionID, sess: sess, grid: tr.Grid.String()}
 	s.sessionsImported.Add(1)
-	return s.sessionInfo(s.sessions[exp.SessionID]), nil
+	return info, nil
 }

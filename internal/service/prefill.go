@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 )
 
 // PrefillRequest asks a shard to adopt a trace's residence table from a
@@ -25,6 +24,19 @@ type PrefillRequest struct {
 // peer-fill hook configured; the HTTP layer maps it to 501.
 var ErrNoPeerFill = errors.New("service: peer fill not configured")
 
+// prefillFetchError is a prefill whose fetch from the peer failed. The
+// HTTP layer maps it to 502 even when the fetch timed out: the deadline
+// that expired bounded the peer, not the caller.
+type prefillFetchError struct {
+	peer string
+	err  error
+}
+
+func (e *prefillFetchError) Error() string {
+	return "service: prefill from " + e.peer + ": " + e.err.Error()
+}
+func (e *prefillFetchError) Unwrap() error { return e.err }
+
 // Prefill adopts the residence table for req.Trace from the hinted
 // peer. It is deliberately asymmetric to Schedule's resolveTable: the
 // fetch happens before the cache is touched, so a failed fetch strands
@@ -44,13 +56,9 @@ func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 		return err
 	}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+	if err := s.enter(nil); err != nil {
+		return err
 	}
-	s.wg.Add(1)
-	s.mu.Unlock()
 	defer s.wg.Done()
 
 	fp := tr.Fingerprint()
@@ -60,7 +68,7 @@ func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 
 	table, err := s.peerTable(fp, tr.Shape(), req.PeerHint)
 	if err != nil {
-		return fmt.Errorf("service: prefill from %s: %w", req.PeerHint, err)
+		return &prefillFetchError{peer: req.PeerHint, err: err}
 	}
 	if s.cache.adopt(fp, table) {
 		s.tablesPrefilled.Add(1)

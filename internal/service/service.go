@@ -41,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -363,6 +364,10 @@ type Service struct {
 	memoHits      atomic.Uint64
 	memoMisses    atomic.Uint64
 
+	// opening counts session opens holding a MaxSessions slot while
+	// they build or restore outside s.mu (openSession).
+	opening int
+
 	// deltaLayersRecomputed remembers the layer count of the most recent
 	// session schedule computation, exposed as a gauge: near zero under
 	// delta traffic, spiking to items x windows on cold or fallback runs.
@@ -387,11 +392,17 @@ type Service struct {
 	// lock; tests use it to interleave a DELETE into that window
 	// deterministically.
 	testHookSessionOp func()
+
+	// testHookSessionOpen, when set, is called by session opens (create
+	// and import) after the slot reservation and before the build or
+	// restore; tests use it to hold a build in progress.
+	testHookSessionOpen func()
 }
 
 // New returns a Service with the given configuration.
 func New(cfg Config) *Service {
-	s := &Service{cfg: cfg, cache: newTableCache(cfg.cacheBytes(), !cfg.DisableColdTier), alias: trace.NewAlias[aliasEntry]()}
+	s := &Service{cfg: cfg, cache: newTableCache(cfg.cacheBytes(), !cfg.DisableColdTier), alias: trace.NewAlias[aliasEntry](),
+		sessions: make(map[string]*sessionEntry)}
 	if cfg.MaxInflight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -450,15 +461,51 @@ func (s *Service) Closed() bool {
 	return s.closed
 }
 
-// Close refuses new requests and waits for every in-flight computation
-// — including runs abandoned by expired deadlines — to finish. It is
-// idempotent.
+// Close refuses new requests and waits for all work that entered the
+// fence (enter) to finish: every schedule computation, including runs
+// abandoned by expired deadlines, every replica prefill and every
+// session operation. It is idempotent.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	s.wg.Wait()
 	return nil
+}
+
+// enter is the one fence every entry point passes: under s.mu it refuses
+// after Close, runs admit (when non-nil; a session lookup or a session
+// slot reservation that must see the same registry state as the closed
+// check) and registers the work with s.wg, so Close's Wait cannot slip
+// between the check and the registration. A nil error obliges the
+// caller to call s.wg.Done once the work is over.
+func (s *Service) enter(admit func() error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	if admit != nil {
+		if err := admit(); err != nil {
+			return err
+		}
+	}
+	s.wg.Add(1)
+	return nil
+}
+
+// checkSpec is the one admission of an (algorithm, capacity) spec: the
+// algorithm must name a scheduler and the capacity must not be
+// negative.
+func checkSpec(algorithm string, capacity int) (sched.Scheduler, error) {
+	scheduler, err := sched.ByName(algorithm)
+	if err != nil {
+		return nil, &RequestError{Err: err}
+	}
+	if capacity < 0 {
+		return nil, badRequest("negative capacity %d", capacity)
+	}
+	return scheduler, nil
 }
 
 // Stats returns a consistent-enough snapshot of the counters (each
@@ -537,16 +584,16 @@ func (s *Service) complete(start time.Time) time.Duration {
 }
 
 // countFailure counts one failed Schedule or ScheduleBatch call under
-// its error class.
+// its error class, as the error contract (errorStatus) classifies it.
 func (s *Service) countFailure(err error) {
-	switch {
-	case errors.Is(err, ErrOverloaded):
+	switch errorStatus(err) {
+	case http.StatusTooManyRequests:
 		s.rejectedOverload.Add(1)
-	case errors.Is(err, ErrClosed):
+	case http.StatusServiceUnavailable:
 		s.rejectedClosed.Add(1)
-	case isRequestError(err):
+	case http.StatusBadRequest:
 		s.badRequests.Add(1)
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+	case http.StatusGatewayTimeout:
 		s.deadlineExpired.Add(1)
 	default:
 		s.internalErrors.Add(1)
@@ -559,12 +606,9 @@ func isRequestError(err error) bool {
 }
 
 func (s *Service) schedule(ctx context.Context, req Request, in *traceInput) (*Response, error) {
-	scheduler, err := sched.ByName(req.Algorithm)
+	scheduler, err := checkSpec(req.Algorithm, req.Capacity)
 	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	if req.Capacity < 0 {
-		return nil, badRequest("negative capacity %d", req.Capacity)
+		return nil, err
 	}
 	return runTrace(s, ctx, in, req.Verify,
 		func(stages obs.Stages, in *traceInput, entry *cacheEntry, cacheHit bool) (*Response, error) {
@@ -618,7 +662,7 @@ type bodyAlias struct {
 
 // runTrace is the request path /schedule and /schedule/batch share,
 // entered once each has validated its own specs. It bounds the trace
-// text, resolves it to a fingerprint and shape, refuses after Close,
+// text, resolves it to a fingerprint and shape, passes the fence,
 // claims a concurrency slot or sheds, and then, in a worker, resolves
 // the table cache and runs work against the ready entry (cacheHit is
 // false only for the request elected to build the table). needTrace
@@ -644,15 +688,9 @@ func runTrace[T any](s *Service, ctx context.Context, in *traceInput, needTrace 
 		return zero, err
 	}
 
-	// Refuse after Close; wg.Add under the same lock so Close's Wait
-	// cannot slip between the check and the registration.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return zero, ErrClosed
+	if err := s.enter(nil); err != nil {
+		return zero, err
 	}
-	s.wg.Add(1)
-	s.mu.Unlock()
 
 	// Claim a concurrency slot without queuing: full means shed now.
 	if s.slots != nil {
@@ -914,17 +952,14 @@ func awaitEntry(stages obs.Stages, entry *cacheEntry) cacheOutcome {
 	}
 }
 
-// decodePromoted decodes a cold-tier payload back to a flat table,
-// cross-checking the embedded fingerprint and the shape against the
-// request's — the same paranoia peer fill applies, because a promoted
-// table feeds schedules exactly like an adopted one.
+// decodePromoted decodes a cold-tier payload back to a flat table for
+// the request's fingerprint and checks its shape against the request's
+// — the same paranoia peer fill applies, because a promoted table feeds
+// schedules exactly like an adopted one.
 func (s *Service) decodePromoted(comp []byte, fp trace.Fingerprint, sh trace.Shape) (cost.ResidenceTable, error) {
-	gotFP, table, err := cost.DecodeTable(comp, s.cfg.maxTableCells())
+	table, err := cost.DecodeTable(comp, fp, s.cfg.maxTableCells())
 	if err != nil {
 		return cost.ResidenceTable{}, err
-	}
-	if gotFP != fp {
-		return cost.ResidenceTable{}, fmt.Errorf("cold table is for %s, want %s", gotFP, fp)
 	}
 	return table, table.CheckShape(sh)
 }

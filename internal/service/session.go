@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"repro/internal/delta"
-	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // DefaultMaxSessions bounds concurrently live incremental sessions when
@@ -98,52 +98,79 @@ func (c Config) maxSessions() int {
 // table work ever runs again for this session's deltas), and registers
 // it under a fresh ID.
 func (s *Service) CreateSession(req CreateSessionRequest) (*SessionInfo, error) {
-	scheduler, err := sched.ByName(req.Algorithm)
+	scheduler, err := checkSpec(req.Algorithm, req.Capacity)
 	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	if req.Capacity < 0 {
-		return nil, badRequest("negative capacity %d", req.Capacity)
+		return nil, err
 	}
 	tr, err := s.admitTrace(nil, req.Trace)
 	if err != nil {
 		return nil, err
 	}
+	info, err := s.openSession("", tr, func(opts delta.Options) (*delta.Session, error) {
+		sess, err := delta.NewSession(tr, scheduler, req.Capacity, opts)
+		if err != nil {
+			return nil, &RequestError{Err: err}
+		}
+		s.tablesBuilt.Add(1) // the session's private table, built in NewSession
+		return sess, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.sessionsCreated.Add(1)
+	return info, nil
+}
+
+// openSession is the one path a session enters the registry by, shared
+// by CreateSession and ImportSession. The fence reserves a MaxSessions
+// slot — counting opens still in flight, so racing opens never build
+// more sessions than the limit admits — and refuses an id already live.
+// open then builds or restores the session outside s.mu, so a slow
+// model build stalls no other request, and the session is inserted, or
+// its reservation released if open failed. id "" mints a fresh id.
+func (s *Service) openSession(id string, tr *trace.Trace, open func(delta.Options) (*delta.Session, error)) (*SessionInfo, error) {
+	err := s.enter(func() error {
+		if _, ok := s.sessions[id]; ok {
+			return &ErrSessionExists{ID: id}
+		}
+		if n := len(s.sessions) + s.opening; n >= s.cfg.maxSessions() {
+			return fmt.Errorf("%w: %d sessions live", ErrOverloaded, n)
+		}
+		s.opening++
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer s.wg.Done()
+	if s.testHookSessionOpen != nil {
+		s.testHookSessionOpen()
+	}
+	sess, err := open(delta.Options{Stages: s.stages})
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if len(s.sessions) >= s.cfg.maxSessions() {
-		return nil, fmt.Errorf("%w: %d sessions live", ErrOverloaded, len(s.sessions))
-	}
-	sess, err := delta.NewSession(tr, scheduler, req.Capacity, delta.Options{
-		Stages: s.stages,
-		OnLayersRecomputed: func(layers int) {
-			s.deltaLayersRecomputed.Store(int64(layers))
-		},
-	})
+	s.opening--
 	if err != nil {
-		return nil, &RequestError{Err: err}
+		return nil, err
 	}
-	s.tablesBuilt.Add(1) // the session's private table, built in NewSession
-	s.sessionSeq++
-	// The random suffix makes IDs unique across the whole fleet, not
-	// just this instance: a cluster router pins sessions to shards by
-	// ID, and two shards issuing the same "s000001" would cross their
-	// pins. The sequence prefix keeps IDs orderable for humans.
-	var nonce [8]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
-		return nil, fmt.Errorf("service: session id: %w", err)
+	if id == "" {
+		// The random suffix makes IDs unique across the whole fleet, not
+		// just this instance: a cluster router pins sessions to shards
+		// by ID, and two shards issuing the same "s000001" would cross
+		// their pins. The sequence prefix keeps IDs orderable for humans.
+		var nonce [8]byte
+		if _, err := rand.Read(nonce[:]); err != nil {
+			return nil, fmt.Errorf("service: session id: %w", err)
+		}
+		s.sessionSeq++
+		id = fmt.Sprintf("s%06d-%s", s.sessionSeq, hex.EncodeToString(nonce[:]))
+	} else if _, ok := s.sessions[id]; ok {
+		return nil, &ErrSessionExists{ID: id} // a racing import of the same id won
 	}
-	id := fmt.Sprintf("s%06d-%s", s.sessionSeq, hex.EncodeToString(nonce[:]))
-	if s.sessions == nil {
-		s.sessions = make(map[string]*sessionEntry)
-	}
-	s.sessions[id] = &sessionEntry{id: id, sess: sess, grid: tr.Grid.String()}
-	s.sessionsCreated.Add(1)
-	return s.sessionInfo(s.sessions[id]), nil
+	e := &sessionEntry{id: id, sess: sess, grid: tr.Grid.String()}
+	s.sessions[id] = e
+	return s.sessionInfo(e), nil
 }
 
 func (s *Service) sessionInfo(e *sessionEntry) *SessionInfo {
@@ -159,30 +186,37 @@ func (s *Service) sessionInfo(e *sessionEntry) *SessionInfo {
 	}
 }
 
-func (s *Service) lookupSession(id string) (*sessionEntry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	e, ok := s.sessions[id]
-	if !ok {
-		return nil, &ErrSessionNotFound{ID: id}
-	}
-	return e, nil
+// enterSession passes the fence with a registry lookup of id, taking the
+// entry out of the registry when remove is set. A nil error obliges the
+// caller to call s.wg.Done, as for enter.
+func (s *Service) enterSession(id string, remove bool) (*sessionEntry, error) {
+	var e *sessionEntry
+	err := s.enter(func() error {
+		var ok bool
+		if e, ok = s.sessions[id]; !ok {
+			return &ErrSessionNotFound{ID: id}
+		}
+		if remove {
+			delete(s.sessions, id)
+		}
+		return nil
+	})
+	return e, err
 }
 
-// withSession runs fn holding the entry's operation lock, after
-// re-checking that a concurrent DeleteSession did not close the entry
-// between the registry lookup and the lock acquisition. The registry
-// lock is never held across fn, so session work does not serialize
-// unrelated requests; operations on one session serialize with each
-// other and with its deletion.
+// withSession passes the fence with a lookup of id, then runs fn holding
+// the entry's operation lock, after re-checking that a concurrent
+// DeleteSession did not close the entry between the lookup and the lock
+// acquisition. The registry lock is never held across fn, so session
+// work does not serialize unrelated requests; operations on one session
+// serialize with each other and with its deletion, and Close waits for
+// them.
 func (s *Service) withSession(id string, fn func(e *sessionEntry) error) error {
-	e, err := s.lookupSession(id)
+	e, err := s.enterSession(id, false)
 	if err != nil {
 		return err
 	}
+	defer s.wg.Done()
 	if s.testHookSessionOp != nil {
 		s.testHookSessionOp()
 	}
@@ -240,6 +274,9 @@ func (s *Service) ScheduleSession(id string) (*SessionScheduleResponse, error) {
 		if err != nil {
 			return &RequestError{Err: err} // infeasible capacity etc.
 		}
+		if !res.Cached {
+			s.deltaLayersRecomputed.Store(int64(res.LayersRecomputed))
+		}
 		resp = &SessionScheduleResponse{
 			SessionID:        id,
 			Algorithm:        e.sess.Algorithm(),
@@ -266,18 +303,11 @@ func (s *Service) ScheduleSession(id string) (*SessionScheduleResponse, error) {
 // the entry before it left the map; an operation still between lookup
 // and lock acquisition observes closed and reports 404.
 func (s *Service) DeleteSession(id string) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+	e, err := s.enterSession(id, true)
+	if err != nil {
+		return err
 	}
-	e, ok := s.sessions[id]
-	if !ok {
-		s.mu.Unlock()
-		return &ErrSessionNotFound{ID: id}
-	}
-	delete(s.sessions, id)
-	s.mu.Unlock()
+	defer s.wg.Done()
 
 	e.opMu.Lock()
 	e.closed = true

@@ -125,8 +125,7 @@ func TestCacheTierRaceStress(t *testing.T) {
 			if !ok {
 				return cost.ResidenceTable{}, errors.New("no canned table")
 			}
-			_, table, err := cost.DecodeTable(payload, 0)
-			return table, err
+			return cost.DecodeTable(payload, fp, 0)
 		},
 	})
 	defer svc.Close()
@@ -295,11 +294,11 @@ func TestTableGetServesV2HotAndCold(t *testing.T) {
 		if stored != nil && !bytes.Equal(payload, stored) {
 			t.Fatalf("%s: served payload is not the stored cold-tier payload", tc.name)
 		}
-		gotFP, table, err := cost.DecodeTable(payload, 0)
+		table, err := cost.DecodeTable(payload, fp, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if want := cost.NewModel(tr).BuildResidenceTable(); gotFP != fp || !slices.Equal(table.Cells(), want.Cells()) {
+		if want := cost.NewModel(tr).BuildResidenceTable(); !slices.Equal(table.Cells(), want.Cells()) {
 			t.Fatalf("%s: served table differs from a fresh build", tc.name)
 		}
 	}

@@ -126,6 +126,23 @@ go test -race -run '^(TestHotCacheHeapWithinCacheBytes|TestPromotionWithoutTrace
 echo "== session delete race gates (-race) =="
 go test -race -run '^(TestSessionOpRacingDeleteGets404|TestSessionDeleteRaceStress)$' ./internal/service
 
+# Service admission: every entry point passes one fence, one spec
+# check, one checked table decode and one error contract. Close waits
+# for a parked session op; a held session build blocks neither a
+# memo-hit Schedule nor Stats and still holds its MaxSessions slot;
+# racing creates and imports never open past the limit or twice under
+# one id; a wrong-fingerprint table payload is refused before its
+# table is allocated; every row of the error contract (statuses,
+# Retry-After on both 429 paths, a timed-out prefill fetch as 502)
+# through the HTTP handlers; a shard without peer fill answers a
+# prefill 501 before reading the body, and the router settles that 501
+# instead of re-pushing on every request. Under the race detector; they
+# already ran under ./... above, the named gate survives narrower
+# invocations.
+echo "== service admission (-race) =="
+go test -race -run '^(TestCloseWaitsForSessionOp|TestSessionBuildDoesNotBlockService|TestRacingSessionOpensRespectLimit|TestImportWrongFingerprintRefusedBeforeAllocating|TestPrefillWithoutPeerFill501BeforeBody|TestErrorContract)$' ./internal/service
+go test -race -run '^TestRouterSettlesUnsupportedPrefill$' ./internal/cluster
+
 # The cluster referees: the in-process multi-backend harness (router
 # over three real services) proving routed, batched, and peer-filled
 # responses bit-identical to single-node serial runs with exactly one

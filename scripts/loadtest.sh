@@ -176,9 +176,19 @@ if [ "$SURVIVOR_BUILT_POST" -ne "$SURVIVOR_BUILT_PRE" ]; then
 fi
 echo "failover: survivors built 0 new tables"
 
+# The host block records where the numbers came from, in the layout
+# bench.sh writes into the other BENCH_*.json snapshots.
+HOST_CPU="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -1)"
 SUMMARY="$(cat <<EOF
 {
   "benchmark": "cluster-loadtest",
+  "host": {
+    "cpu": "${HOST_CPU:-unknown}",
+    "gomaxprocs": ${GOMAXPROCS:-$(nproc)},
+    "go": "$(go env GOVERSION)",
+    "goos": "$(go env GOOS)",
+    "goarch": "$(go env GOARCH)"
+  },
   "shards": 3,
   "traces": $TRACES,
   "singles_requests": $REQUESTS,
