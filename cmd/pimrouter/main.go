@@ -27,13 +27,14 @@
 // schedules over to a replica that already holds the table (no
 // rebuild). A replica that answers a push with 501 (a pimserve started
 // without -peer-fill) is not asked again for that key until it is
-// ejected. Identical requests are not
-// coalesced here: each is forwarded, and the owning shard's schedule
-// memo runs the scheduler once per (trace, algorithm, capacity). A
-// request body the router has routed before is keyed through its
-// bounded alias with no JSON decode, and a known trace text under a new
-// body without a trace decode; the trace text is taken out of the body
-// only for a replica prefill, once per key.
+// ejected or the router's bounded fill ledger forgets the key.
+// Identical requests are not coalesced here: each is forwarded, and
+// the owning shard's schedule memo runs the scheduler once per (trace,
+// algorithm, capacity). A request body the router has routed before is
+// keyed through its bounded alias with no JSON decode, and a known
+// trace text under a new body without a trace decode. A replica push
+// names the table by the fingerprint and shape the router routed by,
+// never by the trace text.
 //
 // POST /admin/drain?backend=URL takes a shard out administratively:
 // its pinned sessions are exported, imported on their new owners
@@ -133,12 +134,8 @@ func serve(ctx context.Context, ln net.Listener, cfg cluster.RouterConfig, drain
 	router := cluster.NewRouter(cfg)
 	server := &http.Server{Handler: router.Handler()}
 
-	replication := cfg.Replication
-	if replication <= 0 {
-		replication = cluster.DefaultReplication
-	}
 	fmt.Fprintf(out, "pimrouter: listening on %s, %d backends (replication %d, peer-fill %v, health every %v)\n",
-		ln.Addr(), router.Ring().Len(), replication, cfg.PeerFill, cfg.HealthInterval)
+		ln.Addr(), router.Ring().Len(), router.Stats().Replication, cfg.PeerFill, cfg.HealthInterval)
 
 	errc := make(chan error, 1)
 	go func() { errc <- server.Serve(ln) }()

@@ -112,8 +112,8 @@ func TestRouterRefusedBodiesNeverAliased(t *testing.T) {
 
 // TestRouterPrefillOnBodyHit: a replica fill triggered by a request the
 // router answered from its body alias — no JSON decode at routing time —
-// still ships the right trace: the prefill body is built from the held
-// request body, and the replica adopts the table.
+// still names the right table: the prefill carries the fingerprint and
+// shape the alias resolved, and the replica adopts the table.
 func TestRouterPrefillOnBodyHit(t *testing.T) {
 	h := newClusterHarness(t, 3, -1) // replication defaults to 2
 	text := clusterTrace(t, 5)

@@ -93,9 +93,13 @@ func TestPrefillRejectsOversizedPeerTable(t *testing.T) {
 		PeerFill:      NewPeerFill(nil, 4096),
 	})
 	defer svc.Close()
-	err := svc.Prefill(context.Background(), service.PrefillRequest{
-		Trace: clusterTrace(t, 2), PeerHint: ts.URL,
-	})
+	tr, err := trace.Decode(strings.NewReader(clusterTrace(t, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := service.PrefillFor(tr.Fingerprint(), tr.Shape())
+	req.PeerHint = ts.URL
+	err = svc.Prefill(context.Background(), req)
 	if err == nil {
 		t.Fatal("prefill adopted a table payload over the cell budget")
 	}

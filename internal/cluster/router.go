@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -92,6 +93,21 @@ type sessionPin struct {
 	moving  chan struct{}
 }
 
+// fillKey names one replica fill: a key's table pushed to one backend.
+type fillKey struct {
+	backend string
+	fp      trace.Fingerprint
+}
+
+// maxSettledFills caps the settled entries of the fill ledger. Every
+// distinct key settles Replication-1 of them, so without a cap the
+// ledger would grow with every trace the fleet has ever seen; at the
+// cap the settled entries are cleared, and a forgotten fill costs one
+// prefill the replica answers 204 from a map lookup (or 501 before
+// reading the body). It matches the alias's capacity: the router
+// remembers about as many keys' fills as it remembers traces.
+const maxSettledFills = 4096
+
 // Router shards schedule traffic across a pimserve fleet by trace
 // fingerprint. One trace always lands on one shard — its primary owner
 // — so each residence table is built once fleet-wide; with replication
@@ -99,9 +115,9 @@ type sessionPin struct {
 // the key to a shard that already has the table. Session traffic is
 // pinned to the shard that created (or imported) the session.
 type Router struct {
-	cfg    RouterConfig
-	ring   *Ring
-	client *http.Client
+	cfg        RouterConfig // normalized by NewRouter: defaults filled, backends trimmed
+	retryAfter string       // the Retry-After of the router's own 503 sheds
+	ring       *Ring
 
 	sessMu   sync.Mutex
 	sessions map[string]*sessionPin // session id -> pin
@@ -111,14 +127,16 @@ type Router struct {
 	streak   map[string]int
 	drained  map[string]struct{}
 
-	// Replica-fill bookkeeping: fills in flight and fills settled,
-	// keyed "backend|fingerprint". fillPending counts live fill
-	// goroutines; fillCond wakes WaitReplicaFills and Close.
-	fillMu       sync.Mutex
-	fillCond     *sync.Cond
-	fillPending  int
-	fillInflight map[string]struct{}
-	fillFilled   map[string]struct{}
+	// The fill ledger: one entry per replica fill, false while the fill
+	// is in flight and true once it settled (a success, or a 501 that
+	// asking again cannot change). settled counts the true entries, at
+	// most maxSettledFills. fillPending counts live fill goroutines;
+	// fillCond wakes WaitReplicaFills and Close.
+	fillMu      sync.Mutex
+	fillCond    *sync.Cond
+	fillPending int
+	fills       map[fillKey]bool
+	settled     int
 
 	// alias maps raw request bodies and trace texts already routed to
 	// their fingerprint, so a repeated body is routed without a JSON
@@ -151,26 +169,44 @@ type Router struct {
 // NewRouter builds a router over the configured fleet and, unless
 // disabled, starts its health loop. Close releases it.
 func NewRouter(cfg RouterConfig) *Router {
+	backends := make([]string, len(cfg.Backends))
+	for i, b := range cfg.Backends {
+		backends[i] = strings.TrimRight(b, "/")
+	}
+	cfg.Backends = backends
+	if cfg.Replication <= 0 {
+		cfg.Replication = DefaultReplication
+	}
+	if cfg.HealthInterval == 0 {
+		cfg.HealthInterval = DefaultHealthInterval
+	}
+	if cfg.HealthTimeout <= 0 {
+		cfg.HealthTimeout = DefaultHealthTimeout
+	}
+	if cfg.MaxBodyBytes <= 0 {
+		cfg.MaxBodyBytes = DefaultRouterMaxBody
+	}
+	if cfg.Client == nil {
+		cfg.Client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
+	}
 	rt := &Router{
-		cfg:          cfg,
-		ring:         NewRing(0),
-		client:       cfg.Client,
-		sessions:     make(map[string]*sessionPin),
-		streak:       make(map[string]int),
-		drained:      make(map[string]struct{}),
-		fillInflight: make(map[string]struct{}),
-		fillFilled:   make(map[string]struct{}),
-		alias:        trace.NewAlias[trace.Summary](),
-		reg:          obs.NewRegistry(),
-		stop:         make(chan struct{}),
-		loopDone:     make(chan struct{}),
+		cfg: cfg,
+		// A shed client retries about when the next health sweep may
+		// have readmitted a backend.
+		retryAfter: strconv.Itoa(int(cfg.HealthInterval.Seconds()) + 1),
+		ring:       NewRing(0),
+		sessions:   make(map[string]*sessionPin),
+		streak:     make(map[string]int),
+		drained:    make(map[string]struct{}),
+		fills:      make(map[fillKey]bool),
+		alias:      trace.NewAlias[trace.Summary](),
+		reg:        obs.NewRegistry(),
+		stop:       make(chan struct{}),
+		loopDone:   make(chan struct{}),
 	}
 	rt.fillCond = sync.NewCond(&rt.fillMu)
-	if rt.client == nil {
-		rt.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
-	}
 	for _, b := range cfg.Backends {
-		rt.ring.Add(strings.TrimRight(b, "/"))
+		rt.ring.Add(b)
 	}
 
 	rt.requests = rt.reg.Counter("pim_router_requests_total", "Requests routed to a backend.")
@@ -206,7 +242,7 @@ func NewRouter(cfg RouterConfig) *Router {
 			return float64(rt.fillPending)
 		})
 
-	if cfg.HealthInterval >= 0 {
+	if cfg.HealthInterval > 0 {
 		go rt.healthLoop()
 	} else {
 		close(rt.loopDone)
@@ -230,37 +266,9 @@ func (rt *Router) Close() {
 // Ring exposes the live membership view, mainly for tests and /stats.
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-func (rt *Router) healthInterval() time.Duration {
-	if rt.cfg.HealthInterval == 0 {
-		return DefaultHealthInterval
-	}
-	return rt.cfg.HealthInterval
-}
-
-func (rt *Router) healthTimeout() time.Duration {
-	if rt.cfg.HealthTimeout <= 0 {
-		return DefaultHealthTimeout
-	}
-	return rt.cfg.HealthTimeout
-}
-
-func (rt *Router) maxBodyBytes() int64 {
-	if rt.cfg.MaxBodyBytes <= 0 {
-		return DefaultRouterMaxBody
-	}
-	return rt.cfg.MaxBodyBytes
-}
-
-func (rt *Router) replication() int {
-	if rt.cfg.Replication <= 0 {
-		return DefaultReplication
-	}
-	return rt.cfg.Replication
-}
-
 func (rt *Router) healthLoop() {
 	defer close(rt.loopDone)
-	t := time.NewTicker(rt.healthInterval())
+	t := time.NewTicker(rt.cfg.HealthInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -279,8 +287,7 @@ func (rt *Router) healthLoop() {
 // entirely: an operator took them out, only an undrain lets them back.
 // It is the only path back into the ring after an ejection.
 func (rt *Router) CheckHealth() {
-	for _, b := range rt.cfg.Backends {
-		backend := strings.TrimRight(b, "/")
+	for _, backend := range rt.cfg.Backends {
 		if rt.isDrained(backend) {
 			continue
 		}
@@ -299,9 +306,6 @@ func (rt *Router) CheckHealth() {
 				rt.readmissions.Inc()
 			}
 		case !healthy:
-			rt.healthMu.Lock()
-			delete(rt.streak, backend)
-			rt.healthMu.Unlock()
 			rt.eject(backend)
 		}
 	}
@@ -314,31 +318,27 @@ func (rt *Router) isDrained(backend string) bool {
 	return ok
 }
 
-// eject removes a backend from the ring and forgets everything that
-// assumed it was alive: its readmission streak, its replica-fill
-// completions (a restarted process comes back with an empty cache), and
-// the session pins that pointed at it (their sessions died with the
-// process; keeping the pins would leak them forever and turn every
-// request into a doomed proxy attempt). No-op for non-members.
+// eject takes a dead backend out of the ring, counting the ejection if
+// it was a member, and forgets everything that assumed it was alive:
+// its readmission streak, its settled replica fills (a restarted
+// process comes back with an empty cache) and its settled session pins
+// (their sessions died with the process; keeping the pins would leak
+// them forever and turn every request into a doomed proxy attempt).
+// The forgetting runs for a non-member too: a drained shard has left
+// the ring already, and its pins still go when it dies. Pins a drain
+// is moving are the drain's to settle.
 func (rt *Router) eject(backend string) {
-	if !rt.ring.Has(backend) {
-		return
+	if rt.ring.Has(backend) {
+		rt.ring.Remove(backend)
+		rt.ejections.Inc()
 	}
-	rt.ring.Remove(backend)
-	rt.ejections.Inc()
 
 	rt.healthMu.Lock()
 	delete(rt.streak, backend)
 	rt.healthMu.Unlock()
 
 	rt.forgetFills(backend)
-	rt.dropPins(backend)
-}
 
-// dropPins forgets the settled session pins on a dead backend: their
-// sessions died with it. Pins a drain is moving are the drain's to
-// settle.
-func (rt *Router) dropPins(backend string) {
 	rt.sessMu.Lock()
 	for id, pin := range rt.sessions {
 		if pin.backend == backend && pin.moving == nil {
@@ -355,8 +355,8 @@ func (rt *Router) probe(backend string) bool {
 	}
 	// The probe deadline rides on the request, not a context, so one
 	// hung backend cannot stall the whole sweep past its own budget.
-	c := *rt.client
-	c.Timeout = rt.healthTimeout()
+	c := *rt.cfg.Client
+	c.Timeout = rt.cfg.HealthTimeout
 	resp, err := c.Do(req)
 	if err != nil {
 		return false
@@ -376,7 +376,7 @@ func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /schedule", rt.handleByTrace)
 	mux.HandleFunc("POST /schedule/batch", rt.handleByTrace)
-	mux.HandleFunc("POST /session", rt.handleSessionCreate)
+	mux.HandleFunc("POST /session", rt.handleByTrace)
 	mux.HandleFunc("GET /session/{id}", rt.handleBySession)
 	mux.HandleFunc("DELETE /session/{id}", rt.handleBySession)
 	mux.HandleFunc("POST /session/{id}/delta", rt.handleBySession)
@@ -389,16 +389,10 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// routeInfo is what the router extracts from a schedule-class body: the
-// ring key (the trace fingerprint, exactly the cache key every shard
-// uses, which is what makes routing and caching agree) and the body it
-// came from, whose trace text a replica prefill needs.
-type routeInfo struct {
-	key  []byte
-	body []byte
-}
-
-// routeKey resolves a schedule-class body to its ring key. A body routed
+// routeKey resolves a trace-carrying body to its trace summary, whose
+// fingerprint is the ring key (exactly the cache key every shard uses,
+// which is what makes routing and caching agree) and whose fingerprint
+// and shape name the table a replica prefill asks for. A body routed
 // before resolves through the alias with no JSON decode at all. A new
 // body is probed for its trace text, which resolves through the alias
 // too if it was routed before under another body (a new spec, or the
@@ -407,102 +401,104 @@ type routeInfo struct {
 // decoded cleanly, so a malformed one is refused on every repeat. A
 // body whose trace text was found counts one alias hit or miss; a body
 // refused before its text lookup counts neither.
-func (rt *Router) routeKey(body []byte) (routeInfo, error) {
+func (rt *Router) routeKey(body []byte) (trace.Summary, error) {
 	bodyKey := trace.HashBody(body)
-	sum, ok := rt.alias.Lookup(bodyKey)
-	if ok {
+	if sum, ok := rt.alias.Lookup(bodyKey); ok {
 		rt.aliasHits.Inc()
 		rt.aliasBodyHits.Inc()
+		return sum, nil
+	}
+	text, err := service.TraceText(body)
+	if err != nil {
+		return trace.Summary{}, unroutable(err)
+	}
+	textKey := trace.HashText(text)
+	sum, ok := rt.alias.Lookup(textKey)
+	if ok {
+		rt.aliasHits.Inc()
 	} else {
-		text, err := service.TraceText(body)
+		rt.aliasMisses.Inc()
+		tr, err := trace.Decode(strings.NewReader(text))
 		if err != nil {
-			return routeInfo{}, fmt.Errorf("cluster: unroutable body: %v", err)
+			return trace.Summary{}, unroutable(err)
 		}
-		textKey := trace.HashText(text)
-		if sum, ok = rt.alias.Lookup(textKey); ok {
-			rt.aliasHits.Inc()
-		} else {
-			rt.aliasMisses.Inc()
-			tr, err := trace.Decode(strings.NewReader(text))
-			if err != nil {
-				return routeInfo{}, fmt.Errorf("cluster: unroutable body: %v", err)
-			}
-			sum = trace.Summary{Fingerprint: tr.Fingerprint(), Shape: tr.Shape()}
-			rt.alias.Add(textKey, sum)
-		}
-		rt.alias.Add(bodyKey, sum)
+		sum = trace.Summary{Fingerprint: tr.Fingerprint(), Shape: tr.Shape()}
+		rt.alias.Add(textKey, sum)
 	}
-	fp := sum.Fingerprint
-	return routeInfo{key: fp[:], body: body}, nil
+	rt.alias.Add(bodyKey, sum)
+	return sum, nil
 }
 
+func unroutable(err error) error {
+	return &routeError{status: http.StatusBadRequest, msg: "cluster: unroutable body: " + err.Error()}
+}
+
+// handleByTrace routes a trace-carrying body — a schedule, a batch or a
+// session create — to its key's owner. A 2xx schedule pushes the key's
+// table to its replicas; a 201 session create pins the session to the
+// shard that made it (a session's table is its own, not the cache's,
+// so there is nothing to push).
 func (rt *Router) handleByTrace(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
+	body, err := rt.readBody(w, r)
+	var sum trace.Summary
+	if err == nil {
+		sum, err = rt.routeKey(body)
 	}
-	info, err := rt.routeKey(body)
 	if err != nil {
 		rt.badRequests.Inc()
-		routerError(w, http.StatusBadRequest, err.Error())
+		writeError(w, err)
 		return
 	}
-	res := rt.forwardByKey(r, info.key, body)
-	if res.rr != nil && res.rr.status/100 == 2 {
-		rt.maybeFillReplicas(info, res.backend)
-	}
-	rt.writeResult(w, res)
-}
-
-func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	info, err := rt.routeKey(body)
+	rr, err := rt.forwardByKey(r, sum.Fingerprint[:], body)
 	if err != nil {
-		rt.badRequests.Inc()
-		routerError(w, http.StatusBadRequest, err.Error())
+		writeError(w, err)
 		return
 	}
-	res := rt.forwardByKey(r, info.key, body)
-	if res.rr != nil && res.rr.status == http.StatusCreated {
+	if r.URL.Path != "/session" {
+		if rr.status/100 == 2 {
+			rt.maybeFillReplicas(sum, rr.backend)
+		}
+	} else if rr.status == http.StatusCreated {
 		var created struct {
 			SessionID string `json:"session_id"`
 		}
-		if json.Unmarshal(res.rr.body, &created) == nil && created.SessionID != "" {
-			rt.pinSession(created.SessionID, res.backend)
+		if json.Unmarshal(rr.body, &created) == nil && created.SessionID != "" {
+			rt.pinSession(created.SessionID, rr.backend)
 		}
 	}
-	rt.writeResult(w, res)
+	rt.writeResponse(w, rr)
 }
 
 func (rt *Router) handleBySession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	backend, ok := rt.sessionBackend(r.Context(), id)
 	if !ok {
-		routerError(w, http.StatusNotFound, "cluster: unknown session "+id)
+		writeError(w, &routeError{status: http.StatusNotFound, msg: "cluster: unknown session " + id})
 		return
 	}
-	body, ok := rt.readBody(w, r)
-	if !ok {
+	body, err := rt.readBody(w, r)
+	if err != nil {
+		rt.badRequests.Inc()
+		writeError(w, err)
 		return
 	}
-	res := rt.sendResult(r.Context(), r.Method, backend, r.URL.Path, r.URL.RawQuery,
+	rr, err := rt.send(r.Context(), r.Method, backend, r.URL.Path, r.URL.RawQuery,
 		r.Header.Get("Content-Type"), body, "")
-	if res.rr == nil && res.connErr {
-		// The pinned shard is gone, and the session's state with it:
-		// eject now and drop this and its sibling pins (a drained shard
-		// has left the ring already, so eject alone would not) so the
-		// next request gets a clean 404 instead of another doomed proxy.
-		rt.eject(backend)
-		rt.dropPins(backend)
-		res.errMsg = "cluster: session backend unreachable: " + res.errMsg
+	if err != nil {
+		if isConnError(err) {
+			// The pinned shard is gone, and the session's state with it:
+			// eject it and drop this and its sibling pins, so the next
+			// request gets a clean 404 instead of another doomed proxy.
+			rt.eject(backend)
+			err = &routeError{status: http.StatusServiceUnavailable, msg: "cluster: session backend unreachable: " + err.Error()}
+		}
+		writeError(w, err)
+		return
 	}
-	status := rt.writeResult(w, res)
+	rt.writeResponse(w, rr)
 	// Any 2xx DELETE means the shard no longer owns the session; a pin
 	// that only fell on exactly 204 leaked an entry per deleted session.
-	if r.Method == http.MethodDelete && status/100 == 2 {
+	if r.Method == http.MethodDelete && rr.status/100 == 2 {
 		rt.unpinSession(id)
 	}
 }
@@ -543,19 +539,19 @@ func (rt *Router) unpinSession(id string) {
 	rt.sessMu.Unlock()
 }
 
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := readAllSized(http.MaxBytesReader(w, r.Body, rt.maxBodyBytes()), r.ContentLength)
+// readBody reads a request body within MaxBodyBytes; a body over it is
+// a 413, any other read failure a 400.
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := readAllSized(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), r.ContentLength)
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		rt.badRequests.Inc()
-		routerError(w, status, "cluster: read request: "+err.Error())
-		return nil, false
+		return nil, &routeError{status: status, msg: "cluster: read request: " + err.Error()}
 	}
-	return body, true
+	return body, nil
 }
 
 // maxPresize caps the buffer readAllSized allocates on a declared
@@ -592,62 +588,45 @@ func readAllSized(r io.Reader, declared int64) ([]byte, error) {
 	}
 }
 
-// forwardResult is the outcome of one routed request: either a fully
-// received backend response (rr set, backend naming who answered) or a
-// router-generated error (errStatus/errMsg, with retryAfter for shed
-// responses and connErr marking transport-level failures).
-type forwardResult struct {
-	rr         *relayedResponse
-	backend    string
-	errStatus  int
-	errMsg     string
-	retryAfter string
-	connErr    bool
-}
-
 // forwardByKey resolves the key's owner and forwards, ejecting the
 // owner and retrying once on the key's next owner — with replication,
 // the replica that already holds the table — if the first connection
 // fails. r supplies method, path, query, content type and the context
 // bounding the exchange.
-func (rt *Router) forwardByKey(r *http.Request, key, body []byte) forwardResult {
-	ctx := r.Context()
+func (rt *Router) forwardByKey(r *http.Request, key, body []byte) (*relayedResponse, error) {
 	backend, ok := rt.ring.Owner(key)
 	if !ok {
 		rt.noBackend.Inc()
-		return forwardResult{
-			errStatus:  http.StatusServiceUnavailable,
-			errMsg:     "cluster: no healthy backends",
-			retryAfter: strconv.Itoa(int(rt.healthInterval().Seconds()) + 1),
-		}
+		return nil, rt.shed("cluster: no healthy backends")
 	}
-	res := rt.sendResult(ctx, r.Method, backend, r.URL.Path, r.URL.RawQuery,
-		r.Header.Get("Content-Type"), body, rt.peerHintFor(key, backend))
-	if res.rr != nil || !res.connErr {
-		return res
+	forward := func(backend string) (*relayedResponse, error) {
+		return rt.send(r.Context(), r.Method, backend, r.URL.Path, r.URL.RawQuery,
+			r.Header.Get("Content-Type"), body, rt.peerHintFor(key, backend))
+	}
+	rr, err := forward(backend)
+	if err == nil || !isConnError(err) {
+		return rr, err
 	}
 	// The backend is unreachable: eject it now rather than waiting out
 	// a health interval, then rerun ownership on the shrunken ring. The
 	// request itself never reached a scheduler, so the retry cannot
 	// double-execute anything.
 	rt.eject(backend)
-	next, ok := rt.ring.Owner(key)
-	if ok && next != backend {
+	if next, ok := rt.ring.Owner(key); ok && next != backend {
 		rt.retries.Inc()
-		res2 := rt.sendResult(ctx, r.Method, next, r.URL.Path, r.URL.RawQuery,
-			r.Header.Get("Content-Type"), body, rt.peerHintFor(key, next))
-		if res2.rr != nil || !res2.connErr {
-			return res2
+		rr, err = forward(next)
+		if err == nil || !isConnError(err) {
+			return rr, err
 		}
-		res = res2
 	}
 	rt.noBackend.Inc()
-	return forwardResult{
-		errStatus:  http.StatusServiceUnavailable,
-		errMsg:     "cluster: backend unreachable: " + res.errMsg,
-		retryAfter: strconv.Itoa(int(rt.healthInterval().Seconds()) + 1),
-		connErr:    true,
-	}
+	return nil, rt.shed("cluster: backend unreachable: " + err.Error())
+}
+
+// shed is the router's 503 with no owner left to answer: the client
+// retries after the Retry-After NewRouter derived.
+func (rt *Router) shed(msg string) error {
+	return &routeError{status: http.StatusServiceUnavailable, msg: msg, retryAfter: rt.retryAfter}
 }
 
 // peerHintFor names the backend that owned key before the current owner
@@ -657,72 +636,47 @@ func (rt *Router) peerHintFor(key []byte, owner string) string {
 	if !rt.cfg.PeerFill {
 		return ""
 	}
-	peer, ok := rt.ring.OwnerExcluding(key, owner)
-	if !ok {
-		return ""
-	}
+	peer, _ := rt.ring.OwnerExcluding(key, owner) // "" when owner is alone
 	return peer
 }
 
 // maybeFillReplicas pushes the key's table toward its non-primary
-// owners: for each replica that has not been filled yet, an async POST
-// /table/prefill tells it to adopt the table from the shard that just
-// served the request, over the same pimtab-v2 codec peer fill uses.
-// Fills are deduplicated per (backend, fingerprint) and settled by a
-// success or by a 501 (the replica has no peer-fill hook, so asking
-// again cannot succeed); settled fills are forgotten when the backend
-// is ejected (a crash-restarted process lost its cache, or came back
-// with peer fill on), and never touch the request counters — they are
-// the router's own background traffic, not routed load. Each claimed
-// replica is filled by its own goroutine, which builds the prefill body
-// from the request body, so the trace text is taken out of a body once
-// per unfilled (replica, key), never per request and never under
-// fillMu. Called
+// owners: for each replica the ledger has no entry for, an async POST
+// /table/prefill names the table by fingerprint and shape and tells the
+// replica to adopt it from the shard that just served the request, over
+// the same pimtab-v2 codec peer fill uses. A fill settles on a success
+// or a 501 (the replica has no peer-fill hook, so asking again cannot
+// succeed); settled fills are forgotten when the backend is ejected (a
+// crash-restarted process lost its cache, or came back with peer fill
+// on) or at maxSettledFills. Fills are the router's own background
+// traffic and never touch the request counters. Each runs in its own
+// goroutine, holding the summary and not the request body. Called
 // before the response is relayed, so once a client has its answer the
 // fill is at least in flight (WaitReplicaFills then makes tests
 // deterministic).
-func (rt *Router) maybeFillReplicas(info routeInfo, source string) {
-	if !rt.cfg.PeerFill || rt.replication() < 2 || source == "" {
+func (rt *Router) maybeFillReplicas(sum trace.Summary, source string) {
+	if !rt.cfg.PeerFill || rt.cfg.Replication < 2 {
 		return
 	}
-	owners := rt.ring.Owners(info.key, rt.replication())
-	fp := fmt.Sprintf("%x", info.key)
-	for _, o := range owners {
+	for _, o := range rt.ring.Owners(sum.Fingerprint[:], rt.cfg.Replication) {
 		if o == source {
 			continue
 		}
-		k := o + "|" + fp
+		k := fillKey{backend: o, fp: sum.Fingerprint}
 		rt.fillMu.Lock()
-		_, filled := rt.fillFilled[k]
-		_, inflight := rt.fillInflight[k]
-		if filled || inflight {
+		if _, known := rt.fills[k]; known {
 			rt.fillMu.Unlock()
 			continue
 		}
-		rt.fillInflight[k] = struct{}{}
+		rt.fills[k] = false
 		rt.fillPending++
 		rt.fillMu.Unlock()
-		go rt.fillReplica(k, o, source, info.body)
+		go rt.fillReplica(k, source, sum.Shape)
 	}
 }
 
-// prefillBody builds the POST /table/prefill body for a routed request
-// body. The body's trace decoded cleanly when it was routed, so an error
-// here means that guarantee broke; the fill then fails and is retried on
-// the key's next request.
-func prefillBody(body []byte) ([]byte, error) {
-	text, err := service.TraceText(body)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: prefill body: %v", err)
-	}
-	return json.Marshal(service.PrefillRequest{Trace: text})
-}
-
-func (rt *Router) fillReplica(k, replica, source string, body []byte) {
-	prefill, err := prefillBody(body)
-	if err == nil {
-		err = rt.postPrefill(replica, source, prefill)
-	}
+func (rt *Router) fillReplica(k fillKey, source string, sh trace.Shape) {
+	err := rt.postPrefill(k.backend, source, service.PrefillFor(k.fp, sh))
 	// Count before releasing the claim, so a WaitReplicaFills that
 	// returns sees the fill's outcome in the counters.
 	if err == nil {
@@ -731,16 +685,30 @@ func (rt *Router) fillReplica(k, replica, source string, body []byte) {
 		rt.replicaFillErrs.Inc()
 	}
 	rt.fillMu.Lock()
-	delete(rt.fillInflight, k)
 	if err == nil || errors.Is(err, errPrefillUnsupported) {
-		rt.fillFilled[k] = struct{}{}
+		if rt.settled >= maxSettledFills {
+			for fk, settled := range rt.fills {
+				if settled {
+					delete(rt.fills, fk)
+				}
+			}
+			rt.settled = 0
+		}
+		rt.fills[k] = true
+		rt.settled++
+	} else {
+		delete(rt.fills, k)
 	}
 	rt.fillPending--
 	rt.fillCond.Broadcast()
 	rt.fillMu.Unlock()
 }
 
-func (rt *Router) postPrefill(replica, source string, body []byte) error {
+func (rt *Router) postPrefill(replica, source string, prefill service.PrefillRequest) error {
+	body, err := json.Marshal(prefill)
+	if err != nil {
+		return err
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), replicaFillTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, replica+"/table/prefill", bytes.NewReader(body))
@@ -749,7 +717,7 @@ func (rt *Router) postPrefill(replica, source string, body []byte) error {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(service.PeerHintHeader, source)
-	resp, err := rt.client.Do(req)
+	resp, err := rt.cfg.Client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -771,11 +739,11 @@ var errPrefillUnsupported = errors.New("replica has no peer fill (status 501)")
 // forgetFills drops a backend's settled replica fills so the fills
 // re-run when it returns (a restarted process has an empty cache).
 func (rt *Router) forgetFills(backend string) {
-	prefix := backend + "|"
 	rt.fillMu.Lock()
-	for k := range rt.fillFilled {
-		if strings.HasPrefix(k, prefix) {
-			delete(rt.fillFilled, k)
+	for k, settled := range rt.fills {
+		if settled && k.backend == backend {
+			delete(rt.fills, k)
+			rt.settled--
 		}
 	}
 	rt.fillMu.Unlock()
@@ -792,31 +760,17 @@ func (rt *Router) WaitReplicaFills() {
 	rt.fillMu.Unlock()
 }
 
-// relayedResponse is one fully-received backend response: status plus
-// the headers the router forwards and the buffered body. Buffering
-// (rather than streaming) is deliberate — it pulls mid-stream
+// relayedResponse is one fully-received backend response: who answered,
+// the status, the headers the router forwards and the buffered body.
+// Buffering (rather than streaming) is deliberate — it pulls mid-stream
 // connection cuts into send's error return where the retry logic can
 // see them, and it lets the session-create hook read the bytes.
 type relayedResponse struct {
+	backend    string
 	status     int
 	body       []byte
 	contentTyp string
 	retryAfter string
-}
-
-// sendResult wraps send into a forwardResult, classifying transport
-// errors for the retry logic.
-func (rt *Router) sendResult(ctx context.Context, method, backend, path, rawQuery, contentType string, body []byte, peer string) forwardResult {
-	rr, err := rt.send(ctx, method, backend, path, rawQuery, contentType, body, peer)
-	if err != nil {
-		if isConnError(err) {
-			return forwardResult{backend: backend, errStatus: http.StatusServiceUnavailable,
-				errMsg: err.Error(), connErr: true}
-		}
-		return forwardResult{backend: backend, errStatus: http.StatusBadGateway,
-			errMsg: "cluster: proxy: " + err.Error()}
-	}
-	return forwardResult{rr: rr, backend: backend}
 }
 
 // send issues one proxied request and reads the whole response. Any
@@ -845,7 +799,7 @@ func (rt *Router) send(ctx context.Context, method, backend, path, rawQuery, con
 		req.Header.Set(service.PeerHintHeader, peer)
 		rt.peerHints.Inc()
 	}
-	resp, err := rt.client.Do(req)
+	resp, err := rt.cfg.Client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -857,6 +811,7 @@ func (rt *Router) send(ctx context.Context, method, backend, path, rawQuery, con
 	rt.requests.Inc()
 	rt.latency.ObserveDuration(time.Since(start))
 	return &relayedResponse{
+		backend:    backend,
 		status:     resp.StatusCode,
 		body:       respBody,
 		contentTyp: resp.Header.Get("Content-Type"),
@@ -864,17 +819,8 @@ func (rt *Router) send(ctx context.Context, method, backend, path, rawQuery, con
 	}, nil
 }
 
-// writeResult relays a forwardResult to the client and returns the
-// status actually written.
-func (rt *Router) writeResult(w http.ResponseWriter, res forwardResult) int {
-	if res.rr == nil {
-		if res.retryAfter != "" {
-			w.Header().Set("Retry-After", res.retryAfter)
-		}
-		routerError(w, res.errStatus, res.errMsg)
-		return res.errStatus
-	}
-	rr := res.rr
+// writeResponse relays a backend's response to the client.
+func (rt *Router) writeResponse(w http.ResponseWriter, rr *relayedResponse) {
 	if rr.contentTyp != "" {
 		w.Header().Set("Content-Type", rr.contentTyp)
 	}
@@ -884,7 +830,40 @@ func (rt *Router) writeResult(w http.ResponseWriter, res forwardResult) int {
 	w.Header().Set("Content-Length", strconv.Itoa(len(rr.body)))
 	w.WriteHeader(rr.status)
 	w.Write(rr.body)
-	return rr.status
+}
+
+// routeError is a failure the router answers itself, with no backend
+// response to relay.
+type routeError struct {
+	status     int
+	msg        string
+	retryAfter string
+}
+
+func (e *routeError) Error() string { return e.msg }
+
+// writeError is the router's error contract: the one map from a failed
+// routing step to the response written.
+//
+//	*routeError   its own status, message and Retry-After:
+//	              400 an unreadable or unroutable body, or an admin call
+//	                  without ?backend=
+//	              413 a body over MaxBodyBytes
+//	              404 an unknown session or admin backend
+//	              503 + Retry-After: no owner left to answer (an empty
+//	                  ring, or the owner and its retry both unreachable)
+//	              503 a pinned session's shard unreachable
+//	anything else 502: the exchange with a live backend failed other
+//	              than at the connection
+func writeError(w http.ResponseWriter, err error) {
+	var re *routeError
+	if !errors.As(err, &re) {
+		re = &routeError{status: http.StatusBadGateway, msg: "cluster: proxy: " + err.Error()}
+	}
+	if re.retryAfter != "" {
+		w.Header().Set("Retry-After", re.retryAfter)
+	}
+	routerJSON(w, re.status, map[string]string{"error": re.msg})
 }
 
 // handleDrain administratively removes a backend: its pinned sessions
@@ -1001,16 +980,14 @@ func (rt *Router) handleUndrain(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) adminBackend(w http.ResponseWriter, r *http.Request) (string, bool) {
 	backend := strings.TrimRight(r.URL.Query().Get("backend"), "/")
 	if backend == "" {
-		routerError(w, http.StatusBadRequest, "cluster: missing ?backend= parameter")
+		writeError(w, &routeError{status: http.StatusBadRequest, msg: "cluster: missing ?backend= parameter"})
 		return "", false
 	}
-	for _, b := range rt.cfg.Backends {
-		if strings.TrimRight(b, "/") == backend {
-			return backend, true
-		}
+	if !slices.Contains(rt.cfg.Backends, backend) {
+		writeError(w, &routeError{status: http.StatusNotFound, msg: "cluster: unknown backend " + backend})
+		return "", false
 	}
-	routerError(w, http.StatusNotFound, "cluster: unknown backend "+backend)
-	return "", false
+	return backend, true
 }
 
 // replayable reports whether a proxied request may be sent twice: only
@@ -1034,7 +1011,7 @@ func isConnError(err error) bool {
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if rt.ring.Len() == 0 {
-		routerError(w, http.StatusServiceUnavailable, "cluster: no healthy backends")
+		writeError(w, &routeError{status: http.StatusServiceUnavailable, msg: "cluster: no healthy backends"})
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -1080,15 +1057,11 @@ func (rt *Router) Stats() RouterStats {
 	}
 	rt.healthMu.Unlock()
 	sort.Strings(drained)
-	known := make([]string, len(rt.cfg.Backends))
-	for i, b := range rt.cfg.Backends {
-		known[i] = strings.TrimRight(b, "/")
-	}
 	return RouterStats{
-		Backends:            known,
+		Backends:            slices.Clone(rt.cfg.Backends),
 		Healthy:             rt.ring.Members(),
 		Drained:             drained,
-		Replication:         rt.replication(),
+		Replication:         rt.cfg.Replication,
 		Requests:            rt.requests.Value(),
 		BadRequests:         rt.badRequests.Value(),
 		Retries:             rt.retries.Value(),
@@ -1113,10 +1086,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(rt.Stats())
-}
-
-func routerError(w http.ResponseWriter, status int, msg string) {
-	routerJSON(w, status, map[string]string{"error": msg})
 }
 
 func routerJSON(w http.ResponseWriter, status int, v any) {

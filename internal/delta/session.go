@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/costgraph"
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -187,6 +188,9 @@ func (s *Session) Seq() uint64 {
 	defer s.mu.Unlock()
 	return s.seq
 }
+
+// Grid returns the processor array, fixed at creation.
+func (s *Session) Grid() grid.Grid { return s.tr.Grid }
 
 // NumData returns the size of the data space, fixed at creation.
 func (s *Session) NumData() int { return s.tr.NumData }

@@ -236,6 +236,101 @@ func TestImportWrongFingerprintRefusedBeforeAllocating(t *testing.T) {
 	}
 }
 
+// An import refused for its id decodes neither its trace nor its table:
+// both decodes run only after the open step reserved a session slot. At
+// lu 32 on 8x8 the two decodes would allocate about 21 MB.
+func TestDuplicateImportRefusedBeforeDecoding(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	info, err := svc.CreateSession(CreateSessionRequest{Trace: traceText(t, "lu", 32, grid.Square(8)), Algorithm: "gomcds"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := svc.ExportSession(info.SessionID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = svc.ImportSession(*exp)
+	runtime.ReadMemStats(&after)
+	var exists *ErrSessionExists
+	if !errors.As(err, &exists) {
+		t.Fatalf("duplicate-id import: %v, want ErrSessionExists (409)", err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= 1<<20 {
+		t.Fatalf("refusing a duplicate-id import allocated %d bytes, want < 1 MiB", got)
+	}
+	t.Logf("refusing a duplicate-id import allocated %d bytes", got)
+}
+
+// A prefill for a table the shard already holds answers 204 from the
+// cache lookup: the request names the table by fingerprint and shape,
+// so no trace is decoded and nothing is fetched.
+func TestResidentPrefillDecodesNothing(t *testing.T) {
+	svc := New(Config{PeerFill: func(context.Context, trace.Fingerprint, string) (cost.ResidenceTable, error) {
+		return cost.ResidenceTable{}, errors.New("a resident table is never fetched")
+	}})
+	defer svc.Close()
+	text := traceText(t, "lu", 32, grid.Square(8))
+	if _, err := svc.Schedule(context.Background(), Request{Trace: text, Algorithm: "scds"}); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(prefillOf(t, text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	req := httptest.NewRequest(http.MethodPost, "/table/prefill", bytes.NewReader(body))
+	req.Header.Set(PeerHintHeader, "http://peer.invalid")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("prefill of a resident table: status %d, want 204 (%s)", rec.Code, rec.Body.Bytes())
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= 64<<10 {
+		t.Fatalf("prefill of a resident table allocated %d bytes, want < 64 KiB", got)
+	}
+	t.Logf("prefill of a resident table allocated %d bytes", got)
+	if st := svc.Stats(); st.TablesPrefilled != 0 {
+		t.Fatalf("tables_prefilled = %d after a no-op prefill, want 0", st.TablesPrefilled)
+	}
+}
+
+// A prefill body is exactly a PrefillRequest: a trace-carrying body (the
+// old form) is refused, and so is a shape that could not name a table,
+// before anything is fetched.
+func TestPrefillRefusesBadBodies(t *testing.T) {
+	svc := New(Config{PeerFill: func(context.Context, trace.Fingerprint, string) (cost.ResidenceTable, error) {
+		t.Error("a refused prefill fetched")
+		return cost.ResidenceTable{}, errors.New("unreachable")
+	}})
+	defer svc.Close()
+	text := traceText(t, "lu", 4, grid.Square(2))
+	good := prefillOf(t, text)
+	for name, body := range map[string]any{
+		"trace body":       map[string]string{"trace": text},
+		"bad fingerprint":  PrefillRequest{Fingerprint: "zz", Width: 2, Height: 2, NumData: 1, NumWindows: 1},
+		"zero width":       PrefillRequest{Fingerprint: good.Fingerprint, Width: 0, Height: 2, NumData: 1, NumWindows: 1},
+		"negative height":  PrefillRequest{Fingerprint: good.Fingerprint, Width: 2, Height: -1, NumData: 1, NumWindows: 1},
+		"negative windows": PrefillRequest{Fingerprint: good.Fingerprint, Width: 2, Height: 2, NumData: 1, NumWindows: -1},
+		"over cell budget": PrefillRequest{Fingerprint: good.Fingerprint, Width: 1 << 20, Height: 1 << 20, NumData: 1 << 20, NumWindows: 1 << 20},
+	} {
+		r := newReq(t, http.MethodPost, "/table/prefill", body)
+		r.Header.Set(PeerHintHeader, "http://peer.invalid")
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, r)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", name, rec.Code, rec.Body.Bytes())
+		}
+	}
+}
+
 // readSpy is a request body that records whether anything read it.
 type readSpy struct {
 	r    io.Reader
@@ -247,13 +342,23 @@ func (s *readSpy) Read(p []byte) (int, error) {
 	return s.r.Read(p)
 }
 
+// prefillOf names text's table in a prefill request, as the router
+// does from the summary it routed the trace by.
+func prefillOf(t testing.TB, text string) PrefillRequest {
+	t.Helper()
+	tr, err := trace.Decode(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return PrefillFor(tr.Fingerprint(), tr.Shape())
+}
+
 // A shard without a peer-fill hook answers a prefill 501 before it
-// reads the body: the router's push carries the whole trace text, and
-// decoding it for a refusal is waste.
+// reads the body: decoding a request it must refuse anyway is waste.
 func TestPrefillWithoutPeerFill501BeforeBody(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
-	body, err := json.Marshal(PrefillRequest{Trace: traceText(t, "lu", 4, grid.Square(2))})
+	body, err := json.Marshal(prefillOf(t, traceText(t, "lu", 4, grid.Square(2))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +453,7 @@ func TestErrorContract(t *testing.T) {
 		return svc
 	}
 	prefillReq := func(t *testing.T) *http.Request {
-		r := newReq(t, http.MethodPost, "/table/prefill", PrefillRequest{Trace: text})
+		r := newReq(t, http.MethodPost, "/table/prefill", prefillOf(t, text))
 		r.Header.Set(PeerHintHeader, "http://peer.invalid")
 		return r
 	}
@@ -397,6 +502,26 @@ func TestErrorContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				return svc, newReq(t, http.MethodPost, "/session/import", exp)
+			},
+			status: http.StatusConflict,
+			msg:    "service: session already exists: ",
+		},
+		{
+			// The id is refused before the payload is decoded, so a
+			// duplicate carrying a bad table is a 409, not a 400.
+			name: "409 duplicate import with a bad table",
+			prepare: func(t *testing.T) (*Service, *http.Request) {
+				svc := newSvc(t, Config{})
+				info, err := svc.CreateSession(CreateSessionRequest{Trace: text, Algorithm: "gomcds"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				exp, err := svc.ExportSession(info.SessionID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exp.Table = exp.Table[:8]
 				return svc, newReq(t, http.MethodPost, "/session/import", exp)
 			},
 			status: http.StatusConflict,

@@ -75,7 +75,7 @@ func (s *Service) scheduleBatch(ctx context.Context, req BatchRequest) (*BatchRe
 	if len(req.Requests) == 0 {
 		return nil, badRequest("empty batch: no request specs")
 	}
-	if max := s.cfg.maxBatchSpecs(); len(req.Requests) > max {
+	if max := s.cfg.MaxBatchSpecs; len(req.Requests) > max {
 		return nil, badRequest("batch carries %d specs, limit %d", len(req.Requests), max)
 	}
 	// Specs are validated up front so a malformed batch is rejected
@@ -122,11 +122,4 @@ func specError(err error) string {
 		return re.Err.Error()
 	}
 	return err.Error()
-}
-
-func (c Config) maxBatchSpecs() int {
-	if c.MaxBatchSpecs <= 0 {
-		return DefaultMaxBatchSpecs
-	}
-	return c.MaxBatchSpecs
 }

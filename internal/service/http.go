@@ -20,7 +20,7 @@ import (
 //	POST   /schedule[?verify=true]     run a scheduler over an inline trace
 //	POST   /schedule/batch             run many specs over one shared trace
 //	GET    /table/{fingerprint}        serve a cached residence table (peer fill)
-//	POST   /table/prefill              adopt a trace's table from a peer (replication)
+//	POST   /table/prefill              adopt a named table from a peer (replication)
 //	POST   /session                    open an incremental session
 //	GET    /session/{id}               describe a session
 //	POST   /session/{id}/delta         apply one trace delta
@@ -222,7 +222,7 @@ func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool
 // with putBuffer once nothing reads its bytes.
 func (s *Service) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
 	buf := getBuffer()
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
 		putBuffer(buf)
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
@@ -362,11 +362,13 @@ func (s *Service) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTablePrefill is the push side of replicated ownership: the
-// router names a trace and a peer, and this shard pulls the table from
-// that peer into its cache. 204 on success or no-op; 501 when the
-// service has no peer-fill hook, answered before the body is read (the
-// router settles the fill for good); 502 when the peer fetch failed
-// (the router retries on the key's next request).
+// router names a table (fingerprint and shape) and a peer, and this
+// shard pulls the table from that peer into its cache. 204 on success
+// or no-op; 400 for a body that is not exactly a PrefillRequest (a
+// trace-carrying one included); 501 when the service has no peer-fill
+// hook, answered before the body is read (the router settles the fill
+// for good); 502 when the peer fetch failed (the router retries on the
+// key's next request).
 func (s *Service) handleTablePrefill(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.PeerFill == nil {
 		s.writeError(w, ErrNoPeerFill)

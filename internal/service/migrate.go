@@ -82,19 +82,23 @@ func (s *Service) ImportSession(exp SessionExport) (*SessionInfo, error) {
 	if err != nil {
 		return nil, &RequestError{Err: err}
 	}
-	tr, err := s.admitTrace(nil, exp.Trace)
-	if err != nil {
-		return nil, err
-	}
-	// The shipped table is decoded for the session's fingerprint and
-	// under the same cell budget the trace guard enforces: a payload for
-	// another trace, or whose header declares more cells than this shard
-	// would build, is refused before anything is allocated.
-	table, err := cost.DecodeTable(exp.Table, wantFP, s.cfg.maxTableCells())
-	if err != nil {
-		return nil, &RequestError{Err: err}
-	}
-	info, err := s.openSession(exp.SessionID, tr, func(opts delta.Options) (*delta.Session, error) {
+	// The trace and the table are decoded only once the open step holds
+	// a session slot, so an import refused for its id (409), the session
+	// limit (429) or shutdown (503) decodes neither.
+	info, err := s.openSession(exp.SessionID, func(opts delta.Options) (*delta.Session, error) {
+		tr, err := s.admitTrace(nil, exp.Trace)
+		if err != nil {
+			return nil, err
+		}
+		// The shipped table is decoded for the session's fingerprint and
+		// under the same cell budget the trace guard enforces: a payload
+		// for another trace, or whose header declares more cells than
+		// this shard would build, is refused before anything is
+		// allocated.
+		table, err := cost.DecodeTable(exp.Table, wantFP, s.cfg.MaxTableCells)
+		if err != nil {
+			return nil, &RequestError{Err: err}
+		}
 		sess, err := delta.RestoreSession(tr, scheduler, exp.Capacity, exp.Seq, table, opts)
 		if err != nil {
 			return nil, &RequestError{Err: err}

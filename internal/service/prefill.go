@@ -3,6 +3,9 @@ package service
 import (
 	"context"
 	"errors"
+
+	"repro/internal/grid"
+	"repro/internal/trace"
 )
 
 // PrefillRequest asks a shard to adopt a trace's residence table from a
@@ -10,14 +13,31 @@ import (
 // ownership. The router sends it to a key's replica owners right after
 // the primary serves the key, naming the primary in the X-Pim-Peer
 // header; the replica fetches the table over the same GET
-// /table/{fingerprint} codec peer fill uses.
+// /table/{fingerprint} codec peer fill uses. The request names the
+// table by the trace's fingerprint (hex) and declared shape, which the
+// router already holds from routing it; the trace itself never travels.
 type PrefillRequest struct {
-	Trace string `json:"trace"`
+	Fingerprint string `json:"fingerprint"`
+	Width       int    `json:"width"`
+	Height      int    `json:"height"`
+	NumData     int    `json:"num_data"`
+	NumWindows  int    `json:"num_windows"`
 
 	// PeerHint is the base URL of the shard holding the table, set by
 	// the HTTP layer from the X-Pim-Peer header — never from the body,
 	// for the same reason as Request.PeerHint.
 	PeerHint string `json:"-"`
+}
+
+// PrefillFor returns the prefill request naming fp's table of shape sh.
+func PrefillFor(fp trace.Fingerprint, sh trace.Shape) PrefillRequest {
+	return PrefillRequest{
+		Fingerprint: fp.String(),
+		Width:       sh.Grid.Width(),
+		Height:      sh.Grid.Height(),
+		NumData:     sh.NumData,
+		NumWindows:  sh.NumWindows,
+	}
 }
 
 // ErrNoPeerFill reports a prefill request on a service that has no
@@ -37,13 +57,16 @@ func (e *prefillFetchError) Error() string {
 }
 func (e *prefillFetchError) Unwrap() error { return e.err }
 
-// Prefill adopts the residence table for req.Trace from the hinted
-// peer. It is deliberately asymmetric to Schedule's resolveTable: the
-// fetch happens before the cache is touched, so a failed fetch strands
-// no waiters and counts no cache miss; an already-resident (or
-// in-flight) fingerprint is a cheap no-op. A successful adoption bumps
-// tables_prefilled — never tables_built or peer_fills, which stay
-// about demand traffic.
+// Prefill adopts the residence table req names from the hinted peer.
+// No trace is decoded: the declared shape is checked against the cell
+// budget before anything is fetched, and the fetched table must carry
+// req's fingerprint and match that shape (Service.peerTable, the check
+// every adopted table passes). It is deliberately asymmetric to
+// Schedule's resolveTable: the fetch happens before the cache is
+// touched, so a failed fetch strands no waiters and counts no cache
+// miss; an already-resident (or in-flight) fingerprint is a cheap
+// no-op. A successful adoption bumps tables_prefilled — never
+// tables_built or peer_fills, which stay about demand traffic.
 func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 	if s.cfg.PeerFill == nil {
 		return ErrNoPeerFill
@@ -51,8 +74,17 @@ func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 	if req.PeerHint == "" {
 		return badRequest("prefill without %s header", PeerHintHeader)
 	}
-	tr, err := s.admitTrace(nil, req.Trace)
+	fp, err := trace.ParseFingerprint(req.Fingerprint)
 	if err != nil {
+		return &RequestError{Err: err}
+	}
+	// grid.New panics on a non-positive dimension.
+	if req.Width <= 0 || req.Height <= 0 || req.NumData < 0 || req.NumWindows < 0 {
+		return badRequest("prefill shape %dx%d grid, %d data, %d windows: grid dimensions must be positive, counts non-negative",
+			req.Width, req.Height, req.NumData, req.NumWindows)
+	}
+	sh := trace.Shape{Grid: grid.New(req.Width, req.Height), NumData: req.NumData, NumWindows: req.NumWindows}
+	if err := s.checkTraceScale(sh); err != nil {
 		return err
 	}
 
@@ -61,12 +93,11 @@ func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 	}
 	defer s.wg.Done()
 
-	fp := tr.Fingerprint()
 	if s.cache.resident(fp) {
 		return nil // already resident (either tier); nothing to transfer
 	}
 
-	table, err := s.peerTable(fp, tr.Shape(), req.PeerHint)
+	table, err := s.peerTable(fp, sh, req.PeerHint)
 	if err != nil {
 		return &prefillFetchError{peer: req.PeerHint, err: err}
 	}

@@ -164,34 +164,6 @@ type PeerFillFunc func(ctx context.Context, fp trace.Fingerprint, peerURL string
 // Config.PeerFillTimeout is zero.
 const DefaultPeerFillTimeout = 500 * time.Millisecond
 
-func (c Config) peerFillTimeout() time.Duration {
-	if c.PeerFillTimeout <= 0 {
-		return DefaultPeerFillTimeout
-	}
-	return c.PeerFillTimeout
-}
-
-func (c Config) cacheBytes() int64 {
-	if c.CacheBytes <= 0 {
-		return DefaultCacheBytes
-	}
-	return c.CacheBytes
-}
-
-func (c Config) maxBodyBytes() int64 {
-	if c.MaxBodyBytes <= 0 {
-		return DefaultMaxBodyBytes
-	}
-	return c.MaxBodyBytes
-}
-
-func (c Config) maxTableCells() int64 {
-	if c.MaxTableCells <= 0 {
-		return DefaultMaxTableCells
-	}
-	return c.MaxTableCells
-}
-
 // checkTraceScale rejects a trace whose declared shape implies a
 // residence table over the cell budget. The product is taken in
 // float64: each factor has already been validated non-negative, but
@@ -200,9 +172,9 @@ func (c Config) maxTableCells() int64 {
 func (s *Service) checkTraceScale(sh trace.Shape) error {
 	cells := float64(sh.NumWindows) * float64(sh.NumData) *
 		float64(sh.Grid.Width()) * float64(sh.Grid.Height())
-	if cells > float64(s.cfg.maxTableCells()) {
+	if cells > float64(s.cfg.MaxTableCells) {
 		return badRequest("trace shape %d windows x %d data x %s implies %.3g residence-table cells, limit %d",
-			sh.NumWindows, sh.NumData, sh.Grid, cells, s.cfg.maxTableCells())
+			sh.NumWindows, sh.NumData, sh.Grid, cells, s.cfg.MaxTableCells)
 	}
 	return nil
 }
@@ -229,8 +201,8 @@ func (s *Service) admitTrace(stages obs.Stages, text string) (*trace.Trace, erro
 
 // boundTrace refuses a trace text longer than the body limit.
 func (s *Service) boundTrace(text string) error {
-	if int64(len(text)) > s.cfg.maxBodyBytes() {
-		return badRequest("trace text %d bytes exceeds limit %d", len(text), s.cfg.maxBodyBytes())
+	if int64(len(text)) > s.cfg.MaxBodyBytes {
+		return badRequest("trace text %d bytes exceeds limit %d", len(text), s.cfg.MaxBodyBytes)
 	}
 	return nil
 }
@@ -401,7 +373,25 @@ type Service struct {
 
 // New returns a Service with the given configuration.
 func New(cfg Config) *Service {
-	s := &Service{cfg: cfg, cache: newTableCache(cfg.cacheBytes(), !cfg.DisableColdTier), alias: trace.NewAlias[aliasEntry](),
+	if cfg.CacheBytes <= 0 {
+		cfg.CacheBytes = DefaultCacheBytes
+	}
+	if cfg.MaxBodyBytes <= 0 {
+		cfg.MaxBodyBytes = DefaultMaxBodyBytes
+	}
+	if cfg.MaxSessions <= 0 {
+		cfg.MaxSessions = DefaultMaxSessions
+	}
+	if cfg.MaxBatchSpecs <= 0 {
+		cfg.MaxBatchSpecs = DefaultMaxBatchSpecs
+	}
+	if cfg.MaxTableCells <= 0 {
+		cfg.MaxTableCells = DefaultMaxTableCells
+	}
+	if cfg.PeerFillTimeout <= 0 {
+		cfg.PeerFillTimeout = DefaultPeerFillTimeout
+	}
+	s := &Service{cfg: cfg, cache: newTableCache(cfg.CacheBytes, !cfg.DisableColdTier), alias: trace.NewAlias[aliasEntry](),
 		sessions: make(map[string]*sessionEntry)}
 	if cfg.MaxInflight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInflight)
@@ -957,7 +947,7 @@ func awaitEntry(stages obs.Stages, entry *cacheEntry) cacheOutcome {
 // — the same paranoia peer fill applies, because a promoted table feeds
 // schedules exactly like an adopted one.
 func (s *Service) decodePromoted(comp []byte, fp trace.Fingerprint, sh trace.Shape) (cost.ResidenceTable, error) {
-	table, err := cost.DecodeTable(comp, fp, s.cfg.maxTableCells())
+	table, err := cost.DecodeTable(comp, fp, s.cfg.MaxTableCells)
 	if err != nil {
 		return cost.ResidenceTable{}, err
 	}
@@ -989,7 +979,7 @@ func (s *Service) fetchPeerTable(stages obs.Stages, fp trace.Fingerprint, sh tra
 // is independent of any request context: a builder's work survives an
 // abandoned requester, and the fetch must stay bounded either way.
 func (s *Service) peerTable(fp trace.Fingerprint, sh trace.Shape, peerURL string) (cost.ResidenceTable, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.peerFillTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PeerFillTimeout)
 	defer cancel()
 	table, err := s.cfg.PeerFill(ctx, fp, peerURL)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/delta"
-	"repro/internal/trace"
 )
 
 // DefaultMaxSessions bounds concurrently live incremental sessions when
@@ -86,13 +85,6 @@ type sessionEntry struct {
 	closed bool
 }
 
-func (c Config) maxSessions() int {
-	if c.MaxSessions <= 0 {
-		return DefaultMaxSessions
-	}
-	return c.MaxSessions
-}
-
 // CreateSession decodes the starting trace, builds a session (its own
 // model and residence table, counted in tables_built exactly once — no
 // table work ever runs again for this session's deltas), and registers
@@ -106,7 +98,7 @@ func (s *Service) CreateSession(req CreateSessionRequest) (*SessionInfo, error) 
 	if err != nil {
 		return nil, err
 	}
-	info, err := s.openSession("", tr, func(opts delta.Options) (*delta.Session, error) {
+	info, err := s.openSession("", func(opts delta.Options) (*delta.Session, error) {
 		sess, err := delta.NewSession(tr, scheduler, req.Capacity, opts)
 		if err != nil {
 			return nil, &RequestError{Err: err}
@@ -125,15 +117,16 @@ func (s *Service) CreateSession(req CreateSessionRequest) (*SessionInfo, error) 
 // by CreateSession and ImportSession. The fence reserves a MaxSessions
 // slot — counting opens still in flight, so racing opens never build
 // more sessions than the limit admits — and refuses an id already live.
-// open then builds or restores the session outside s.mu, so a slow
-// model build stalls no other request, and the session is inserted, or
-// its reservation released if open failed. id "" mints a fresh id.
-func (s *Service) openSession(id string, tr *trace.Trace, open func(delta.Options) (*delta.Session, error)) (*SessionInfo, error) {
+// open then decodes and builds or restores the session outside s.mu,
+// so a slow model build stalls no other request, and the session is
+// inserted, or its reservation released if open failed. id "" mints a
+// fresh id.
+func (s *Service) openSession(id string, open func(delta.Options) (*delta.Session, error)) (*SessionInfo, error) {
 	err := s.enter(func() error {
 		if _, ok := s.sessions[id]; ok {
 			return &ErrSessionExists{ID: id}
 		}
-		if n := len(s.sessions) + s.opening; n >= s.cfg.maxSessions() {
+		if n := len(s.sessions) + s.opening; n >= s.cfg.MaxSessions {
 			return fmt.Errorf("%w: %d sessions live", ErrOverloaded, n)
 		}
 		s.opening++
@@ -168,7 +161,7 @@ func (s *Service) openSession(id string, tr *trace.Trace, open func(delta.Option
 	} else if _, ok := s.sessions[id]; ok {
 		return nil, &ErrSessionExists{ID: id} // a racing import of the same id won
 	}
-	e := &sessionEntry{id: id, sess: sess, grid: tr.Grid.String()}
+	e := &sessionEntry{id: id, sess: sess, grid: sess.Grid().String()}
 	s.sessions[id] = e
 	return s.sessionInfo(e), nil
 }

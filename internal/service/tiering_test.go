@@ -93,6 +93,7 @@ func TestCacheTierRaceStress(t *testing.T) {
 		n    int
 	}{{"lu", 8}, {"matsquare", 8}, {"stencil", 8}}
 	reqs := make([]Request, len(kinds))
+	prefills := make([]PrefillRequest, len(kinds))
 	refs := make([]string, len(kinds))
 	prefillTables := map[trace.Fingerprint][]byte{}
 
@@ -111,6 +112,8 @@ func TestCacheTierRaceStress(t *testing.T) {
 		}
 		fp := tr.Fingerprint()
 		prefillTables[fp] = cost.EncodeTable(fp, cost.NewModel(tr).BuildResidenceTable())
+		prefills[i] = PrefillFor(fp, tr.Shape())
+		prefills[i].PeerHint = "canned"
 	}
 	ref.Close()
 
@@ -145,7 +148,7 @@ func TestCacheTierRaceStress(t *testing.T) {
 				if w%4 == 3 {
 					// This worker interleaves prefill pushes (adopt) with
 					// everyone else's demand traffic.
-					err := svc.Prefill(context.Background(), PrefillRequest{Trace: reqs[k].Trace, PeerHint: "canned"})
+					err := svc.Prefill(context.Background(), prefills[k])
 					if err != nil {
 						errc <- fmt.Errorf("worker %d iter %d: prefill: %w", w, i, err)
 						return

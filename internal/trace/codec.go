@@ -43,7 +43,9 @@ func Encode(w io.Writer, t *Trace) error {
 // Decode parses a trace from the text format and validates it.
 func Decode(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
+	// No initial buffer: the scanner starts at 4 KiB and grows only for
+	// longer lines, up to the 16 MiB line cap.
+	sc.Buffer(nil, 16<<20)
 
 	line, lineNo, err := nextLine(sc, 0)
 	if err == io.EOF {

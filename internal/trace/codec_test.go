@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -82,6 +83,37 @@ ref 0 1 1
 	}
 	if tr.NumRefs() != 1 {
 		t.Fatalf("NumRefs = %d", tr.NumRefs())
+	}
+}
+
+// A small trace decodes without a large up-front scanner buffer: the
+// scanner starts small and grows only for long lines.
+func TestDecodeSmallTraceAllocs(t *testing.T) {
+	const in = "pimtrace v1\ngrid 2 2\ndata 2\nwindow\nref 0 0 3\nref 3 1 1\nwindow\nref 2 0 2\n"
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Decode(strings.NewReader(in)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 16<<10 {
+		t.Fatalf("decoding a 2-window 2x2 trace allocated %d bytes, want < 16 KiB", per)
+	}
+}
+
+// A line far longer than the scanner's starting buffer still decodes:
+// the buffer grows up to the line cap.
+func TestDecodeLongCommentLine(t *testing.T) {
+	in := "pimtrace v1\n# " + strings.Repeat("x", 100<<10) + "\ngrid 2 2\ndata 2\nwindow\nref 0 1 1\n"
+	tr, err := Decode(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.NumWindows() != 1 || tr.NumRefs() != 1 {
+		t.Fatalf("got %d windows, %d refs; want 1 and 1", tr.NumWindows(), tr.NumRefs())
 	}
 }
 

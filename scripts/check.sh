@@ -132,7 +132,8 @@ go test -race -run '^(TestSessionOpRacingDeleteGets404|TestSessionDeleteRaceStre
 # memo-hit Schedule nor Stats and still holds its MaxSessions slot;
 # racing creates and imports never open past the limit or twice under
 # one id; a wrong-fingerprint table payload is refused before its
-# table is allocated; every row of the error contract (statuses,
+# table is allocated, and a duplicate-id import before its trace or
+# table is decoded; every row of the error contract (statuses,
 # Retry-After on both 429 paths, a timed-out prefill fetch as 502)
 # through the HTTP handlers; a shard without peer fill answers a
 # prefill 501 before reading the body, and the router settles that 501
@@ -140,8 +141,22 @@ go test -race -run '^(TestSessionOpRacingDeleteGets404|TestSessionDeleteRaceStre
 # already ran under ./... above, the named gate survives narrower
 # invocations.
 echo "== service admission (-race) =="
-go test -race -run '^(TestCloseWaitsForSessionOp|TestSessionBuildDoesNotBlockService|TestRacingSessionOpensRespectLimit|TestImportWrongFingerprintRefusedBeforeAllocating|TestPrefillWithoutPeerFill501BeforeBody|TestErrorContract)$' ./internal/service
+go test -race -run '^(TestCloseWaitsForSessionOp|TestSessionBuildDoesNotBlockService|TestRacingSessionOpensRespectLimit|TestImportWrongFingerprintRefusedBeforeAllocating|TestDuplicateImportRefusedBeforeDecoding|TestPrefillWithoutPeerFill501BeforeBody|TestErrorContract)$' ./internal/service
 go test -race -run '^TestRouterSettlesUnsupportedPrefill$' ./internal/cluster
+
+# Router forward path: every status the router generates itself (400,
+# 413, 404, the 503s with and without Retry-After, 502, the admin 400
+# and 404) pinned through Handler; the fill ledger bounded at its cap,
+# a forgotten fill costing exactly one prefill that names its table by
+# fingerprint and shape; a shard answering a resident prefill without
+# decoding anything and refusing a trace-carrying or shapeless prefill
+# body; a prefill on a body-alias hit adopted by the replica; a 501
+# prefill settled; replica fills running in parallel. Under the race
+# detector; they already ran under ./... above, the named gate survives
+# narrower invocations.
+echo "== router forward (-race) =="
+go test -race -run '^(TestRouterErrorContract|TestRouterFillLedgerBounded|TestRouterPrefillOnBodyHit|TestRouterSettlesUnsupportedPrefill|TestRouterFillsReplicasInParallel)$' ./internal/cluster
+go test -race -run '^(TestResidentPrefillDecodesNothing|TestPrefillRefusesBadBodies)$' ./internal/service
 
 # The cluster referees: the in-process multi-backend harness (router
 # over three real services) proving routed, batched, and peer-filled
@@ -320,11 +335,14 @@ survivor_built() {
 PRE_KILL_BUILT="$(survivor_built)"
 kill -9 "${CLUSTER_PIDS[0]}" 2>/dev/null || true
 wait "${CLUSTER_PIDS[0]}" 2>/dev/null || true
+# The scrape is captured before grep reads it: grep -q exits at its
+# first match, and under pipefail a curl still writing the rest of the
+# chunked /metrics body would then fail the pipeline with SIGPIPE.
 for _ in $(seq 100); do
-	curl -sf "http://$ROUTER_ADDR/metrics" | grep -q '^pim_router_backends_healthy 2$' && break
+	grep -q '^pim_router_backends_healthy 2$' <<<"$(curl -sf "http://$ROUTER_ADDR/metrics")" && break
 	sleep 0.1
 done
-if ! curl -sf "http://$ROUTER_ADDR/metrics" | grep -q '^pim_router_backends_healthy 2$'; then
+if ! grep -q '^pim_router_backends_healthy 2$' <<<"$(curl -sf "http://$ROUTER_ADDR/metrics")"; then
 	echo "check.sh: router never ejected the killed shard"
 	exit 1
 fi

@@ -154,11 +154,14 @@ for ADDR in "${SHARD_ADDRS[@]:1}"; do
 done
 kill -9 "${PIDS[0]}" 2>/dev/null || true
 wait "${PIDS[0]}" 2>/dev/null || true
+# The scrape is captured before grep reads it: grep -q exits at its
+# first match, and under pipefail a curl still writing the rest of the
+# chunked /metrics body would then fail the pipeline with SIGPIPE.
 for _ in $(seq 200); do
-	curl -sf "http://$ROUTER/metrics" | grep -q '^pim_router_backends_healthy 2$' && break
+	grep -q '^pim_router_backends_healthy 2$' <<<"$(curl -sf "http://$ROUTER/metrics")" && break
 	sleep 0.05
 done
-if ! curl -sf "http://$ROUTER/metrics" | grep -q '^pim_router_backends_healthy 2$'; then
+if ! grep -q '^pim_router_backends_healthy 2$' <<<"$(curl -sf "http://$ROUTER/metrics")"; then
 	echo "loadtest.sh: router never ejected the killed shard" >&2
 	exit 1
 fi
