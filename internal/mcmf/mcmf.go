@@ -193,7 +193,14 @@ func Assign(nItems, nBins int, capacity int64, cost func(item, bin int) int64) (
 	if nBins <= 0 {
 		return nil, 0, fmt.Errorf("mcmf: no bins for %d items", nItems)
 	}
-	if capacity > 0 && capacity*int64(nBins) < int64(nItems) {
+	// A bin never holds more than every item, so clamping the capacity
+	// there changes no answer and keeps the product below from
+	// overflowing.
+	binCap := int64(nItems)
+	if capacity > 0 && capacity < binCap {
+		binCap = capacity
+	}
+	if binCap*int64(nBins) < int64(nItems) {
 		return nil, 0, fmt.Errorf("mcmf: %d items exceed %d bins x %d capacity", nItems, nBins, capacity)
 	}
 	// Nodes: 0 = source, 1..nItems = items, nItems+1..nItems+nBins =
@@ -208,10 +215,6 @@ func Assign(nItems, nBins int, capacity int64, cost func(item, bin int) int64) (
 		for b := 0; b < nBins; b++ {
 			itemEdges[i][b] = g.AddEdge(1+i, 1+nItems+b, 1, cost(i, b))
 		}
-	}
-	binCap := capacity
-	if binCap <= 0 {
-		binCap = int64(nItems)
 	}
 	for b := 0; b < nBins; b++ {
 		g.AddEdge(1+nItems+b, sink, binCap, 0)

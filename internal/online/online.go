@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/grid"
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -80,7 +79,7 @@ func (s Scheduler) Name() string {
 
 // Schedule implements sched.Scheduler.
 func (s Scheduler) Schedule(p *sched.Problem) (cost.Schedule, error) {
-	if p.Capacity > 0 && p.Capacity*p.Model.Grid.NumProcs() < p.Model.NumData {
+	if !placement.Fits(p.Model.NumData, p.Model.Grid.NumProcs(), p.Capacity) {
 		return cost.Schedule{}, fmt.Errorf("online: %d data items exceed total memory %d x %d",
 			p.Model.NumData, p.Model.Grid.NumProcs(), p.Capacity)
 	}
@@ -97,13 +96,14 @@ func (s Scheduler) Schedule(p *sched.Problem) (cost.Schedule, error) {
 	}
 	regret := make([]int64, nd)
 	counts := p.Model.Counts()
+	dist := make([]int64, np)
 
 	for w := 0; w < nw; w++ {
 		tracker := placement.NewTracker(np, p.Capacity)
 		row := make([]int, nd)
 		for d := 0; d < nd; d++ {
 			desired := s.decide(p, counts, w, d, cur[d], factor, regret)
-			row[d] = nearestFree(p, tracker, desired)
+			row[d] = nearestFree(p, tracker, desired, dist)
 			// The hysteresis account tracks the regret of staying at the
 			// current center, so it resets exactly when the placement
 			// actually changes — whether the move was the policy's own or
@@ -167,25 +167,16 @@ func (s Scheduler) decide(p *sched.Problem, counts trace.Counts, w, d, cur int, 
 }
 
 // nearestFree reserves the free processor closest to desired (ties by
-// index). Feasibility is checked by Schedule, so a slot always exists.
-func nearestFree(p *sched.Problem, tracker *placement.Tracker, desired int) int {
-	if tracker.TryPlace(desired) {
-		return desired
+// index), which is desired itself when it has room; dist is the
+// caller's scratch row. Feasibility is checked by Schedule, so a slot
+// always exists.
+func nearestFree(p *sched.Problem, tracker *placement.Tracker, desired int, dist []int64) int {
+	for c := range dist {
+		dist[c] = int64(p.Model.Dist(desired, c))
 	}
-	best, bestDist := -1, grid.Unreachable
-	for c := 0; c < p.Model.Grid.NumProcs(); c++ {
-		if tracker.Capacity() > 0 && tracker.Used(c) >= tracker.Capacity() {
-			continue
-		}
-		if d := p.Model.Dist(desired, c); d < bestDist {
-			best, bestDist = c, d
-		}
-	}
+	best := tracker.PlaceCheapest(dist)
 	if best < 0 {
 		panic("online: no free processor on a feasible instance")
-	}
-	if !tracker.TryPlace(best) {
-		panic("online: reservation failed on a free processor")
 	}
 	return best
 }

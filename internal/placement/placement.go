@@ -58,7 +58,7 @@ func MinCapacity(numData, numProcs int) int {
 	if numData <= 0 {
 		return 0
 	}
-	return (numData + numProcs - 1) / numProcs
+	return (numData-1)/numProcs + 1
 }
 
 // PaperCapacity returns the per-processor memory size used in the
@@ -175,34 +175,45 @@ func NewTracker(numProcs, capacity int) *Tracker {
 	return &Tracker{capacity: capacity, used: make([]int, numProcs)}
 }
 
+// Full reports whether processor p has no free memory slot.
+func (t *Tracker) Full(p int) bool {
+	return t.capacity > 0 && t.used[p] >= t.capacity
+}
+
 // TryPlace reserves one memory slot on processor p if one is free and
 // reports whether it succeeded.
 func (t *Tracker) TryPlace(p int) bool {
-	if t.capacity > 0 && t.used[p] >= t.capacity {
+	if t.Full(p) {
 		return false
 	}
 	t.used[p]++
 	return true
 }
 
-// Release frees one slot on processor p. It panics if p holds nothing,
-// which would indicate unbalanced bookkeeping in a scheduler.
-func (t *Tracker) Release(p int) {
-	if t.used[p] <= 0 {
-		panic(fmt.Sprintf("placement: release on empty processor %d", p))
+// PlaceCheapest is the paper's processor list (Algorithms 1-2): it
+// reserves the cheapest processor with a free slot, ties going to the
+// lower index, and returns it. That is the first processor a walk of
+// the list sorted by (cost, index) would find free, found in one pass.
+// It returns -1 and reserves nothing when every processor is full.
+func (t *Tracker) PlaceCheapest(costs []int64) int {
+	best := -1
+	for c, v := range costs {
+		if !t.Full(c) && (best < 0 || v < costs[best]) {
+			best = c
+		}
 	}
-	t.used[p]--
+	if best >= 0 {
+		t.used[best]++
+	}
+	return best
 }
 
 // Used returns the number of occupied slots on processor p.
 func (t *Tracker) Used(p int) int { return t.used[p] }
 
-// Capacity returns the per-processor capacity (0 or less = unbounded).
-func (t *Tracker) Capacity() int { return t.capacity }
-
-// Reset clears all occupancy.
-func (t *Tracker) Reset() {
-	for i := range t.used {
-		t.used[i] = 0
-	}
+// Fits reports whether numData items fit in numProcs processors of the
+// given capacity (0 or less = unbounded). It compares against
+// MinCapacity rather than multiplying, so no capacity overflows it.
+func Fits(numData, numProcs, capacity int) bool {
+	return capacity <= 0 || MinCapacity(numData, numProcs) <= capacity
 }

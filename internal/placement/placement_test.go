@@ -1,6 +1,9 @@
 package placement
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -197,43 +200,113 @@ func TestClone(t *testing.T) {
 
 func TestTracker(t *testing.T) {
 	tr := NewTracker(4, 2)
-	if tr.Capacity() != 2 {
-		t.Fatalf("Capacity = %d", tr.Capacity())
-	}
-	if !tr.TryPlace(0) || !tr.TryPlace(0) {
+	if !tr.TryPlace(0) || tr.Full(0) || !tr.TryPlace(0) {
 		t.Fatal("TryPlace failed under capacity")
 	}
-	if tr.TryPlace(0) {
+	if !tr.Full(0) || tr.TryPlace(0) {
 		t.Fatal("TryPlace succeeded over capacity")
 	}
-	if tr.Used(0) != 2 {
-		t.Fatalf("Used = %d", tr.Used(0))
-	}
-	tr.Release(0)
-	if !tr.TryPlace(0) {
-		t.Fatal("TryPlace failed after Release")
-	}
-	tr.Reset()
-	if tr.Used(0) != 0 {
-		t.Fatal("Reset did not clear")
+	if tr.Used(0) != 2 || tr.Full(1) {
+		t.Fatalf("Used = %d, Full(1) = %v", tr.Used(0), tr.Full(1))
 	}
 }
 
 func TestTrackerUnbounded(t *testing.T) {
 	tr := NewTracker(1, 0)
 	for i := 0; i < 100; i++ {
-		if !tr.TryPlace(0) {
+		if !tr.TryPlace(0) || tr.Full(0) {
 			t.Fatal("unbounded tracker refused placement")
 		}
 	}
 }
 
-func TestTrackerReleasePanicsWhenEmpty(t *testing.T) {
-	tr := NewTracker(1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("Release on empty did not panic")
+// sortedWalk is the paper's processor list written out independently
+// of PlaceCheapest: rank processors by ascending cost, ties by index (a
+// stable sort of the index order), and reserve the first with a free
+// slot; -1 when none has one.
+func sortedWalk(costs []int64, tr *Tracker) int {
+	order := make([]int, len(costs))
+	for c := range order {
+		order[c] = c
+	}
+	sort.SliceStable(order, func(i, j int) bool { return costs[order[i]] < costs[order[j]] })
+	for _, c := range order {
+		if tr.TryPlace(c) {
+			return c
 		}
-	}()
-	tr.Release(0)
+	}
+	return -1
+}
+
+// TestPlaceCheapestMatchesSortedWalk is the processor-list referee:
+// over seeded rows — heavy ties, wide values, negative values — on
+// trackers pre-filled at random, with capacity 1, small capacities and
+// unbounded ones, single-processor arrays included, PlaceCheapest must
+// reserve exactly the processor the sorted walk reserves. Bounded
+// trackers are fed until every processor is full, where both must
+// answer -1 and leave Used unchanged.
+func TestPlaceCheapestMatchesSortedWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	refused := 0
+	for iter := 0; iter < 3000; iter++ {
+		np := 1 + rng.Intn(9)
+		if iter%7 == 0 {
+			np = 1
+		}
+		capacity := []int{-1, 0, 1, 1 + rng.Intn(4)}[rng.Intn(4)]
+		got, want := NewTracker(np, capacity), NewTracker(np, capacity)
+		for i := rng.Intn(3 * np); i > 0; i-- {
+			c := rng.Intn(np)
+			got.TryPlace(c)
+			want.TryPlace(c)
+		}
+		spread := []int64{1, 2, 3, 1 << 40}[rng.Intn(4)]
+		costs := make([]int64, np)
+		for item := 0; item < 4*np; item++ {
+			for c := range costs {
+				costs[c] = rng.Int63n(spread) - spread/3
+			}
+			g, w := got.PlaceCheapest(costs), sortedWalk(costs, want)
+			if g != w {
+				t.Fatalf("iter %d item %d (np %d, capacity %d, costs %v): PlaceCheapest %d, sorted walk %d",
+					iter, item, np, capacity, costs, g, w)
+			}
+			if g < 0 {
+				refused++
+			}
+			for c := 0; c < np; c++ {
+				if got.Used(c) != want.Used(c) {
+					t.Fatalf("iter %d item %d: Used(%d) = %d, sorted walk %d", iter, item, c, got.Used(c), want.Used(c))
+				}
+			}
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no tracker filled up: the all-full case went unchecked")
+	}
+}
+
+// Fits compares against MinCapacity, so capacities whose product with
+// the processor count overflows int still answer correctly.
+func TestFitsNeverOverflows(t *testing.T) {
+	cases := []struct {
+		data, procs, capacity int
+		want                  bool
+	}{
+		{64, 16, 0, true},
+		{64, 16, -1, true},
+		{64, 16, 4, true},
+		{64, 16, 3, false},
+		{0, 16, 1, true},
+		{64, 16, math.MaxInt, true},
+		{64, 16, math.MaxInt/8 + 1, true},
+		{math.MaxInt, 1, math.MaxInt, true},
+		{math.MaxInt, 16, math.MaxInt/16 + 1, true},
+		{math.MaxInt, 16, math.MaxInt / 16, false},
+	}
+	for _, c := range cases {
+		if got := Fits(c.data, c.procs, c.capacity); got != c.want {
+			t.Errorf("Fits(%d, %d, %d) = %v, want %v", c.data, c.procs, c.capacity, got, c.want)
+		}
+	}
 }

@@ -168,18 +168,19 @@ func (g Greedy) Schedule(p *sched.Problem) (Schedule, error) {
 		maxCopies = 1
 	}
 	nd, np, nw := p.Model.NumData, p.Model.Grid.NumProcs(), p.Model.NumWindows()
-	if p.Capacity > 0 && p.Capacity*np < nd {
+	if !placement.Fits(nd, np, p.Capacity) {
 		return Schedule{}, fmt.Errorf("replica: %d data items exceed total memory %d x %d", nd, np, p.Capacity)
 	}
 	counts := p.Model.Counts()
 	out := Schedule{Copies: make([][][]int, nw)}
 	prev := make([][]int, nd)
+	costs := make([]int64, np)
 
 	for w := 0; w < nw; w++ {
 		tracker := placement.NewTracker(np, p.Capacity)
 		rows := make([][]int, nd)
 		for d := 0; d < nd; d++ {
-			copies := g.placeItem(p, counts, tracker, w, d, prev[d], maxCopies)
+			copies := g.placeItem(p, counts, tracker, w, d, prev[d], maxCopies, costs)
 			sort.Ints(copies)
 			rows[d] = copies
 			prev[d] = copies
@@ -191,30 +192,22 @@ func (g Greedy) Schedule(p *sched.Problem) (Schedule, error) {
 
 // placeItem chooses item d's copy set for window w. The primary copy
 // minimizes residence plus the materialization cost from the previous
-// copy set; replicas are added while profitable.
-func (g Greedy) placeItem(p *sched.Problem, counts trace.Counts, tracker *placement.Tracker, w, d int, prev []int, maxCopies int) []int {
+// copy set; replicas are added while profitable. costs is the caller's
+// scratch row.
+func (g Greedy) placeItem(p *sched.Problem, counts trace.Counts, tracker *placement.Tracker, w, d int, prev []int, maxCopies int, costs []int64) []int {
 	np := p.Model.Grid.NumProcs()
 	size := int64(p.Model.DataSize[d])
 
 	// Primary copy: best residence + arrival cost among free processors.
-	primary, primaryCost := -1, int64(1)<<62
-	for c := 0; c < np; c++ {
-		if tracker.Capacity() > 0 && tracker.Used(c) >= tracker.Capacity() {
-			continue
-		}
-		cost := p.Table.At(w, d, c)
-		if prev != nil {
-			cost += size * int64(nearest(p, c, prev))
-		}
-		if cost < primaryCost {
-			primary, primaryCost = c, cost
+	copy(costs, p.Table.Row(w, d))
+	if prev != nil {
+		for c := range costs {
+			costs[c] += size * int64(nearest(p, c, prev))
 		}
 	}
+	primary := tracker.PlaceCheapest(costs)
 	if primary < 0 {
 		panic("replica: no free processor on a feasible instance")
-	}
-	if !tracker.TryPlace(primary) {
-		panic("replica: reservation failed")
 	}
 	copies := []int{primary}
 	if maxCopies == 1 {
@@ -231,10 +224,7 @@ func (g Greedy) placeItem(p *sched.Problem, counts trace.Counts, tracker *placem
 		// pulls closer, minus its materialization cost.
 		bestC, bestGain := -1, int64(0)
 		for c := 0; c < np; c++ {
-			if tracker.Capacity() > 0 && tracker.Used(c) >= tracker.Capacity() {
-				continue
-			}
-			if containsInt(copies, c) {
+			if tracker.Full(c) || containsInt(copies, c) {
 				continue
 			}
 			var gain int64

@@ -3,7 +3,6 @@ package sched
 import (
 	"repro/internal/cost"
 	"repro/internal/mcmf"
-	"repro/internal/parallel"
 )
 
 // ExactSCDS is single-center data scheduling with the capacitated
@@ -23,18 +22,8 @@ func (ExactSCDS) Schedule(p *Problem) (cost.Schedule, error) {
 	if err := p.feasible(); err != nil {
 		return cost.Schedule{}, err
 	}
-	nd, np, nw := p.Model.NumData, p.Model.Grid.NumProcs(), p.Model.NumWindows()
-	agg := make([][]int64, nd)
-	parallel.ForEach(nd, func(d int) {
-		row := make([]int64, np)
-		for w := 0; w < nw; w++ {
-			tr := p.Table.Row(w, d)
-			for c := 0; c < np; c++ {
-				row[c] += tr[c]
-			}
-		}
-		agg[d] = row
-	})
+	nd, np, nw := p.Table.NumData(), p.Table.NumProcs(), p.Table.NumWindows()
+	agg := p.Table.Aggregate()
 	assign, _, err := mcmf.Assign(nd, np, int64(p.Capacity), func(d, c int) int64 {
 		return agg[d][c]
 	})
@@ -65,45 +54,29 @@ func (ExactLOMCDS) Schedule(p *Problem) (cost.Schedule, error) {
 	if err := p.feasible(); err != nil {
 		return cost.Schedule{}, err
 	}
-	nd, np, nw := p.Model.NumData, p.Model.Grid.NumProcs(), p.Model.NumWindows()
+	nd, np, nw := p.Table.NumData(), p.Table.NumProcs(), p.Table.NumWindows()
+	g := p.grid()
 	centers := make([][]int, nw)
 
 	// Aggregate rows pre-place never-referenced-yet items, exactly as
 	// in LOMCDS.
-	agg := make([][]int64, nd)
-	referenced := make([][]bool, nw)
-	for w := range referenced {
-		referenced[w] = make([]bool, nd)
-	}
-	counts := p.Model.Counts()
-	parallel.ForEach(nd, func(d int) {
-		row := make([]int64, np)
-		for w := 0; w < nw; w++ {
-			tr := p.Table.Row(w, d)
-			for c := 0; c < np; c++ {
-				row[c] += tr[c]
-			}
-			for _, v := range counts[w][d] {
-				if v != 0 {
-					referenced[w][d] = true
-					break
-				}
-			}
-		}
-		agg[d] = row
-	})
+	agg := p.Table.Aggregate()
 
 	prev := make([]int, nd)
 	for d := range prev {
 		prev[d] = -1
 	}
+	ref := make([]bool, nd)
 	for w := 0; w < nw; w++ {
+		for d := range ref {
+			ref[d] = referenced(p.Table.Row(w, d))
+		}
 		costFn := func(d, c int) int64 {
 			switch {
-			case referenced[w][d]:
+			case ref[d]:
 				return p.Table.At(w, d, c)
 			case prev[d] >= 0:
-				return int64(p.Model.Dist(prev[d], c))
+				return int64(g.Dist(prev[d], c))
 			default:
 				return agg[d][c]
 			}

@@ -13,13 +13,19 @@
 //
 // All three honor the PIM array's per-processor memory capacity using
 // the paper's processor-list technique: candidate centers are ranked by
-// cost and the first processor with a free memory slot wins.
+// cost and the first processor with a free memory slot wins. That
+// processor is the cheapest free one, ties going to the lower index, so
+// SCDS and LOMCDS find it with placement.Tracker.PlaceCheapest in one
+// pass without sorting; GOMCDS forbids full processors in its graph.
+//
+// The schedulers, the exact ablations ExactSCDS and ExactLOMCDS
+// included, read only the residence table, the grid, the item sizes
+// and the capacity, so one table prices every algorithm's objective.
 package sched
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 
 	"repro/internal/cost"
@@ -34,11 +40,11 @@ import (
 // Problem is a prepared scheduling instance: the cost model, its
 // precomputed residence table, and the memory capacity. Build one with
 // NewProblem and feed it to any scheduler; the residence table is
-// shared across scheduler runs. SCDS, LOMCDS, GOMCDS and Evaluate read
-// only the table, the grid, the item sizes and the capacity, so Model
-// may be nil: the problem is then table-only, over Grid with unit item
-// sizes. ExactSCDS, ExactLOMCDS and the window, online and replica
-// schedulers read the reference counts and need the Model.
+// shared across scheduler runs. SCDS, LOMCDS, GOMCDS, ExactSCDS,
+// ExactLOMCDS and Evaluate read only the table, the grid, the item
+// sizes and the capacity, so Model may be nil: the problem is then
+// table-only, over Grid with unit item sizes. The window, online and
+// replica schedulers read the reference counts and need the Model.
 type Problem struct {
 	Model *cost.Model
 	Table cost.ResidenceTable
@@ -106,7 +112,7 @@ func NewProblemFromModel(m *cost.Model, capacity int) *Problem {
 
 // feasible reports whether the capacity can hold all data at all.
 func (p *Problem) feasible() error {
-	if np := p.grid().NumProcs(); p.Capacity > 0 && p.Capacity*np < p.Table.NumData() {
+	if np := p.grid().NumProcs(); !placement.Fits(p.Table.NumData(), np, p.Capacity) {
 		return fmt.Errorf("sched: %d data items exceed total memory %d processors x %d slots",
 			p.Table.NumData(), np, p.Capacity)
 	}
@@ -124,30 +130,13 @@ type Scheduler interface {
 	Schedule(p *Problem) (cost.Schedule, error)
 }
 
-// processorList returns the processor indices sorted by ascending cost
-// (ties broken by processor index), the paper's "processor list".
-func processorList(costs []int64, scratch []int) []int {
-	list := scratch[:0]
-	for c := range costs {
-		list = append(list, c)
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if costs[list[i]] != costs[list[j]] {
-			return costs[list[i]] < costs[list[j]]
-		}
-		return list[i] < list[j]
-	})
-	return list
-}
-
-// firstAvailable walks the processor list and reserves the first
-// processor with a free slot. The caller guarantees feasibility, so a
-// slot always exists; firstAvailable panics otherwise.
-func firstAvailable(list []int, tracker *placement.Tracker) int {
-	for _, c := range list {
-		if tracker.TryPlace(c) {
-			return c
-		}
+// firstAvailable reserves the first processor of the paper's processor
+// list for costs: the cheapest one with a free slot. The caller
+// guarantees feasibility, so a slot always exists; firstAvailable
+// panics otherwise.
+func firstAvailable(costs []int64, tracker *placement.Tracker) int {
+	if c := tracker.PlaceCheapest(costs); c >= 0 {
+		return c
 	}
 	panic("sched: no processor with free memory (feasibility was checked)")
 }
@@ -177,9 +166,8 @@ func (SCDS) Schedule(p *Problem) (cost.Schedule, error) {
 	// order, exactly as Algorithm 1's outer loop iterates.
 	tracker := placement.NewTracker(np, p.Capacity)
 	assign := make([]int, nd)
-	scratch := make([]int, np)
 	for d := 0; d < nd; d++ {
-		assign[d] = firstAvailable(processorList(agg[d], scratch), tracker)
+		assign[d] = firstAvailable(agg[d], tracker)
 	}
 	return cost.Uniform(assign, nw), nil
 }
@@ -217,27 +205,26 @@ func (LOMCDS) Schedule(p *Problem) (cost.Schedule, error) {
 	for d := range prev {
 		prev[d] = -1
 	}
-	scratch := make([]int, np)
 	distRow := make([]int64, np)
 	for w := 0; w < nw; w++ {
 		tracker := placement.NewTracker(np, p.Capacity)
 		row := make([]int, nd)
 		for d := 0; d < nd; d++ {
-			var list []int
-			switch tableRow := p.Table.Row(w, d); {
-			case referenced(tableRow):
-				list = processorList(tableRow, scratch)
+			costs := p.Table.Row(w, d)
+			switch {
+			case referenced(costs):
+				// The window defines a center: rank by its residence.
 			case prev[d] >= 0:
 				// No center defined by this window: prefer staying put,
 				// then the nearest processors.
 				for c := 0; c < np; c++ {
 					distRow[c] = int64(g.Dist(prev[d], c))
 				}
-				list = processorList(distRow, scratch)
+				costs = distRow
 			default:
-				list = processorList(agg[d], scratch)
+				costs = agg[d]
 			}
-			row[d] = firstAvailable(list, tracker)
+			row[d] = firstAvailable(costs, tracker)
 			prev[d] = row[d]
 		}
 		centers[w] = row
@@ -361,7 +348,7 @@ func bestPath(p *Problem, d int, trackers []*placement.Tracker, solver *costgrap
 		row := nodeCost[w]
 		tableRow := p.Table.Row(w, d)
 		for c := 0; c < np; c++ {
-			if trackers[w].Capacity() > 0 && trackers[w].Used(c) >= trackers[w].Capacity() {
+			if trackers[w].Full(c) {
 				row[c] = costgraph.Inf
 			} else {
 				row[c] = tableRow[c]

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -306,5 +309,41 @@ func checkRaceErr(t *testing.T, op string, fn func() error) {
 	var notFound *ErrSessionNotFound
 	if !errors.As(err, &notFound) {
 		t.Errorf("%s racing delete: %v, want nil or session-not-found", op, err)
+	}
+}
+
+// Regression test: the capacity feasibility check multiplied the
+// capacity by the processor count, which wraps for capacities near
+// math.MaxInt, so the example request at capacity MaxInt was answered
+// 400 "64 data items exceed total memory 16 processors x
+// 9223372036854775807 slots" by every algorithm. Such a capacity is no
+// constraint and must schedule exactly like capacity 0.
+func TestMaxIntCapacityServedLikeUnbounded(t *testing.T) {
+	body, err := os.ReadFile("../../examples/pimserve/request.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req Request
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{})
+	defer svc.Close()
+	for _, algorithm := range []string{"scds", "lomcds", "gomcds"} {
+		req.Algorithm = algorithm
+		req.Capacity = 0
+		want, err := svc.Schedule(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s capacity 0: %v", algorithm, err)
+		}
+		req.Capacity = math.MaxInt
+		got, err := svc.Schedule(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s capacity MaxInt: %v", algorithm, err)
+		}
+		if !reflect.DeepEqual(got.Centers, want.Centers) || got.Cost != want.Cost {
+			t.Fatalf("%s: capacity MaxInt answered %v %+v, capacity 0 %v %+v",
+				algorithm, got.Centers, got.Cost, want.Centers, want.Cost)
+		}
 	}
 }

@@ -14,10 +14,11 @@ import (
 	"repro/internal/verify"
 )
 
-// The table-only referee: SCDS, LOMCDS and GOMCDS read only the
-// residence table, the grid and the capacity, so a Problem without a
-// cost model (what the scheduling service caches) must schedule exactly
-// like the model-backed one. scripts/check.sh runs it as a named -race
+// The table-only referee: SCDS, LOMCDS and GOMCDS, and the exact
+// SCDS* and LOMCDS* ablations, read only the residence table, the grid
+// and the capacity, so a Problem without a cost model (what the
+// scheduling service caches) must schedule exactly like the
+// model-backed one. scripts/check.sh runs it as a named -race
 // gate.
 
 // tableOnlyGrid draws the referee's arrays, weighted toward the shapes
@@ -101,13 +102,13 @@ func countsOracle(m *cost.Model, capacity int) (scds, lomcds cost.Schedule) {
 	return cost.Uniform(assign, nw), cost.Schedule{Centers: centers}
 }
 
-// checkTableOnly runs every served scheduler over tr at an unbounded, a
-// tight and (when one exists) an infeasible capacity, on the
-// model-backed and the table-only Problem, demanding identical
-// schedules and errors, SCDS and LOMCDS schedules equal to the counts
-// oracle's, and breakdowns equal to Model.Evaluate and to the referee's
-// from-trace recomputation. It also pins the table-derived aggregate to
-// the model's per-window residence sums.
+// checkTableOnly runs every served scheduler and both exact ablations
+// over tr at an unbounded, a tight and (when one exists) an infeasible
+// capacity, on the model-backed and the table-only Problem, demanding
+// identical schedules and errors, SCDS and LOMCDS schedules equal to
+// the counts oracle's, and breakdowns equal to Model.Evaluate and to
+// the referee's from-trace recomputation. It also pins the
+// table-derived aggregate to the model's per-window residence sums.
 func checkTableOnly(t *testing.T, tr *trace.Trace, label string) {
 	t.Helper()
 	m := cost.NewModel(tr)
@@ -132,7 +133,7 @@ func checkTableOnly(t *testing.T, tr *trace.Trace, label string) {
 	if tight > 1 {
 		capacities = append(capacities, tight-1) // positive and infeasible
 	}
-	for _, s := range sched.All() {
+	for _, s := range append(sched.All(), sched.ExactSCDS{}, sched.ExactLOMCDS{}) {
 		for _, capacity := range capacities {
 			ctx := fmt.Sprintf("%s: %s capacity %d", label, s.Name(), capacity)
 			withModel := &sched.Problem{Model: m, Table: table, Capacity: capacity}

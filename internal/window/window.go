@@ -367,7 +367,7 @@ func Schedule(p *sched.Problem, grp Grouping, m Method) (cost.Schedule, error) {
 	if err := grp.Validate(nd, nw); err != nil {
 		return cost.Schedule{}, err
 	}
-	if p.Capacity > 0 && p.Capacity*np < nd {
+	if !placement.Fits(nd, np, p.Capacity) {
 		return cost.Schedule{}, fmt.Errorf("window: %d data items exceed total memory %d x %d", nd, np, p.Capacity)
 	}
 	centers := make([][]int, nw)
@@ -411,7 +411,7 @@ func assignGroups(pd *perData, groups []trace.Interval, m Method, trackers []*pl
 			return true
 		}
 		for w := g.Start; w < g.End; w++ {
-			if trackers[w].Capacity() > 0 && trackers[w].Used(c) >= trackers[w].Capacity() {
+			if trackers[w].Full(c) {
 				return false
 			}
 		}
@@ -480,7 +480,7 @@ func assignGroups(pd *perData, groups []trace.Interval, m Method, trackers []*pl
 		for w := g.Start; w < g.End; w++ {
 			best, bestCost := -1, int64(costgraph.Inf)
 			for c := 0; c < pd.np; c++ {
-				if trackers != nil && trackers[w].Capacity() > 0 && trackers[w].Used(c) >= trackers[w].Capacity() {
+				if trackers != nil && trackers[w].Full(c) {
 					continue
 				}
 				r := pd.groupResidence(w, w+1, c)

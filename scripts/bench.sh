@@ -6,7 +6,9 @@
 # naive per-cell kernel, 16x16 array), BenchmarkShortestLayeredPath
 # (separable min-plus sweep DP vs dense O(P²) relaxation, 16x16 array)
 # + BenchmarkGOMCDS (the whole scheduler with the sweep DP, with a host
-# block), BenchmarkDeltaApply (incremental session
+# block) + the greedy baselines BenchmarkSCDS and BenchmarkLOMCDS
+# (ns/op and allocs/op; internal/sched's 256-item, 32-window 4x4
+# instance), BenchmarkDeltaApply (incremental session
 # rescheduling one edited window vs a from-scratch rebuild, 16x16
 # array, 64 windows), and the service paths over a cached table
 # (BenchmarkServeSchedule memo-hit, memo-miss and cold closed-loop
@@ -28,7 +30,8 @@
 #	benchstat old.txt new.txt
 #
 # Check mode: `scripts/bench.sh --check [count]` runs fresh benchmarks
-# and FAILS (exit 1) if either fast kernel's ns/op regressed more than
+# and FAILS (exit 1) if a guarded metric (the fast kernels' ns/op, the
+# schedulers' ns/op and allocs/op, ...) regressed more than
 # BENCH_DRIFT_FACTOR x against its committed snapshot; it never
 # rewrites the snapshots. It also delegates to scripts/loadtest.sh
 # --check, which guards the cluster-path p99s in BENCH_CLUSTER.json
@@ -113,9 +116,21 @@ echo
 echo "== layered DP kernel (GOMCDS) =="
 RAW_DP="$(go test -run '^$' -bench '^(BenchmarkShortestLayeredPath|BenchmarkGOMCDS)$' -benchmem -count "$COUNT" .)"
 echo "$RAW_DP"
+RAW_GREEDY="$(go test -run '^$' -bench '^(BenchmarkSCDS|BenchmarkLOMCDS)$' -benchmem -count "$COUNT" ./internal/sched)"
+echo "$RAW_GREEDY"
 
-SCHED_SUMMARY="$(echo "$RAW_DP" | awk -v count="$COUNT" \
+SCHED_SUMMARY="$({ echo "$RAW_DP"; echo "$RAW_GREEDY"; } | awk -v count="$COUNT" \
 	-v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v gover="$(go env GOVERSION)" '
+function metric(unit,   i) {
+	for (i = 2; i <= NF; i++) {
+		if ($i == unit) {
+			return $(i - 1)
+		}
+	}
+	return 0
+}
+/^BenchmarkSCDS-/   { scds += $3; scdsa += metric("allocs/op"); nscds++ }
+/^BenchmarkLOMCDS-/ { lom += $3; loma += metric("allocs/op"); nlom++ }
 /^BenchmarkShortestLayeredPath\/sweep\/16x16/ { swp += $3; nswp++ }
 /^BenchmarkShortestLayeredPath\/naive\/16x16/ { nai += $3; nnai++ }
 /^BenchmarkGOMCDS\/sweep/                     { gsw += $3; ngsw++ }
@@ -123,11 +138,12 @@ SCHED_SUMMARY="$(echo "$RAW_DP" | awk -v count="$COUNT" \
 /^goarch:/ { goarch = $2 }
 /^cpu:/    { cpu = substr($0, 6) }
 END {
-	if (nswp == 0 || nnai == 0 || ngsw == 0) {
-		print "bench.sh: no layered-DP benchmark samples parsed" > "/dev/stderr"
+	if (nswp == 0 || nnai == 0 || ngsw == 0 || nscds == 0 || nlom == 0) {
+		print "bench.sh: no scheduler benchmark samples parsed" > "/dev/stderr"
 		exit 1
 	}
 	swp /= nswp; nai /= nnai; gsw /= ngsw
+	scds /= nscds; scdsa /= nscds; lom /= nlom; loma /= nlom
 	printf "{\n"
 	printf "  \"benchmark\": \"BenchmarkShortestLayeredPath\",\n"
 	printf "  \"grid\": \"16x16\",\n"
@@ -142,7 +158,11 @@ END {
 	printf "  \"sweep_ns_per_op\": %.0f,\n", swp
 	printf "  \"naive_ns_per_op\": %.0f,\n", nai
 	printf "  \"speedup\": %.2f,\n", nai / swp
-	printf "  \"gomcds_sweep_ns_per_op\": %.0f\n", gsw
+	printf "  \"gomcds_sweep_ns_per_op\": %.0f,\n", gsw
+	printf "  \"scds_ns_per_op\": %.0f,\n", scds
+	printf "  \"scds_allocs_per_op\": %.0f,\n", scdsa
+	printf "  \"lomcds_ns_per_op\": %.0f,\n", lom
+	printf "  \"lomcds_allocs_per_op\": %.0f\n", loma
 	printf "}\n"
 }')"
 
@@ -374,6 +394,10 @@ if [ "$CHECK" = 1 ]; then
 	check_drift BENCH_RESIDENCE.json separable_ns_per_op "$RES_SUMMARY"
 	check_drift BENCH_SCHED.json sweep_ns_per_op "$SCHED_SUMMARY"
 	check_drift BENCH_SCHED.json gomcds_sweep_ns_per_op "$SCHED_SUMMARY"
+	check_drift BENCH_SCHED.json scds_ns_per_op "$SCHED_SUMMARY"
+	check_drift BENCH_SCHED.json scds_allocs_per_op "$SCHED_SUMMARY" allocs/op
+	check_drift BENCH_SCHED.json lomcds_ns_per_op "$SCHED_SUMMARY"
+	check_drift BENCH_SCHED.json lomcds_allocs_per_op "$SCHED_SUMMARY" allocs/op
 	check_drift BENCH_DELTA.json incremental_ns_per_op "$DELTA_SUMMARY"
 	check_drift BENCH_SERVE.json memo_hit_ns_per_op "$SERVE_SUMMARY"
 	check_drift BENCH_SERVE.json memo_hit_p99_us "$SERVE_SUMMARY" us

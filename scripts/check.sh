@@ -73,7 +73,8 @@ go test -race -run '^TestGOMCDSMatchesDenseReference$' ./internal/sched
 # Hot-path allocation pins: the steady-state kernels (residence-row
 # pricing, batched sweep DP, resumable DP, session delta patch) must be
 # exactly zero allocs/op, a capacity-tracked GOMCDS run must stay under
-# one allocation per (item, window), the cache-hot full-service Schedule
+# one allocation per (item, window), SCDS and LOMCDS runs must allocate
+# per window, not per (window, item), the cache-hot full-service Schedule
 # call must stay inside its fixed budget, and so must a body-alias hit through the
 # HTTP handler (allocs and bytes, so the request's JSON decode cannot
 # come back). They already ran under ./... above;
@@ -81,10 +82,25 @@ go test -race -run '^TestGOMCDSMatchesDenseReference$' ./internal/sched
 # measure the production allocator, and survives narrower invocations.
 echo "== allocation pins (no race) =="
 go test -run '^(TestSolveBatchZeroAlloc|TestSolveFromIntoZeroAlloc)$' -v ./internal/costgraph
-go test -run '^TestGOMCDSCapacityAllocsBounded$' -v ./internal/sched
+go test -run '^(TestGOMCDSCapacityAllocsBounded|TestLOMCDSAllocsBounded|TestSCDSAllocsBounded)$' -v ./internal/sched
 go test -run '^(TestResidenceRowIntoZeroAlloc|TestPatchEditItemZeroAlloc|TestPatchRemoveWindowZeroAlloc)$' -v ./internal/cost
 go test -run '^(TestApplyEditItemZeroAlloc|TestScheduleIncrementalSuffixResumeAllocs)$' -v ./internal/delta
 go test -run '^(TestScheduleSteadyStateAllocsBounded|TestBodyAliasHitAllocsBounded)$' -v ./internal/service
+
+# Processor list referee: the paper's processor list (Algorithms 1-2)
+# is one capacity-aware argmin, placement.Tracker.PlaceCheapest. It must
+# reserve exactly what an independent sorted walk reserves over seeded
+# rows with heavy ties, pre-filled trackers, capacity 1, unbounded
+# capacity and single processors, and answer -1 reserving nothing when
+# every processor is full. The one capacity feasibility check,
+# placement.Fits, must not overflow: a capacity of math.MaxInt schedules
+# exactly like capacity 0 through every capacity-aware scheduler and
+# through the service. Under the race detector; they already ran under
+# ./... above, the named gate survives narrower invocations.
+echo "== processor list referee (-race) =="
+go test -race -run '^(TestPlaceCheapestMatchesSortedWalk|TestFitsNeverOverflows)$' ./internal/placement
+go test -race -run '^TestMaxIntCapacitySchedulesLikeUnbounded$' ./internal/verify
+go test -race -run '^TestMaxIntCapacityServedLikeUnbounded$' ./internal/service
 
 # Two-tier cache gates: the bit-identity referee (a schedule served via
 # a cold-tier promotion must match the flat-table schedule byte for
@@ -102,7 +118,8 @@ go test -race -run '^(TestPeerFillRejectsOversizedTablePayload|TestPrefillReject
 
 # Table-only cache entries: SCDS, LOMCDS and GOMCDS read only the
 # residence table, the grid and the capacity, so the cache keeps no
-# cost model. The referee pins table-only and model-backed Problems to
+# cost model. The referee pins table-only and model-backed Problems
+# (the exact SCDS* and LOMCDS* ablations included) to
 # bit-identical schedules, errors and breakdowns (plus an independent
 # counts-based SCDS/LOMCDS and the table-derived aggregate) over seeded
 # traces with 1x1 and 1xN arrays, unreferenced items and unbounded,
