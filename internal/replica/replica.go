@@ -179,8 +179,13 @@ func (g Greedy) Schedule(p *sched.Problem) (Schedule, error) {
 	for w := 0; w < nw; w++ {
 		tracker := placement.NewTracker(np, p.Capacity)
 		rows := make([][]int, nd)
+		placed := 0 // copies reserved in this window so far
 		for d := 0; d < nd; d++ {
-			copies := g.placeItem(p, counts, tracker, w, d, prev[d], maxCopies, costs)
+			// Slots already taken plus one per item still to place after
+			// this one: no replica may eat into them.
+			committed := placed + nd - d - 1
+			copies := g.placeItem(p, counts, tracker, w, d, prev[d], maxCopies, costs, committed)
+			placed += len(copies)
 			sort.Ints(copies)
 			rows[d] = copies
 			prev[d] = copies
@@ -192,9 +197,12 @@ func (g Greedy) Schedule(p *sched.Problem) (Schedule, error) {
 
 // placeItem chooses item d's copy set for window w. The primary copy
 // minimizes residence plus the materialization cost from the previous
-// copy set; replicas are added while profitable. costs is the caller's
-// scratch row.
-func (g Greedy) placeItem(p *sched.Problem, counts trace.Counts, tracker *placement.Tracker, w, d int, prev []int, maxCopies int, costs []int64) []int {
+// copy set; replicas are added while profitable. committed counts the
+// window's slots taken by earlier items plus one for each later item:
+// a replica may take a slot only while the window's free slots still
+// cover every later item's primary copy, so a feasible instance never
+// runs out of room. costs is the caller's scratch row.
+func (g Greedy) placeItem(p *sched.Problem, counts trace.Counts, tracker *placement.Tracker, w, d int, prev []int, maxCopies int, costs []int64, committed int) []int {
 	np := p.Model.Grid.NumProcs()
 	size := int64(p.Model.DataSize[d])
 
@@ -219,7 +227,7 @@ func (g Greedy) placeItem(p *sched.Problem, counts trace.Counts, tracker *placem
 	for proc := range dist {
 		dist[proc] = p.Model.Dist(proc, primary)
 	}
-	for len(copies) < maxCopies {
+	for len(copies) < maxCopies && placement.Fits(committed+len(copies)+1, np, p.Capacity) {
 		// Marginal gain of each candidate replica: the serving volume it
 		// pulls closer, minus its materialization cost.
 		bestC, bestGain := -1, int64(0)

@@ -260,7 +260,7 @@ func TestCanceledWaiterDoesNotInflateSharedBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entry, role, _, _ := svc.cache.acquire(tr.Fingerprint(), true)
+	entry, role, _, _ := svc.cache.acquire(tr.Fingerprint(), true, nil)
 	if role != cacheRoleBuilder {
 		t.Fatal("test did not win builder election on an empty cache")
 	}

@@ -9,24 +9,25 @@ import (
 	"repro/internal/trace"
 )
 
-// cacheEntry is one cached residence table plus the schedules memoized
-// over it. The table, the request's grid and the unit item sizes are
-// the whole scheduling input (sched.Problem with a nil Model), so no
-// cost model is kept. table is written exactly once by the elected
-// builder (or promoter), before ready is closed; readers must wait on
-// ready first (the close establishes the happens-before edge), so no
-// lock is needed after that. The table is immutable once published:
-// demotion and eviction swap the cache's own reference, never the
-// entry, so in-flight requests holding one keep a consistent view. The
-// memo only grows, under memoMu (see memo.go), and goes wherever the
-// entry goes.
+// cacheEntry is one cached residence table plus its node's schedule
+// memo. The table, the request's grid and the unit item sizes are the
+// whole scheduling input (sched.Problem with a nil Model), so no cost
+// model is kept. table is written exactly once by the elected builder
+// (or promoter), before ready is closed; readers must wait on ready
+// first (the close establishes the happens-before edge), so no lock is
+// needed after that. The table is immutable once published: demotion
+// and eviction swap the cache's own reference, never the entry, so
+// in-flight requests holding one keep a consistent view. memo is the
+// node's (see memo.go): every entry minted for a node shares it, so it
+// outlives any one entry and dies only with the node. A memoOnly entry
+// is a cold memo hit: no table and no ready channel, only the memo,
+// which holds every spec its request asks for.
 type cacheEntry struct {
-	fp    trace.Fingerprint
-	ready chan struct{}
-	table cost.ResidenceTable
-
-	memoMu sync.Mutex
-	memo   map[memoKey]*memoResult
+	fp       trace.Fingerprint
+	ready    chan struct{}
+	table    cost.ResidenceTable
+	memo     *scheduleMemo
+	memoOnly bool
 }
 
 // cacheOutcome classifies how one request resolved against the cache;
@@ -38,7 +39,8 @@ const (
 	// cacheOutcomeBuild: the request was elected builder (the miss was
 	// already counted at election, when the build became inevitable).
 	cacheOutcomeBuild cacheOutcome = iota
-	// cacheOutcomeHit: the entry was ready at acquire time.
+	// cacheOutcomeHit: the entry was ready at acquire time, or the
+	// node was cold and its memo answered every spec.
 	cacheOutcomeHit
 	// cacheOutcomeShared: the request piggybacked on an in-flight build.
 	cacheOutcomeShared
@@ -61,6 +63,10 @@ const (
 	// cacheRolePromoter: the caller must decode the returned cold
 	// payload (or rebuild on decode failure) and publish.
 	cacheRolePromoter
+	// cacheRoleMemo: the node is cold but its memo holds every spec the
+	// caller asked for; the memo-only entry answers them, and nobody
+	// publishes.
+	cacheRoleMemo
 )
 
 // tierState is where a fingerprint's table currently lives.
@@ -76,28 +82,32 @@ const (
 // cacheNode is the cache's own mutable handle on one fingerprint. The
 // node moves between tiers under the cache lock; the immutable
 // cacheEntry it points at (hot tiers) or the compressed payload it
-// holds (cold tier) is what requests actually consume.
+// holds (cold tier) is what requests actually consume. The schedule
+// memo stays with the node in every tier.
 type cacheNode struct {
-	fp    trace.Fingerprint
-	state tierState
-	el    *list.Element // position in hot (building/hot/promoting) or cold
-	entry *cacheEntry   // nil when cold
-	comp  []byte        // pimtab-v2 payload; set when cold or promoting
-	bytes int64         // accounted size: cacheNodeOverhead + representation
+	fp        trace.Fingerprint
+	state     tierState
+	el        *list.Element // position in hot (building/hot/promoting) or cold
+	entry     *cacheEntry   // nil when cold
+	comp      []byte        // pimtab-v2 payload; set when cold or promoting
+	memo      *scheduleMemo // shared by every entry minted for this node
+	memoBytes int64         // charged size of memo's stored schedules
+	bytes     int64         // accounted size: cacheNodeOverhead + representation + memoBytes
 }
 
 // cacheNodeOverhead is charged to every node on top of its table
-// representation: the heap footprint of the cacheNode, its list
-// element, its map slot, and the cacheEntry with its ready channel,
-// rounded up from the measurement TestCacheNodeOverheadCoversFootprint
-// pins. Charging it lets the byte budget bound the number of nodes as
-// well: a trace with no windows has a 0-cell table, which would
-// otherwise cost nothing, so any number of them could pile up.
+// representation and its memo: the heap footprint of the cacheNode, its
+// list element, its map slot, its empty schedule memo, and the
+// cacheEntry with its ready channel, rounded up from the measurement
+// TestCacheNodeOverheadCoversFootprint pins. Charging it lets the byte
+// budget bound the number of nodes as well: a trace with no windows has
+// a 0-cell table, which would otherwise cost nothing, so any number of
+// them could pile up.
 const cacheNodeOverhead = 512
 
 // flatTableBytes is the size of a hot-tier table's representation: its
 // cell backing, which is all a hot entry holds besides the fixed
-// per-node overhead and its charged memo.
+// per-node overhead and the node's charged memo.
 func flatTableBytes(t cost.ResidenceTable) int64 {
 	return 8 * int64(len(t.Cells()))
 }
@@ -221,10 +231,13 @@ func newTableCache(maxBytes int64, coldTier bool) *tableCache {
 // cacheRoleWait callers wait on entry.ready before touching the table;
 // cacheRoleBuilder callers must build and publish; a cacheRolePromoter
 // receives the compressed payload to decode (outside any lock) and must
-// likewise publish. Promotion needs only the payload and the request's
-// shape, but building needs the trace: a caller without one passes
-// build=false, and an absent fingerprint then reports false and touches
-// nothing — the caller decodes the trace and acquires again.
+// likewise publish. A cold node whose memo already holds every one of
+// specs is not promoted: the caller gets cacheRoleMemo and a memo-only
+// entry, and the node stays cold (its recency refreshed). Promotion
+// needs only the payload and the request's shape, but building needs
+// the trace: a caller without one passes build=false, and an absent
+// fingerprint then reports false and touches nothing — the caller
+// decodes the trace and acquires again.
 //
 // Misses and promotions are counted here: election makes the work
 // inevitable (it runs to completion even if the requester is later
@@ -232,7 +245,7 @@ func newTableCache(maxBytes int64, coldTier bool) *tableCache {
 // are NOT counted here — a waiter whose caller cancels mid-wait never
 // receives the table, so those settle later, once the request actually
 // completes (see settle).
-func (c *tableCache) acquire(fp trace.Fingerprint, build bool) (entry *cacheEntry, role cacheRole, comp []byte, ok bool) {
+func (c *tableCache) acquire(fp trace.Fingerprint, build bool, specs []memoKey) (entry *cacheEntry, role cacheRole, comp []byte, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, resident := c.items[fp]
@@ -243,12 +256,16 @@ func (c *tableCache) acquire(fp trace.Fingerprint, build bool) (entry *cacheEntr
 	switch {
 	case !resident:
 		c.misses++
-		e := &cacheEntry{fp: fp, ready: make(chan struct{})}
-		n := &cacheNode{fp: fp, state: tierBuilding, entry: e, bytes: cacheNodeOverhead}
+		m := &scheduleMemo{}
+		e := &cacheEntry{fp: fp, ready: make(chan struct{}), memo: m}
+		n := &cacheNode{fp: fp, state: tierBuilding, entry: e, memo: m, bytes: cacheNodeOverhead}
 		n.el = c.hot.PushFront(n)
 		c.items[fp] = n
 		c.bytes += n.bytes
 		return e, cacheRoleBuilder, nil, true
+	case n.state == tierCold && n.memo.holds(specs):
+		c.touch(n)
+		return &cacheEntry{fp: fp, memo: n.memo, memoOnly: true}, cacheRoleMemo, nil, true
 	case n.state == tierCold:
 		// Elect this caller to promote: move the node to the hot list
 		// now so concurrent requests wait on the entry instead of
@@ -256,7 +273,7 @@ func (c *tableCache) acquire(fp trace.Fingerprint, build bool) (entry *cacheEntr
 		// payload stays on the node (and is returned) — it is
 		// immutable, so the promoter can read it after the node itself
 		// is evicted or re-demoted.
-		e := &cacheEntry{fp: fp, ready: make(chan struct{})}
+		e := &cacheEntry{fp: fp, ready: make(chan struct{}), memo: n.memo}
 		c.cold.Remove(n.el)
 		n.el = c.hot.PushFront(n)
 		n.state = tierPromoting
@@ -343,9 +360,10 @@ func (c *tableCache) adopt(fp trace.Fingerprint, t cost.ResidenceTable) bool {
 	// demand request would — without it, any eviction pressure would
 	// reject the freshly adopted table against a once-seen victim.
 	c.sketch.bump(fp)
-	e := &cacheEntry{fp: fp, ready: make(chan struct{}), table: t}
+	m := &scheduleMemo{}
+	e := &cacheEntry{fp: fp, ready: make(chan struct{}), table: t, memo: m}
 	close(e.ready)
-	n := &cacheNode{fp: fp, state: tierHot, entry: e, bytes: cacheNodeOverhead + flatTableBytes(t)}
+	n := &cacheNode{fp: fp, state: tierHot, entry: e, memo: m, bytes: cacheNodeOverhead + flatTableBytes(t)}
 	n.el = c.hot.PushFront(n)
 	c.items[fp] = n
 	c.bytes += n.bytes
@@ -385,7 +403,7 @@ func (c *tableCache) publish(e *cacheEntry, t cost.ResidenceTable) {
 		// served; the cache simply never accounts this table.
 		return
 	}
-	size := cacheNodeOverhead + flatTableBytes(t)
+	size := cacheNodeOverhead + flatTableBytes(t) + n.memoBytes
 	c.bytes += size - n.bytes
 	n.bytes = size
 	n.state = tierHot
@@ -407,17 +425,19 @@ func (c *tableCache) abandon(e *cacheEntry) {
 	}
 }
 
-// chargeMemo adds a newly memoized schedule's bytes to e's node and
-// enforces the budget. An entry the cache no longer holds (demoted,
-// evicted, or replaced while the schedule ran) is not charged: its memo
-// dies with it once its last request finishes.
+// chargeMemo adds a newly memoized schedule's bytes to the node whose
+// memo e shares, in whatever tier the node now is, and enforces the
+// budget. A memo the cache no longer holds (its node evicted, or
+// evicted and re-missed while the schedule ran) is not charged: it dies
+// once its last request finishes.
 func (c *tableCache) chargeMemo(e *cacheEntry, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, ok := c.items[e.fp]
-	if !ok || n.entry != e {
+	if !ok || n.memo != e.memo {
 		return
 	}
+	n.memoBytes += size
 	n.bytes += size
 	c.bytes += size
 	c.enforce(n)
@@ -457,11 +477,12 @@ func (c *tableCache) demoteVictim(newest *cacheNode) *cacheNode {
 }
 
 // demote compresses a hot table into the cold tier, freeing the flat
-// cells and the entry's memo; promotion needs only the payload and the
-// request's shape to restore the table. A table whose compressed form is not
-// actually smaller than its flat cells (tiny tables, where the 66-byte
-// header dominates) is evicted instead: keeping it cold would grow the
-// cache. Called with c.mu held.
+// cells; the node keeps its memo (and its memo's charge), and promotion
+// needs only the payload and the request's shape to restore the table.
+// A table whose compressed form is not actually smaller than its flat
+// cells (tiny tables, where the 66-byte header dominates) is evicted
+// instead, memo and all: keeping it cold would grow the cache. Called
+// with c.mu held.
 func (c *tableCache) demote(v *cacheNode) {
 	comp := cost.EncodeTable(v.fp, v.entry.table)
 	if int64(len(comp)) >= flatTableBytes(v.entry.table) {
@@ -469,7 +490,7 @@ func (c *tableCache) demote(v *cacheNode) {
 		c.evictions++
 		return
 	}
-	size := cacheNodeOverhead + int64(len(comp))
+	size := cacheNodeOverhead + int64(len(comp)) + v.memoBytes
 	c.bytes += size - v.bytes
 	v.bytes = size
 	v.comp = comp
@@ -503,14 +524,14 @@ func (c *tableCache) pressureEvict(newest *cacheNode) (bool, *cacheNode) {
 
 // evictVictim picks the least valuable resident node: the cold tail if
 // the cold tier is nonempty (cold nodes were already the LRU end of the
-// hot tier once), else the hot tail — skipping the newest node.
+// hot tier once), else the hot tail — skipping the newest node, which
+// is cold when a memo charge on a cold node triggered enforcement.
 func (c *tableCache) evictVictim(newest *cacheNode) *cacheNode {
-	if el := c.cold.Back(); el != nil {
-		return el.Value.(*cacheNode)
-	}
-	for el := c.hot.Back(); el != nil; el = el.Prev() {
-		if n := el.Value.(*cacheNode); n != newest {
-			return n
+	for _, l := range [...]*list.List{c.cold, c.hot} {
+		for el := l.Back(); el != nil; el = el.Prev() {
+			if n := el.Value.(*cacheNode); n != newest {
+				return n
+			}
 		}
 	}
 	return nil

@@ -28,13 +28,13 @@ func fpN(n byte) trace.Fingerprint {
 func TestTableCacheTinyCapacitySingleflights(t *testing.T) {
 	for _, max := range []int64{0, 1} {
 		c := newTableCache(max, true)
-		e, role, _, _ := c.acquire(fpN(1), true)
+		e, role, _, _ := c.acquire(fpN(1), true, nil)
 		if role != cacheRoleBuilder {
 			t.Fatalf("max=%d: first acquire did not elect a builder", max)
 		}
 		c.publish(e, cost.ResidenceTable{})
 		for i := 0; i < 3; i++ {
-			e2, role, _, _ := c.acquire(fpN(1), true)
+			e2, role, _, _ := c.acquire(fpN(1), true, nil)
 			if role != cacheRoleWait {
 				t.Fatalf("max=%d: acquire %d re-elected role %d for a cached fingerprint (the entry evicted itself)", max, i, role)
 			}
@@ -78,7 +78,7 @@ func TestTinyCacheTablesBuiltEqualsDistinctTraces(t *testing.T) {
 func TestTableCacheNeverEvictsJustInserted(t *testing.T) {
 	c := newTableCache(1, true)
 	for n := byte(1); n <= 4; n++ {
-		e, role, _, _ := c.acquire(fpN(n), true)
+		e, role, _, _ := c.acquire(fpN(n), true, nil)
 		if role != cacheRoleBuilder {
 			t.Fatalf("fingerprint %d: expected builder election", n)
 		}
@@ -96,7 +96,7 @@ func TestTableCacheNeverEvictsJustInserted(t *testing.T) {
 // table of the given shape, as the request path would.
 func buildInto(t *testing.T, c *tableCache, fp trace.Fingerprint, nw, nd, np int) {
 	t.Helper()
-	e, role, _, _ := c.acquire(fp, true)
+	e, role, _, _ := c.acquire(fp, true, nil)
 	if role != cacheRoleBuilder {
 		t.Fatalf("fingerprint %v: expected builder election, got role %d", fp[0], role)
 	}
@@ -130,7 +130,7 @@ func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 		t.Fatalf("cache bytes %d exceed the 6000-byte budget", cs.bytes)
 	}
 
-	e, role, comp, _ := c.acquire(fpN(1), true)
+	e, role, comp, _ := c.acquire(fpN(1), true, nil)
 	if role != cacheRolePromoter {
 		t.Fatalf("acquire of the demoted fingerprint elected role %d, want promoter", role)
 	}
@@ -143,7 +143,7 @@ func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 	}
 	// Concurrent requests for an in-flight promotion must wait on the
 	// entry, not re-elect.
-	if _, role2, _, _ := c.acquire(fpN(1), true); role2 != cacheRoleWait {
+	if _, role2, _, _ := c.acquire(fpN(1), true, nil); role2 != cacheRoleWait {
 		t.Fatalf("second acquire during promotion elected role %d, want wait", role2)
 	}
 	c.publish(e, table)
@@ -176,7 +176,7 @@ func TestTableCacheColdTierDisabledEvicts(t *testing.T) {
 		t.Fatalf("demotions=%d evictions=%d cold=%d with cold tier disabled, want 0/1/0",
 			cs.demotions, cs.evictions, cs.coldEntries)
 	}
-	if _, role, _, _ := c.acquire(fpN(1), true); role != cacheRoleBuilder {
+	if _, role, _, _ := c.acquire(fpN(1), true, nil); role != cacheRoleBuilder {
 		t.Fatalf("evicted fingerprint re-acquired as role %d, want builder", role)
 	}
 }
@@ -201,7 +201,7 @@ func TestTableCacheAdmissionprotectsHotVictim(t *testing.T) {
 	buildInto(t, c, fpN(1), 8, 8, 8)
 	// Make fp1 provably hot.
 	for i := 0; i < 5; i++ {
-		e, role, _, _ := c.acquire(fpN(1), true)
+		e, role, _, _ := c.acquire(fpN(1), true, nil)
 		if role != cacheRoleWait {
 			t.Fatalf("warm acquire %d elected role %d", i, role)
 		}
@@ -224,7 +224,7 @@ func TestTableCacheAdmissionprotectsHotVictim(t *testing.T) {
 	// genuinely recurring newcomer still displaces the old resident
 	// once its frequency catches up.
 	for i := 0; i < 6; i++ {
-		e, role, _, _ := c.acquire(fpN(2), true)
+		e, role, _, _ := c.acquire(fpN(2), true, nil)
 		if role == cacheRoleBuilder {
 			c.publish(e, func() cost.ResidenceTable {
 				tb := cost.NewResidenceTable(8, 8, 8)
@@ -247,7 +247,7 @@ func TestTableCacheByteAccountingConsistent(t *testing.T) {
 		buildInto(t, c, fpN(n), 8, int(n), 8)
 	}
 	for _, n := range []byte{3, 7, 11, 2, 12} {
-		if e, role, comp, _ := c.acquire(fpN(n), true); role == cacheRolePromoter {
+		if e, role, comp, _ := c.acquire(fpN(n), true, nil); role == cacheRolePromoter {
 			table, err := cost.DecodeTable(comp, fpN(n), 0)
 			if err != nil {
 				t.Fatalf("fingerprint %d: cold payload corrupt: %v", n, err)
@@ -292,7 +292,7 @@ func TestCacheNodeOverheadCoversFootprint(t *testing.T) {
 		for i := 0; i < nodes; i++ {
 			var fp trace.Fingerprint
 			binary.LittleEndian.PutUint64(fp[:], uint64(i)*0x9e3779b97f4a7c15)
-			e, _, _, _ := c.acquire(fp, true)
+			e, _, _, _ := c.acquire(fp, true, nil)
 			c.publish(e, cost.ResidenceTable{})
 		}
 		runtime.GC()
@@ -304,6 +304,57 @@ func TestCacheNodeOverheadCoversFootprint(t *testing.T) {
 		t.Fatalf("a cache node occupies %.0f heap bytes, cacheNodeOverhead charges only %d", perNode, cacheNodeOverhead)
 	}
 	t.Logf("measured %.0f B/node, charged %d", perNode, cacheNodeOverhead)
+}
+
+// memoOverhead must cover what a memoized schedule really costs on the
+// heap beyond its centers: the memoResult, its done channel and its
+// share of the memo's slice of results. The memo stays resident on cold
+// nodes, competing with cold payloads, so the charge should be neither
+// low (the budget undercounts) nor far above the footprint (needless
+// demotions and rebuilds). The footprint is the live-heap growth per
+// spec of memos holding k specs, for every k up to memoMaxSpecs — the
+// empty memo itself is part of the node (see
+// TestCacheNodeOverheadCoversFootprint) — taking the least of three
+// runs.
+func TestMemoOverheadCoversFootprint(t *testing.T) {
+	const specs = 4096 // per k, spread over specs/k memos
+	centers := [][]int{make([]int, 256)}
+	if got := len(flattenCenters(centers, centerWidth(16))); got != 256 {
+		t.Fatalf("256 centers on 16 processors flatten to %d bytes, want 256 (an exact size class)", got)
+	}
+	lo, hi := math.Inf(1), 0.0
+	for k := 1; k <= memoMaxSpecs; k++ {
+		memos := specs / k
+		perSpec := math.Inf(1)
+		for run := 0; run < 3; run++ {
+			ms := make([]*scheduleMemo, memos)
+			for i := range ms {
+				ms[i] = &scheduleMemo{}
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for _, m := range ms {
+				for c := 0; c < k; c++ {
+					r, owner, stored := m.slot(memoKey{algorithm: "GOMCDS", capacity: c}, true)
+					if !owner || !stored {
+						t.Fatalf("spec %d of %d: owner %v, stored %v; want a fresh stored slot", c, k, owner, stored)
+					}
+					r.centers = flattenCenters(centers, centerWidth(16))
+					close(r.done)
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(ms)
+			perSpec = min(perSpec, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(memos*k)-256)
+		}
+		if perSpec > memoOverhead {
+			t.Fatalf("in memos of %d specs a spec occupies %.0f heap bytes beyond its centers, memoOverhead charges only %d", k, perSpec, memoOverhead)
+		}
+		lo, hi = min(lo, perSpec), max(hi, perSpec)
+	}
+	t.Logf("measured %.0f-%.0f B/spec beyond the centers, charged %d", lo, hi, memoOverhead)
 }
 
 // Regression test: a trace with no windows is valid (FORMATS.md) and

@@ -314,6 +314,7 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		"pim_trace_alias_body_hits_total":                       1,
 		"pim_schedule_memo_hits_total":                          1,
 		"pim_schedule_memo_misses_total":                        1,
+		"pim_schedule_memo_cold_hits_total":                     0,
 		`pim_stage_duration_seconds_count{stage="decode"}`:      1,
 		`pim_stage_duration_seconds_count{stage="fingerprint"}`: 1,
 		`pim_stage_duration_seconds_count{stage="table.build"}`: 1,
@@ -327,6 +328,45 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(after, `pim_stage_duration_seconds_bucket{stage="sched.scds",le="+Inf"}`) {
 		t.Error("scrape lacks the +Inf bucket of the sched.scds stage histogram")
+	}
+}
+
+// TestHTTPMetricsMemoColdHits is the golden exposition of
+// pim_schedule_memo_cold_hits_total: a spec repeated after its table was
+// demoted is one cold hit, also counted as a memo hit.
+func TestHTTPMetricsMemoColdHits(t *testing.T) {
+	// Two ~60 KiB tables against a 100 KB budget: the second demotes
+	// the first.
+	svc := New(Config{CacheBytes: 100_000})
+	defer svc.Close()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	reqA := Request{Trace: traceText(t, "lu", 8, grid.Square(4)), Algorithm: "gomcds"}
+	reqB := Request{Trace: traceText(t, "matsquare", 8, grid.Square(4)), Algorithm: "gomcds"}
+	for i, r := range []Request{reqA, reqB, reqA} {
+		if resp, data := postJSON(t, ts.Client(), ts.URL+"/schedule", r); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d (%s)", i, resp.StatusCode, data)
+		}
+	}
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, golden := range []string{
+		"# HELP pim_schedule_memo_cold_hits_total Schedule memo hits answered on a cold-tier table without promoting it (also counted in pim_schedule_memo_hits_total).\n" +
+			"# TYPE pim_schedule_memo_cold_hits_total counter\n" +
+			"pim_schedule_memo_cold_hits_total 1\n",
+		"\npim_schedule_memo_hits_total 1\n",
+		"\npim_cache_promotions_total 0\n",
+	} {
+		if !strings.Contains(string(data), golden) {
+			t.Fatalf("scrape lacks\n%s\nscrape:\n%s", golden, data)
+		}
 	}
 }
 

@@ -23,39 +23,76 @@ func benchTraceText(b *testing.B, kind string, n int, g grid.Grid) string {
 	return buf.String()
 }
 
-// BenchmarkScheduleColdHit measures a schedule served through a
-// cold-tier promotion: the byte budget fits one flat table, so
-// alternating two traces makes every call decode the compressed victim
-// back to the hot tier (and demote the other). A promoted entry starts
-// with an empty schedule memo, so each call also reruns the DP: the
-// delta against BenchmarkServeSchedule/memo-miss is the price of a
-// cold hit — which the cache pays instead of a full table rebuild.
-// scripts/bench.sh snapshots it into BENCH_CACHE.json.
+// BenchmarkScheduleColdHit measures a schedule served from a cold-tier
+// table, in its two cases. scripts/bench.sh snapshots both into
+// BENCH_CACHE.json.
+//
+//   - promote: a spec the memo has not seen, so the call decodes the
+//     compressed table back to the hot tier (demoting the other) and
+//     reruns the DP over it. The byte budget fits one flat table plus
+//     the other compressed, never both flat, and each trace's memo is
+//     filled to memoMaxSpecs first, so the cycled capacities are never
+//     stored and every call promotes. The delta against
+//     BenchmarkServeSchedule/memo-miss is the price of a promotion,
+//     which the cache pays instead of a full table rebuild.
+//   - memo: a spec the cold node's memo holds, answered from the memo
+//     without promoting: no decode, no DP, no Evaluate. Both traces stay
+//     cold throughout.
 func BenchmarkScheduleColdHit(b *testing.B) {
-	// lu/8 on 4x4 is 57 KiB flat, matsquare/8 is 64 KiB: 70 KB holds
-	// either flat plus the other compressed, never both flat.
-	svc := New(Config{CacheBytes: 70_000})
-	defer svc.Close()
-	reqs := []Request{
-		{Trace: benchTraceText(b, "lu", 8, grid.Square(4)), Algorithm: "gomcds"},
-		{Trace: benchTraceText(b, "matsquare", 8, grid.Square(4)), Algorithm: "gomcds"},
+	texts := []string{
+		benchTraceText(b, "lu", 8, grid.Square(4)),        // 57 KiB flat
+		benchTraceText(b, "matsquare", 8, grid.Square(4)), // 64 KiB flat
 	}
 	ctx := context.Background()
-	for _, req := range reqs { // warm: build both tables once
-		if _, err := svc.Schedule(ctx, req); err != nil {
+	schedule := func(b *testing.B, svc *Service, text string, capacity int) {
+		if _, err := svc.Schedule(ctx, Request{Trace: text, Algorithm: "gomcds", Capacity: capacity}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := svc.Schedule(ctx, reqs[i%2]); err != nil {
-			b.Fatal(err)
+
+	b.Run("promote", func(b *testing.B) {
+		// A full memo is about 23 KB: 140 KB holds one table flat and
+		// one compressed, each with its memo, never both flat.
+		svc := New(Config{CacheBytes: 140_000})
+		defer svc.Close()
+		for _, text := range texts { // warm: build both, fill both memos
+			for c := 0; c < memoMaxSpecs; c++ {
+				schedule(b, svc, text, 8+c)
+			}
 		}
-	}
-	b.StopTimer()
-	cs := svc.cache.counters()
-	if b.N > 4 && cs.promotions < uint64(b.N)/2 {
-		b.Fatalf("only %d promotions over %d schedules: the benchmark is not measuring cold hits", cs.promotions, b.N)
-	}
+		before := svc.cache.counters()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			schedule(b, svc, texts[i%2], 8+memoMaxSpecs+i)
+		}
+		b.StopTimer()
+		if got := svc.cache.counters().promotions - before.promotions; b.N > 4 && got < uint64(b.N)/2 {
+			b.Fatalf("only %d promotions over %d schedules: the benchmark is not measuring promotions", got, b.N)
+		}
+	})
+
+	b.Run("memo", func(b *testing.B) {
+		// 90 KB holds one of the two flat with the other compressed,
+		// never both flat: building the second demotes the first, and
+		// a third, smaller table then demotes the second.
+		svc := New(Config{CacheBytes: 90_000})
+		defer svc.Close()
+		for _, text := range texts {
+			schedule(b, svc, text, 8)
+		}
+		schedule(b, svc, benchTraceText(b, "stencil", 8, grid.Square(4)), 8)
+		before, coldHits := svc.cache.counters(), svc.memoColdHits.Load()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			schedule(b, svc, texts[i%2], 8)
+		}
+		b.StopTimer()
+		after := svc.cache.counters()
+		if after.promotions != before.promotions || svc.memoColdHits.Load()-coldHits != uint64(b.N) {
+			b.Fatalf("%d promotions and %d cold memo hits over %d schedules: want none and one per schedule",
+				after.promotions-before.promotions, svc.memoColdHits.Load()-coldHits, b.N)
+		}
+	})
 }

@@ -35,22 +35,39 @@ func respJSON(t *testing.T, r *Response) string {
 }
 
 // TestColdTierHitBitIdentical is the named check.sh gate: a schedule
-// served from a promoted cold-tier table must be bit-identical to the
-// schedule the flat table produced, with tables_built staying flat —
-// the cold tier trades decode work for rebuilds, never answers.
+// served from a cold-tier table must be bit-identical to the schedule
+// the flat table produced and to a fresh serial run, with tables_built
+// staying flat — the cold tier trades decode work for rebuilds, never
+// answers. A repeated spec is answered from the cold node's memo
+// without promoting; a spec the memo has not seen promotes the table.
 func TestColdTierHitBitIdentical(t *testing.T) {
 	// Two ~60 KiB tables against a 100 KB budget: either fits flat
 	// alone, both together must demote one.
 	svc := New(Config{CacheBytes: 100_000})
 	defer svc.Close()
+	ctx := context.Background()
 	reqA := Request{Trace: traceText(t, "lu", 8, grid.Square(4)), Algorithm: "gomcds", Capacity: 8, Verify: true}
+	unseen := Request{Trace: reqA.Trace, Algorithm: "gomcds", Capacity: 6, Verify: true}
 	reqB := Request{Trace: traceText(t, "matsquare", 8, grid.Square(4)), Algorithm: "gomcds", Capacity: 8, Verify: true}
+	// serial renders got with its schedule and costs replaced by a
+	// single-threaded sched run's, so comparing the two compares exactly
+	// the schedule content.
+	serial := func(r Request, got *Response) string {
+		t.Helper()
+		centers, cst := directRun(t, r.Trace, r.Algorithm, r.Capacity)
+		want := *got
+		want.Centers, want.Cost, want.Verified = centers, cst, &cst
+		return respJSON(t, &want)
+	}
 
-	respA1, err := svc.Schedule(context.Background(), reqA)
+	respA1, err := svc.Schedule(ctx, reqA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Schedule(context.Background(), reqB); err != nil {
+	if got, want := respJSON(t, respA1), serial(reqA, respA1); got != want {
+		t.Fatalf("flat-table schedule differs from the serial run:\n got %s\nwant %s", got, want)
+	}
+	if _, err := svc.Schedule(ctx, reqB); err != nil {
 		t.Fatal(err)
 	}
 	st := svc.Stats()
@@ -58,55 +75,82 @@ func TestColdTierHitBitIdentical(t *testing.T) {
 		t.Fatalf("no demotion after two over-budget tables (cache_bytes=%d); the gate is not exercising the cold tier", st.CacheBytes)
 	}
 
-	respA2, err := svc.Schedule(context.Background(), reqA)
+	respA2, err := svc.Schedule(ctx, reqA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !respA2.CacheHit {
-		t.Fatal("promoted response not marked as a cache hit")
+		t.Fatal("cold memo answer not marked as a cache hit")
 	}
 	if got, want := respJSON(t, respA2), respJSON(t, respA1); got != want {
-		t.Fatalf("cold-tier hit served a different schedule:\n got %s\nwant %s", got, want)
+		t.Fatalf("cold-tier memo hit served a different schedule:\n got %s\nwant %s", got, want)
+	}
+	now := svc.Stats()
+	if now.CachePromotions != st.CachePromotions || now.MemoColdHits != st.MemoColdHits+1 || now.CacheHits != st.CacheHits+1 {
+		t.Fatalf("repeated spec: promotions %d -> %d, memo cold hits %d -> %d, cache hits %d -> %d; want a cold memo hit, no promotion",
+			st.CachePromotions, now.CachePromotions, st.MemoColdHits, now.MemoColdHits, st.CacheHits, now.CacheHits)
+	}
+
+	respA3, err := svc.Schedule(ctx, unseen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !respA3.CacheHit {
+		t.Fatal("promoted response not marked as a cache hit")
+	}
+	if got, want := respJSON(t, respA3), serial(unseen, respA3); got != want {
+		t.Fatalf("cold-tier promotion served a different schedule:\n got %s\nwant %s", got, want)
 	}
 	st = svc.Stats()
 	if st.TablesBuilt != 2 {
-		t.Fatalf("tables_built = %d after a cold-tier hit, want 2 (promotion must not rebuild)", st.TablesBuilt)
+		t.Fatalf("tables_built = %d after cold-tier hits, want 2 (neither a memo hit nor a promotion may rebuild)", st.TablesBuilt)
 	}
-	if st.CachePromotions == 0 {
-		t.Fatal("cache_promotions = 0; the third request did not promote")
+	if st.CachePromotions != now.CachePromotions+1 {
+		t.Fatalf("cache_promotions %d -> %d; the unseen spec did not promote", now.CachePromotions, st.CachePromotions)
 	}
-	if st.CacheHits == 0 {
-		t.Fatal("cache_hits = 0; a settled promotion must count as a hit")
+	if st.CacheHits != now.CacheHits+1 {
+		t.Fatalf("cache_hits %d -> %d; a settled promotion must count as a hit", now.CacheHits, st.CacheHits)
 	}
 }
 
 // TestCacheTierRaceStress hammers one small set of fingerprints with
 // concurrent schedules, prefill adoptions, and peer-table reads under a
-// byte budget that forces continuous demote/promote/evict churn. Run
-// under -race by scripts/check.sh. Afterwards: every response matches
-// the serial reference bit for bit, the demand counters settle exactly
-// (each completed request is one of miss/hit/shared), and the byte
-// accounting is internally consistent.
+// byte budget that forces continuous demote/promote/evict churn. Half
+// the schedule workers repeat one spec per trace (cold memo hits once it
+// is memoized), the other half cycle capacities the memo has mostly not
+// seen (promotions). Run under -race by scripts/check.sh. Afterwards:
+// every response matches the serial reference bit for bit, the demand
+// counters settle exactly (each completed request is one of
+// miss/hit/shared), cold memo hits are memo hits, and the byte
+// accounting, memo bytes included, settles exactly.
 func TestCacheTierRaceStress(t *testing.T) {
 	kinds := []struct {
 		kind string
 		n    int
 	}{{"lu", 8}, {"matsquare", 8}, {"stencil", 8}}
-	reqs := make([]Request, len(kinds))
+	const workers = 8
+	const iters = 25
+	// reqs[k][c] asks for trace k at capacity 4+c; refs holds the
+	// serial answers.
+	reqs := make([][]Request, len(kinds))
 	prefills := make([]PrefillRequest, len(kinds))
-	refs := make([]string, len(kinds))
+	refs := make([][]string, len(kinds))
 	prefillTables := map[trace.Fingerprint][]byte{}
 
 	// Serial reference on an unconstrained service.
 	ref := New(Config{})
 	for i, k := range kinds {
-		reqs[i] = Request{Trace: traceText(t, k.kind, k.n, grid.Square(4)), Algorithm: "gomcds", Capacity: 8}
-		resp, err := ref.Schedule(context.Background(), reqs[i])
-		if err != nil {
-			t.Fatal(err)
+		text := traceText(t, k.kind, k.n, grid.Square(4))
+		for c := 0; c < iters; c++ {
+			r := Request{Trace: text, Algorithm: "gomcds", Capacity: 4 + c}
+			resp, err := ref.Schedule(context.Background(), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs[i] = append(reqs[i], r)
+			refs[i] = append(refs[i], respJSON(t, resp))
 		}
-		refs[i] = respJSON(t, resp)
-		tr, err := trace.Decode(strings.NewReader(reqs[i].Trace))
+		tr, err := trace.Decode(strings.NewReader(text))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,8 +177,6 @@ func TestCacheTierRaceStress(t *testing.T) {
 	})
 	defer svc.Close()
 
-	const workers = 8
-	const iters = 25
 	var wg sync.WaitGroup
 	errc := make(chan error, workers)
 	completed := make([]int64, len(kinds))
@@ -155,12 +197,16 @@ func TestCacheTierRaceStress(t *testing.T) {
 					}
 					continue
 				}
-				resp, err := svc.Schedule(context.Background(), reqs[k])
+				c := 4 // the repeated spec
+				if w%2 == 1 {
+					c = i
+				}
+				resp, err := svc.Schedule(context.Background(), reqs[k][c])
 				if err != nil {
 					errc <- fmt.Errorf("worker %d iter %d: %w", w, i, err)
 					return
 				}
-				if got := respJSON(t, resp); got != refs[k] {
+				if got := respJSON(t, resp); got != refs[k][c] {
 					errc <- fmt.Errorf("worker %d iter %d: response diverged from serial reference", w, i)
 					return
 				}
@@ -186,15 +232,11 @@ func TestCacheTierRaceStress(t *testing.T) {
 		t.Fatalf("counters settle to %d (hits %d + misses %d + shared %d), want %d completed schedules",
 			got, cs.hits, cs.misses, cs.sharedBuilds, total)
 	}
+	if st := svc.Stats(); st.MemoColdHits > st.MemoHits || st.MemoHits+st.MemoMisses != total {
+		t.Fatalf("memo hits %d (cold %d) + misses %d; want cold <= hits and %d lookups", st.MemoHits, st.MemoColdHits, st.MemoMisses, total)
+	}
+	checkMemoCharges(t, svc.cache)
 	svc.cache.mu.Lock()
-	var sum int64
-	for _, n := range svc.cache.items {
-		sum += n.bytes
-	}
-	if sum != svc.cache.bytes {
-		svc.cache.mu.Unlock()
-		t.Fatalf("accounted bytes %d != summed node bytes %d after churn", svc.cache.bytes, sum)
-	}
 	if got := svc.cache.hot.Len() + svc.cache.cold.Len(); got != len(svc.cache.items) {
 		svc.cache.mu.Unlock()
 		t.Fatalf("tier lists hold %d nodes, index holds %d", got, len(svc.cache.items))

@@ -20,7 +20,8 @@
 # BENCH_SERVE.json. It then measures the two-tier table cache into
 # BENCH_CACHE.json: pimtab-v2 codec throughput and compression ratio
 # (hard gate: >= 2x on the paper-shaped lu/16 table), the cold-hit
-# promotion latency, and a two-process Zipf rebuild comparison at a
+# latency in its two cases (a promotion, and a memo hit that skips it),
+# with a host block, and a two-process Zipf rebuild comparison at a
 # tight byte budget (hard gate: the cold tier rebuilds >= 3x fewer
 # tables than the flat LRU under the identical seeded load). Compare
 # two runs with:
@@ -332,6 +333,7 @@ trap - EXIT
 echo "two-tier built $TIERED_BUILT tables ($TIERED_PROMOTIONS promotions); flat built $FLAT_BUILT"
 
 CACHE_SUMMARY="$({ echo "$RAW_CODEC"; echo "$RAW_COLD"; } | awk -v count="$COUNT" \
+	-v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v gover="$(go env GOVERSION)" \
 	-v budget="$CACHE_BUDGET" -v reqs="$CACHE_REQUESTS" -v traces="$CACHE_TRACES" -v zipf="$CACHE_ZIPF" \
 	-v tbuilt="$TIERED_BUILT" -v thits="$TIERED_HITS" -v tpromo="$TIERED_PROMOTIONS" \
 	-v fbuilt="$FLAT_BUILT" -v fhits="$FLAT_HITS" '
@@ -345,15 +347,17 @@ function metric(unit,   i) {
 }
 /^BenchmarkTableCodecV2\/encode/ { enc += $3; ratio += metric("ratio"); nenc++ }
 /^BenchmarkTableCodecV2\/decode/ { dec += $3; ndec++ }
-/^BenchmarkScheduleColdHit/      { cold += $3; cala += metric("allocs/op"); ncold++ }
+/^BenchmarkScheduleColdHit\/promote/ { cold += $3; cala += metric("allocs/op"); ncold++ }
+/^BenchmarkScheduleColdHit\/memo/    { memo += $3; mema += metric("allocs/op"); nmemo++ }
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
+/^cpu:/    { cpu = substr($0, 6) }
 END {
-	if (nenc == 0 || ndec == 0 || ncold == 0) {
+	if (nenc == 0 || ndec == 0 || ncold == 0 || nmemo == 0) {
 		print "bench.sh: no cache benchmark samples parsed" > "/dev/stderr"
 		exit 1
 	}
-	enc /= nenc; ratio /= nenc; dec /= ndec; cold /= ncold; cala /= ncold
+	enc /= nenc; ratio /= nenc; dec /= ndec; cold /= ncold; cala /= ncold; memo /= nmemo; mema /= nmemo
 	# Hard gates, snapshot mode included: the compressed cold tier only
 	# earns its complexity if pimtab-v2 at least halves the paper-shaped
 	# table and the tight-budget Zipf run rebuilds at least 3x less than
@@ -368,8 +372,13 @@ END {
 	}
 	printf "{\n"
 	printf "  \"benchmark\": \"two-tier-table-cache\",\n"
-	printf "  \"goos\": \"%s\",\n", goos
-	printf "  \"goarch\": \"%s\",\n", goarch
+	printf "  \"host\": {\n"
+	printf "    \"cpu\": \"%s\",\n", cpu
+	printf "    \"gomaxprocs\": %d,\n", gomaxprocs
+	printf "    \"go\": \"%s\",\n", gover
+	printf "    \"goos\": \"%s\",\n", goos
+	printf "    \"goarch\": \"%s\"\n", goarch
+	printf "  },\n"
 	printf "  \"count\": %d,\n", count
 	printf "  \"codec_table\": \"lu/16 on 4x4\",\n"
 	printf "  \"codec_encode_ns_per_op\": %.0f,\n", enc
@@ -377,6 +386,8 @@ END {
 	printf "  \"codec_compression_ratio\": %.2f,\n", ratio
 	printf "  \"cold_hit_ns_per_op\": %.0f,\n", cold
 	printf "  \"cold_hit_allocs_per_op\": %.0f,\n", cala
+	printf "  \"cold_memo_hit_ns_per_op\": %.0f,\n", memo
+	printf "  \"cold_memo_hit_allocs_per_op\": %.0f,\n", mema
 	printf "  \"zipf_budget_bytes\": %d,\n", budget
 	printf "  \"zipf_requests\": %d,\n", reqs
 	printf "  \"zipf_traces\": %d,\n", traces
@@ -406,6 +417,7 @@ if [ "$CHECK" = 1 ]; then
 	check_drift BENCH_SERVE.json cold_ns_per_op "$SERVE_SUMMARY"
 	check_drift BENCH_CACHE.json codec_encode_ns_per_op "$CACHE_SUMMARY"
 	check_drift BENCH_CACHE.json cold_hit_ns_per_op "$CACHE_SUMMARY"
+	check_drift BENCH_CACHE.json cold_memo_hit_ns_per_op "$CACHE_SUMMARY"
 	check_drift BENCH_CACHE.json tiered_tables_built "$CACHE_SUMMARY" tables
 	echo
 	echo "== cluster loadtest drift (scripts/loadtest.sh --check) =="

@@ -42,14 +42,19 @@ go test -race -run '^TestHTTPSessionConcurrentClients$' ./internal/service
 # batch answers bit-identical over seeded random traces at unbounded,
 # tight and infeasible capacities; text variants, body variants
 # (spacing, field order, verify in the body or the query),
-# demote/promote, caller-mutated centers, over-budget traces and racing
-# identical requests; refused bodies never aliased; a body-alias hit
-# whose context expires mid-build still decodes intact bytes. Plus the
+# demote -> cold memo hit -> promote -> evict with memo bytes settling
+# exactly, cold memo hits (TestMemoRefereeColdHit: answered on a cold
+# node without promotion, decode or scheduler run, bit-identical to a
+# fresh service; a batch promotes only for a spec the memo lacks),
+# caller-mutated centers, over-budget traces and racing identical
+# requests; refused bodies never aliased; a body-alias hit whose context
+# expires mid-build still decodes intact bytes. Plus the
 # counter-settlement check: alias hits + misses equal the requests that
-# passed validation, memo hits + misses the specs that reached a table,
-# and the router refuses and aliases bodies as the shard does. All under
-# the race detector; they already ran under ./... above, the named gates
-# survive narrower invocations.
+# passed validation, memo hits + misses the specs that reached a table
+# or a cold memo, cold hits never exceed memo hits, and the router
+# refuses and aliases bodies as the shard does. All under the race
+# detector; they already ran under ./... above, the named gates survive
+# narrower invocations.
 echo "== schedule memo referee (-race) =="
 go test -race -run '^TestMemoReferee' ./internal/service
 go test -race -run '^(TestHashTextIsSHA256OfText|TestTextAliasBoundedFIFO|TestAliasDomainsShareOneBound)$' ./internal/trace
@@ -102,18 +107,21 @@ go test -race -run '^(TestPlaceCheapestMatchesSortedWalk|TestFitsNeverOverflows)
 go test -race -run '^TestMaxIntCapacitySchedulesLikeUnbounded$' ./internal/verify
 go test -race -run '^TestMaxIntCapacityServedLikeUnbounded$' ./internal/service
 
-# Two-tier cache gates: the bit-identity referee (a schedule served via
-# a cold-tier promotion must match the flat-table schedule byte for
-# byte, without a rebuild) and the demote/promote/evict churn stress,
-# both under the race detector; the byte budget bounding entries whose
-# tables have no cells; GET /table serving pimtab-v2 from either tier;
+# Two-tier cache gates: the bit-identity referee (a schedule served from
+# a cold node, as a memo hit or through a promotion, must match the
+# flat-table schedule and a serial run byte for byte, without a
+# rebuild) and the demote/promote/evict churn stress with memo bytes
+# settling exactly, both under the race detector; the cold memo hit
+# referee; the byte budget bounding entries whose tables have no cells;
+# the memo charge covering the memo's measured heap footprint;
+# GET /table serving pimtab-v2 from either tier;
 # plus the DoS-guard regressions proving every table-ingesting endpoint
 # (session import, peer-fill adopt, prefill) refuses payloads over the
 # cell budget before allocating, and refuses the retired pimtab-v1.
 # All already ran under ./... above; the named gates survive narrower
 # invocations.
 echo "== two-tier cache gates (-race) =="
-go test -race -run '^(TestColdTierHitBitIdentical|TestCacheTierRaceStress|TestImportRejectsOversizedTablePayload|TestZeroCellTablesBoundedByBytes|TestTableGetServesV2HotAndCold)$' ./internal/service
+go test -race -run '^(TestColdTierHitBitIdentical|TestCacheTierRaceStress|TestMemoRefereeColdHit|TestImportRejectsOversizedTablePayload|TestZeroCellTablesBoundedByBytes|TestMemoOverheadCoversFootprint|TestTableGetServesV2HotAndCold)$' ./internal/service
 go test -race -run '^(TestPeerFillRejectsOversizedTablePayload|TestPrefillRejectsOversizedPeerTable|TestPeerFillBodyCapFollowsCellBudget|TestPimtabV1Refused)$' ./internal/cluster
 
 # Table-only cache entries: SCDS, LOMCDS and GOMCDS read only the
@@ -227,7 +235,8 @@ for series in \
 	'pim_trace_alias_hits_total 0' \
 	'pim_trace_alias_body_hits_total 0' \
 	'pim_schedule_memo_misses_total 1' \
-	'pim_schedule_memo_hits_total 0'; do
+	'pim_schedule_memo_hits_total 0' \
+	'pim_schedule_memo_cold_hits_total 0'; do
 	if ! grep -qF "$series" <<<"$SCRAPE"; then
 		echo "check.sh: /metrics scrape missing series: $series"
 		echo "$SCRAPE"
