@@ -158,7 +158,7 @@ func DecodeTable(data []byte, want trace.Fingerprint, maxCells int64) (Residence
 // CheckShape reports whether t has the windows x data x processors
 // shape sh declares. It is the one adoption check every path that takes
 // a table it did not build itself — peer fill, replica prefill,
-// cold-tier promotion, session restore — runs before using it.
+// a cold-tier decode, session restore — runs before using it.
 func (t ResidenceTable) CheckShape(sh trace.Shape) error {
 	if t.nw != sh.NumWindows || t.nd != sh.NumData || t.np != sh.Grid.NumProcs() {
 		return fmt.Errorf("table shape %dx%dx%d does not match trace %dx%dx%d",

@@ -350,23 +350,30 @@ func TestPeerFillFallsBack(t *testing.T) {
 // an astronomically large array — the implied residence-table size is
 // bounded before any build starts, on every trace-accepting endpoint.
 // Found by FuzzBatchDecode: a mutated grid directive wedged the worker
-// in a multi-exabyte table build.
+// in a multi-exabyte table build. A trace with one data item and no
+// windows has a 0-cell residence table, but its cost model still builds
+// a processors x processors distance table; before that was bounded
+// too, this 3000x3000 grid panicked the worker with a slice length out
+// of range.
 func TestTraceScaleGuard(t *testing.T) {
 	svc := New(Config{MaxTableCells: 1 << 10})
 	defer svc.Close()
-	huge := "pimtrace v1\ngrid 99999 99999\ndata 999999\nwindow\nref 0 0 1\n"
-
-	_, err := svc.Schedule(context.Background(), Request{Trace: huge, Algorithm: "scds"})
-	if err == nil || !isRequestError(err) || !strings.Contains(err.Error(), "limit 1024") {
-		t.Fatalf("Schedule: %v, want a table-cells RequestError", err)
-	}
-	_, err = svc.ScheduleBatch(context.Background(), BatchRequest{Trace: huge, Requests: []BatchSpec{{Algorithm: "scds"}}})
-	if err == nil || !isRequestError(err) {
-		t.Fatalf("ScheduleBatch: %v, want a table-cells RequestError", err)
-	}
-	_, err = svc.CreateSession(CreateSessionRequest{Trace: huge})
-	if err == nil || !isRequestError(err) {
-		t.Fatalf("CreateSession: %v, want a table-cells RequestError", err)
+	for _, huge := range []string{
+		"pimtrace v1\ngrid 99999 99999\ndata 999999\nwindow\nref 0 0 1\n",
+		"pimtrace v1\ngrid 3000 3000\ndata 1\n",
+	} {
+		_, err := svc.Schedule(context.Background(), Request{Trace: huge, Algorithm: "scds"})
+		if err == nil || !isRequestError(err) || !strings.Contains(err.Error(), "limit 1024") {
+			t.Fatalf("Schedule %q: %v, want a table-cells RequestError", huge, err)
+		}
+		_, err = svc.ScheduleBatch(context.Background(), BatchRequest{Trace: huge, Requests: []BatchSpec{{Algorithm: "scds"}}})
+		if err == nil || !isRequestError(err) {
+			t.Fatalf("ScheduleBatch %q: %v, want a table-cells RequestError", huge, err)
+		}
+		_, err = svc.CreateSession(CreateSessionRequest{Trace: huge})
+		if err == nil || !isRequestError(err) {
+			t.Fatalf("CreateSession %q: %v, want a table-cells RequestError", huge, err)
+		}
 	}
 
 	// A trace inside the budget still schedules.

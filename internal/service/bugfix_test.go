@@ -260,8 +260,8 @@ func TestCanceledWaiterDoesNotInflateSharedBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entry, role, _, _ := svc.cache.acquire(tr.Fingerprint(), true, nil)
-	if role != cacheRoleBuilder {
+	entry, _, builder, _ := svc.cache.acquire(tr.Fingerprint(), true)
+	if !builder {
 		t.Fatal("test did not win builder election on an empty cache")
 	}
 

@@ -12,23 +12,28 @@ import (
 // cacheEntry is one cached residence table plus its node's schedule
 // memo. The table, the request's grid and the unit item sizes are the
 // whole scheduling input (sched.Problem with a nil Model), so no cost
-// model is kept. table is written exactly once by the elected builder
-// (or promoter), before ready is closed; readers must wait on ready
+// model is kept. A hot entry's table is written exactly once by the
+// elected builder, before ready is closed; readers must wait on ready
 // first (the close establishes the happens-before edge), so no lock is
 // needed after that. The table is immutable once published: demotion
 // and eviction swap the cache's own reference, never the entry, so
 // in-flight requests holding one keep a consistent view. memo is the
 // node's (see memo.go): every entry minted for a node shares it, so it
-// outlives any one entry and dies only with the node. A memoOnly entry
-// is a cold memo hit: no table and no ready channel, only the memo,
-// which holds every spec its request asks for.
+// outlives any one entry and dies only with the node.
+//
+// A cold entry (no ready channel) belongs to one request: acquire hands
+// it out with the cold node's memo and, beside it, the node's pimtab-v2
+// payload, which that request alone decodes into the entry's table, and
+// only when the memo lacks one of its specs (see Service.coldTable).
 type cacheEntry struct {
-	fp       trace.Fingerprint
-	ready    chan struct{}
-	table    cost.ResidenceTable
-	memo     *scheduleMemo
-	memoOnly bool
+	fp    trace.Fingerprint
+	ready chan struct{}
+	table cost.ResidenceTable
+	memo  *scheduleMemo
 }
+
+// cold reports whether e is a request's own entry on a cold node.
+func (e *cacheEntry) cold() bool { return e.ready == nil }
 
 // cacheOutcome classifies how one request resolved against the cache;
 // the request path settles it into the hit/shared-build counters only
@@ -40,43 +45,20 @@ const (
 	// already counted at election, when the build became inevitable).
 	cacheOutcomeBuild cacheOutcome = iota
 	// cacheOutcomeHit: the entry was ready at acquire time, or the
-	// node was cold and its memo answered every spec.
+	// node was cold (its table resident, compressed).
 	cacheOutcomeHit
 	// cacheOutcomeShared: the request piggybacked on an in-flight build.
 	cacheOutcomeShared
-	// cacheOutcomePromote: the request was elected to decode a cold-tier
-	// table back to the hot tier. The table was resident, so it settles
-	// as a hit (the promotion itself was counted at election); only
-	// tables_built distinguishes a promote from a flat hit.
-	cacheOutcomePromote
 )
 
-// cacheRole is what acquire elected the caller to do.
-type cacheRole uint8
-
-const (
-	// cacheRoleWait: another request owns the entry; wait on ready (a
-	// closed channel means an immediate hit).
-	cacheRoleWait cacheRole = iota
-	// cacheRoleBuilder: the caller must build the table and publish.
-	cacheRoleBuilder
-	// cacheRolePromoter: the caller must decode the returned cold
-	// payload (or rebuild on decode failure) and publish.
-	cacheRolePromoter
-	// cacheRoleMemo: the node is cold but its memo holds every spec the
-	// caller asked for; the memo-only entry answers them, and nobody
-	// publishes.
-	cacheRoleMemo
-)
-
-// tierState is where a fingerprint's table currently lives.
+// tierState is where a fingerprint's table currently lives. A node only
+// moves forward: building, hot, cold, then out of the cache.
 type tierState uint8
 
 const (
-	tierBuilding  tierState = iota // entry open; elected builder running
-	tierHot                        // entry ready; flat table
-	tierPromoting                  // entry open; elected promoter decoding comp
-	tierCold                       // no entry; compressed pimtab-v2 payload
+	tierBuilding tierState = iota // entry open; elected builder running
+	tierHot                       // entry ready; flat table
+	tierCold                      // no entry; compressed pimtab-v2 payload
 )
 
 // cacheNode is the cache's own mutable handle on one fingerprint. The
@@ -87,9 +69,9 @@ const (
 type cacheNode struct {
 	fp        trace.Fingerprint
 	state     tierState
-	el        *list.Element // position in hot (building/hot/promoting) or cold
+	el        *list.Element // position in hot (building/hot) or cold
 	entry     *cacheEntry   // nil when cold
-	comp      []byte        // pimtab-v2 payload; set when cold or promoting
+	comp      []byte        // pimtab-v2 payload; set when cold
 	memo      *scheduleMemo // shared by every entry minted for this node
 	memoBytes int64         // charged size of memo's stored schedules
 	bytes     int64         // accounted size: cacheNodeOverhead + representation + memoBytes
@@ -165,9 +147,7 @@ func (s *freqSketch) estimate(fp trace.Fingerprint) uint8 {
 // with singleflight semantics: acquire elects exactly one builder per
 // fingerprint; concurrent misses on the same key piggyback on the
 // in-flight build instead of building their own table (the stampede
-// guard the load tests pin down). The same election mechanism covers
-// promotion: exactly one request decodes a cold table, and concurrent
-// requests for it wait on the entry like any in-flight build.
+// guard the load tests pin down).
 //
 // One bound applies: maxBytes caps the summed node sizes (each node's
 // representation plus cacheNodeOverhead), enforced when a table is
@@ -176,7 +156,9 @@ func (s *freqSketch) estimate(fp trace.Fingerprint) uint8 {
 // MaxInflight). Over budget, hot tables are demoted — re-encoded into
 // the compressed pimtab-v2 codec and kept resident — before anything is
 // evicted; only when no hot table remains demotable does the cold tail
-// go.
+// go. Tables only cool: a cold node is never promoted back to the hot
+// tier. A request on it answers from the node's memo, or decodes the
+// payload into its own entry and leaves the node cold.
 //
 // Eviction (not demotion) consults the admission sketch: when the
 // victim's estimated frequency strictly exceeds the newcomer's, the
@@ -197,6 +179,8 @@ type tableCache struct {
 	bytes    int64
 	sketch   freqSketch
 
+	// promotions counts decodes of a cold payload, one per request that
+	// needed the table (see decoded).
 	hits, misses, sharedBuilds, evictions   uint64
 	demotions, promotions, admissionRejects uint64
 }
@@ -227,30 +211,28 @@ func newTableCache(maxBytes int64, coldTier bool) *tableCache {
 	}
 }
 
-// acquire resolves fp against both tiers and elects the caller's role.
-// cacheRoleWait callers wait on entry.ready before touching the table;
-// cacheRoleBuilder callers must build and publish; a cacheRolePromoter
-// receives the compressed payload to decode (outside any lock) and must
-// likewise publish. A cold node whose memo already holds every one of
-// specs is not promoted: the caller gets cacheRoleMemo and a memo-only
-// entry, and the node stays cold (its recency refreshed). Promotion
-// needs only the payload and the request's shape, but building needs
-// the trace: a caller without one passes build=false, and an absent
-// fingerprint then reports false and touches nothing — the caller
-// decodes the trace and acquires again.
+// acquire resolves fp against both tiers. A builder (the first caller
+// for an absent fingerprint) must build the table and publish it; any
+// other caller of a hot or building node waits on entry.ready before
+// touching the table. A cold node yields a fresh cold entry for the
+// caller alone, holding the node's memo, together with the node's
+// immutable payload (comp, nil for any other node); the node stays in
+// the cold list with its recency refreshed. Building needs the trace: a
+// caller without one passes build=false, and an absent fingerprint then
+// reports false and touches nothing — the caller decodes the trace and
+// acquires again.
 //
-// Misses and promotions are counted here: election makes the work
-// inevitable (it runs to completion even if the requester is later
-// abandoned), so it is a fact at acquire time. Hits and shared builds
-// are NOT counted here — a waiter whose caller cancels mid-wait never
-// receives the table, so those settle later, once the request actually
-// completes (see settle).
-func (c *tableCache) acquire(fp trace.Fingerprint, build bool, specs []memoKey) (entry *cacheEntry, role cacheRole, comp []byte, ok bool) {
+// Misses are counted here: election makes the build inevitable (it runs
+// to completion even if the requester is later abandoned), so it is a
+// fact at acquire time. Hits and shared builds are NOT counted here — a
+// waiter whose caller cancels mid-wait never receives the table, so
+// those settle later, once the request actually completes (see settle).
+func (c *tableCache) acquire(fp trace.Fingerprint, build bool) (entry *cacheEntry, comp []byte, builder, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, resident := c.items[fp]
 	if !resident && !build {
-		return nil, 0, nil, false
+		return nil, nil, false, false
 	}
 	c.sketch.bump(fp)
 	switch {
@@ -262,27 +244,13 @@ func (c *tableCache) acquire(fp trace.Fingerprint, build bool, specs []memoKey) 
 		n.el = c.hot.PushFront(n)
 		c.items[fp] = n
 		c.bytes += n.bytes
-		return e, cacheRoleBuilder, nil, true
-	case n.state == tierCold && n.memo.holds(specs):
-		c.touch(n)
-		return &cacheEntry{fp: fp, memo: n.memo, memoOnly: true}, cacheRoleMemo, nil, true
+		return e, nil, true, true
 	case n.state == tierCold:
-		// Elect this caller to promote: move the node to the hot list
-		// now so concurrent requests wait on the entry instead of
-		// re-electing, exactly like an in-flight build. The compressed
-		// payload stays on the node (and is returned) — it is
-		// immutable, so the promoter can read it after the node itself
-		// is evicted or re-demoted.
-		e := &cacheEntry{fp: fp, ready: make(chan struct{}), memo: n.memo}
-		c.cold.Remove(n.el)
-		n.el = c.hot.PushFront(n)
-		n.state = tierPromoting
-		n.entry = e
-		c.promotions++
-		return e, cacheRolePromoter, n.comp, true
+		c.touch(n)
+		return &cacheEntry{fp: fp, memo: n.memo}, n.comp, false, true
 	}
 	c.touch(n)
-	return n.entry, cacheRoleWait, nil, true
+	return n.entry, nil, false, true
 }
 
 // touch refreshes a node's recency in whichever tier list holds it.
@@ -297,9 +265,9 @@ func (c *tableCache) touch(n *cacheNode) {
 // resident reports whether fp has a table in either tier (or in
 // flight), refreshing its recency. It serves the prefill residency
 // check; like the old ready-entry peek it counts neither hit nor miss,
-// keeping cache statistics about local demand traffic. A building or
-// promoting entry counts as resident — a prefill push for it would be
-// dropped by adopt anyway.
+// keeping cache statistics about local demand traffic. A building entry
+// counts as resident — a prefill push for it would be dropped by adopt
+// anyway.
 func (c *tableCache) resident(fp trace.Fingerprint) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -327,7 +295,7 @@ func (c *tableCache) encodedTable(fp trace.Fingerprint) ([]byte, bool) {
 		case tierHot:
 			entry = n.entry
 			c.touch(n)
-		case tierCold, tierPromoting:
+		case tierCold:
 			comp = n.comp
 			c.touch(n)
 		}
@@ -380,17 +348,17 @@ func (c *tableCache) settle(o cacheOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch o {
-	case cacheOutcomeHit, cacheOutcomePromote:
+	case cacheOutcomeHit:
 		c.hits++
 	case cacheOutcomeShared:
 		c.sharedBuilds++
 	}
 }
 
-// publish installs the built (or promoted) table and wakes all
-// waiters. Only the elected builder or promoter may call it, exactly
-// once (or abandon instead). Publication is also where the cache bounds
-// are enforced: the node's representation size is known only now.
+// publish installs the built table and wakes all waiters. Only the
+// elected builder may call it, exactly once. Publication is also where
+// the cache bounds are enforced: the node's representation size is
+// known only now.
 func (c *tableCache) publish(e *cacheEntry, t cost.ResidenceTable) {
 	e.table = t
 	close(e.ready)
@@ -407,20 +375,23 @@ func (c *tableCache) publish(e *cacheEntry, t cost.ResidenceTable) {
 	c.bytes += size - n.bytes
 	n.bytes = size
 	n.state = tierHot
-	n.comp = nil
 	c.hot.MoveToFront(n.el)
 	c.enforce(n)
 }
 
-// abandon is publish for an elected promoter that could produce no
-// table: it drops the entry's node, if the cache still holds it, and
-// wakes the waiters onto the zero table, which fails their shape check
-// (see Service.resolveTable) instead of leaving them blocked.
-func (c *tableCache) abandon(e *cacheEntry) {
-	close(e.ready)
+// decoded counts one decode of a cold payload for one request.
+func (c *tableCache) decoded() {
+	c.mu.Lock()
+	c.promotions++
+	c.mu.Unlock()
+}
+
+// drop removes the cold node whose payload a cold entry carries, if the
+// cache still holds it: its payload failed to decode for a request.
+func (c *tableCache) drop(e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n, ok := c.items[e.fp]; ok && n.entry == e {
+	if n, ok := c.items[e.fp]; ok && n.memo == e.memo {
 		c.remove(n)
 	}
 }
@@ -465,8 +436,8 @@ func (c *tableCache) enforce(newest *cacheNode) {
 }
 
 // demoteVictim picks the least-recently-used hot table that may be
-// demoted: never the newest node, never an entry still being built or
-// promoted (those have nothing to compress yet).
+// demoted: never the newest node, never an entry still being built
+// (it has nothing to compress yet).
 func (c *tableCache) demoteVictim(newest *cacheNode) *cacheNode {
 	for el := c.hot.Back(); el != nil; el = el.Prev() {
 		if n := el.Value.(*cacheNode); n != newest && n.state == tierHot {
@@ -477,19 +448,13 @@ func (c *tableCache) demoteVictim(newest *cacheNode) *cacheNode {
 }
 
 // demote compresses a hot table into the cold tier, freeing the flat
-// cells; the node keeps its memo (and its memo's charge), and promotion
-// needs only the payload and the request's shape to restore the table.
-// A table whose compressed form is not actually smaller than its flat
-// cells (tiny tables, where the 66-byte header dominates) is evicted
-// instead, memo and all: keeping it cold would grow the cache. Called
-// with c.mu held.
+// cells; the node keeps its memo (and its memo's charge), and a request
+// needs only the payload and its shape to decode the table again. A
+// tiny table, whose 66-byte header outweighs its cells, grows when
+// compressed; it is demoted all the same, and if that leaves the cache
+// over budget, enforce goes on to evict. Called with c.mu held.
 func (c *tableCache) demote(v *cacheNode) {
 	comp := cost.EncodeTable(v.fp, v.entry.table)
-	if int64(len(comp)) >= flatTableBytes(v.entry.table) {
-		c.remove(v)
-		c.evictions++
-		return
-	}
 	size := cacheNodeOverhead + int64(len(comp)) + v.memoBytes
 	c.bytes += size - v.bytes
 	v.bytes = size

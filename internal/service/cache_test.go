@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/grid"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -28,15 +30,15 @@ func fpN(n byte) trace.Fingerprint {
 func TestTableCacheTinyCapacitySingleflights(t *testing.T) {
 	for _, max := range []int64{0, 1} {
 		c := newTableCache(max, true)
-		e, role, _, _ := c.acquire(fpN(1), true, nil)
-		if role != cacheRoleBuilder {
+		e, _, builder, _ := c.acquire(fpN(1), true)
+		if !builder {
 			t.Fatalf("max=%d: first acquire did not elect a builder", max)
 		}
 		c.publish(e, cost.ResidenceTable{})
 		for i := 0; i < 3; i++ {
-			e2, role, _, _ := c.acquire(fpN(1), true, nil)
-			if role != cacheRoleWait {
-				t.Fatalf("max=%d: acquire %d re-elected role %d for a cached fingerprint (the entry evicted itself)", max, i, role)
+			e2, comp, builder, _ := c.acquire(fpN(1), true)
+			if builder || comp != nil {
+				t.Fatalf("max=%d: acquire %d re-elected a builder or went cold for a cached fingerprint (the entry evicted itself)", max, i)
 			}
 			select {
 			case <-e2.ready:
@@ -78,8 +80,8 @@ func TestTinyCacheTablesBuiltEqualsDistinctTraces(t *testing.T) {
 func TestTableCacheNeverEvictsJustInserted(t *testing.T) {
 	c := newTableCache(1, true)
 	for n := byte(1); n <= 4; n++ {
-		e, role, _, _ := c.acquire(fpN(n), true, nil)
-		if role != cacheRoleBuilder {
+		e, _, builder, _ := c.acquire(fpN(n), true)
+		if !builder {
 			t.Fatalf("fingerprint %d: expected builder election", n)
 		}
 		if _, ok := c.items[fpN(n)]; !ok {
@@ -96,9 +98,9 @@ func TestTableCacheNeverEvictsJustInserted(t *testing.T) {
 // table of the given shape, as the request path would.
 func buildInto(t *testing.T, c *tableCache, fp trace.Fingerprint, nw, nd, np int) {
 	t.Helper()
-	e, role, _, _ := c.acquire(fp, true, nil)
-	if role != cacheRoleBuilder {
-		t.Fatalf("fingerprint %v: expected builder election, got role %d", fp[0], role)
+	e, _, builder, _ := c.acquire(fp, true)
+	if !builder {
+		t.Fatalf("fingerprint %v: expected builder election", fp[0])
 	}
 	table := cost.NewResidenceTable(nw, nd, np)
 	for i, cells := 0, table.Cells(); i < len(cells); i++ {
@@ -108,60 +110,86 @@ func buildInto(t *testing.T, c *tableCache, fp trace.Fingerprint, nw, nd, np int
 	c.settle(cacheOutcomeBuild)
 }
 
-// Byte pressure demotes the LRU hot table into the cold tier instead of
-// evicting it; a later acquire elects a promoter carrying the
-// compressed payload back out.
+// Byte pressure demotes the LRU hot tables into the cold tier instead of
+// evicting them, a tiny table whose pimtab-v2 payload outweighs its
+// flat cells included: it goes cold with its memo, which still answers
+// with no table, and the bytes stay within budget. A later acquire of a
+// demoted fingerprint hands its caller a cold entry of its own, whose
+// payload decodes for the request (one promotion), and leaves the node
+// in the cold list: nothing returns to the hot tier, so nothing else is
+// demoted or evicted.
 func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
-	// Each 8x8x8 table is 4096 flat bytes; a 6000-byte budget fits one
-	// flat table plus a compressed one (with both nodes' overhead), but
-	// never two flat.
-	c := newTableCache(6000, true)
+	// Each 8x8x8 table is 4096 flat bytes; a 7000-byte budget fits one
+	// flat table plus two compressed ones (with every node's overhead),
+	// but never two flat.
+	svc := New(Config{CacheBytes: 7000})
+	defer svc.Close()
+	c := svc.cache
+	tiny := fpN(3)
+	buildInto(t, c, tiny, 1, 1, 2) // 16 flat bytes; its v2 payload is 66+
+	tinyShape := trace.Shape{Grid: grid.New(2, 1), NumData: 1, NumWindows: 1}
+	gomcds, err := sched.ByName("gomcds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, _, _, _ := c.acquire(tiny, true)
+	wantCenters, wantCost, err := svc.memoized(nil, hot, gomcds, 0, tinyShape)
+	if err != nil {
+		t.Fatal(err)
+	}
 	buildInto(t, c, fpN(1), 8, 8, 8)
 	buildInto(t, c, fpN(2), 8, 8, 8)
 
 	cs := c.counters()
-	if cs.demotions != 1 || cs.evictions != 0 {
-		t.Fatalf("demotions=%d evictions=%d after overflow, want 1 demotion and 0 evictions", cs.demotions, cs.evictions)
+	if cs.demotions != 2 || cs.evictions != 0 {
+		t.Fatalf("demotions=%d evictions=%d after overflow, want 2 demotions (the tiny table too) and 0 evictions", cs.demotions, cs.evictions)
 	}
-	if cs.hotEntries != 1 || cs.coldEntries != 1 {
-		t.Fatalf("hot=%d cold=%d, want 1/1", cs.hotEntries, cs.coldEntries)
+	if cs.hotEntries != 1 || cs.coldEntries != 2 {
+		t.Fatalf("hot=%d cold=%d, want 1/2", cs.hotEntries, cs.coldEntries)
 	}
-	if cs.bytes > 6000 {
-		t.Fatalf("cache bytes %d exceed the 6000-byte budget", cs.bytes)
+	if cs.bytes > 7000 {
+		t.Fatalf("cache bytes %d exceed the 7000-byte budget", cs.bytes)
+	}
+	cold, comp, builder, _ := c.acquire(tiny, true)
+	if builder || comp == nil || !cold.cold() {
+		t.Fatal("acquire of the demoted tiny table did not hand out a cold entry")
+	}
+	centers, cst, err := svc.memoized(nil, cold, gomcds, 0, tinyShape)
+	if err != nil || !reflect.DeepEqual(centers, wantCenters) || cst != wantCost || svc.memoColdHits.Load() != 1 {
+		t.Fatalf("tiny table's cold memo: %v %v %v, %d cold hits; want %v %v and one cold hit",
+			centers, cst, err, svc.memoColdHits.Load(), wantCenters, wantCost)
 	}
 
-	e, role, comp, _ := c.acquire(fpN(1), true, nil)
-	if role != cacheRolePromoter {
-		t.Fatalf("acquire of the demoted fingerprint elected role %d, want promoter", role)
+	before := c.counters()
+	// No specs: the memo cannot answer, so coldTable must decode.
+	in := &traceInput{sum: trace.Summary{Fingerprint: fpN(1), Shape: trace.Shape{Grid: grid.New(4, 2), NumData: 8, NumWindows: 8}}}
+	e, comp, builder, _ := c.acquire(fpN(1), true)
+	if builder || comp == nil || !e.cold() {
+		t.Fatal("acquire of the demoted fingerprint did not hand out a cold entry")
 	}
-	if len(comp) == 0 {
-		t.Fatal("promoter received no compressed payload")
+	if !svc.coldTable(nil, in, e, comp) {
+		t.Fatal("cold payload does not decode for its fingerprint and shape")
 	}
-	table, err := cost.DecodeTable(comp, fpN(1), 0)
-	if err != nil {
-		t.Fatalf("cold payload does not decode for its fingerprint: %v", err)
+	if cells := e.table.Cells(); len(cells) != 512 || cells[0] != 100 || cells[511] != 100+511%7 {
+		t.Fatalf("decoded table differs from the one built (%d cells)", len(cells))
 	}
-	// Concurrent requests for an in-flight promotion must wait on the
-	// entry, not re-elect.
-	if _, role2, _, _ := c.acquire(fpN(1), true, nil); role2 != cacheRoleWait {
-		t.Fatalf("second acquire during promotion elected role %d, want wait", role2)
+	if e2, _, _, _ := c.acquire(fpN(1), true); e2 == e || !e2.cold() {
+		t.Fatal("a second request shares the first one's cold entry")
 	}
-	c.publish(e, table)
-	c.settle(cacheOutcomePromote)
-
 	cs = c.counters()
-	if cs.promotions != 1 {
-		t.Fatalf("promotions=%d, want 1", cs.promotions)
+	if cs.promotions != before.promotions+1 {
+		t.Fatalf("promotions %d -> %d, want one decode", before.promotions, cs.promotions)
 	}
-	if cs.hits != 1 {
-		t.Fatalf("hits=%d after a settled promotion, want 1", cs.hits)
+	if cs.demotions != before.demotions || cs.evictions != before.evictions || cs.bytes != before.bytes ||
+		cs.hotEntries != 1 || cs.coldEntries != 2 {
+		t.Fatalf("after the decode: demotions %d -> %d, evictions %d -> %d, bytes %d -> %d, hot %d, cold %d; want nothing moved",
+			before.demotions, cs.demotions, before.evictions, cs.evictions, before.bytes, cs.bytes, cs.hotEntries, cs.coldEntries)
 	}
-	// Promoting fp1 re-overflowed the budget, so fp2 must now be cold.
-	if cs.demotions != 2 {
-		t.Fatalf("demotions=%d, want 2 (fp2 demoted when fp1 came back)", cs.demotions)
-	}
-	if cs.bytes > 6000 {
-		t.Fatalf("cache bytes %d exceed the budget after promotion", cs.bytes)
+	c.mu.Lock()
+	state := c.items[fpN(1)].state
+	c.mu.Unlock()
+	if state != tierCold {
+		t.Fatalf("decoded node in state %d, want it still cold", state)
 	}
 }
 
@@ -176,20 +204,8 @@ func TestTableCacheColdTierDisabledEvicts(t *testing.T) {
 		t.Fatalf("demotions=%d evictions=%d cold=%d with cold tier disabled, want 0/1/0",
 			cs.demotions, cs.evictions, cs.coldEntries)
 	}
-	if _, role, _, _ := c.acquire(fpN(1), true, nil); role != cacheRoleBuilder {
-		t.Fatalf("evicted fingerprint re-acquired as role %d, want builder", role)
-	}
-}
-
-// A table too small to shrink under the v2 header is evicted rather
-// than demoted: "demoting" it would grow the cache.
-func TestTableCacheTinyTableEvictsInsteadOfDemoting(t *testing.T) {
-	c := newTableCache(20, true)
-	buildInto(t, c, fpN(1), 1, 1, 2) // 16 flat bytes; v2 payload is 66+ bytes
-	buildInto(t, c, fpN(2), 1, 1, 2)
-	cs := c.counters()
-	if cs.demotions != 0 || cs.evictions != 1 {
-		t.Fatalf("demotions=%d evictions=%d for an incompressible table, want 0/1", cs.demotions, cs.evictions)
+	if _, _, builder, _ := c.acquire(fpN(1), true); !builder {
+		t.Fatal("evicted fingerprint re-acquired without a builder election")
 	}
 }
 
@@ -201,9 +217,9 @@ func TestTableCacheAdmissionprotectsHotVictim(t *testing.T) {
 	buildInto(t, c, fpN(1), 8, 8, 8)
 	// Make fp1 provably hot.
 	for i := 0; i < 5; i++ {
-		e, role, _, _ := c.acquire(fpN(1), true, nil)
-		if role != cacheRoleWait {
-			t.Fatalf("warm acquire %d elected role %d", i, role)
+		e, _, builder, _ := c.acquire(fpN(1), true)
+		if builder {
+			t.Fatalf("warm acquire %d elected a builder", i)
 		}
 		<-e.ready
 		c.settle(cacheOutcomeHit)
@@ -224,8 +240,8 @@ func TestTableCacheAdmissionprotectsHotVictim(t *testing.T) {
 	// genuinely recurring newcomer still displaces the old resident
 	// once its frequency catches up.
 	for i := 0; i < 6; i++ {
-		e, role, _, _ := c.acquire(fpN(2), true, nil)
-		if role == cacheRoleBuilder {
+		e, _, builder, _ := c.acquire(fpN(2), true)
+		if builder {
 			c.publish(e, func() cost.ResidenceTable {
 				tb := cost.NewResidenceTable(8, 8, 8)
 				return tb
@@ -247,14 +263,12 @@ func TestTableCacheByteAccountingConsistent(t *testing.T) {
 		buildInto(t, c, fpN(n), 8, int(n), 8)
 	}
 	for _, n := range []byte{3, 7, 11, 2, 12} {
-		if e, role, comp, _ := c.acquire(fpN(n), true, nil); role == cacheRolePromoter {
-			table, err := cost.DecodeTable(comp, fpN(n), 0)
-			if err != nil {
+		if e, comp, builder, _ := c.acquire(fpN(n), true); comp != nil {
+			if _, err := cost.DecodeTable(comp, fpN(n), 0); err != nil {
 				t.Fatalf("fingerprint %d: cold payload corrupt: %v", n, err)
 			}
-			c.publish(e, table)
-			c.settle(cacheOutcomePromote)
-		} else if role == cacheRoleBuilder {
+			c.settle(cacheOutcomeHit)
+		} else if builder {
 			c.publish(e, cost.NewResidenceTable(8, int(n), 8))
 			c.settle(cacheOutcomeBuild)
 		}
@@ -292,7 +306,7 @@ func TestCacheNodeOverheadCoversFootprint(t *testing.T) {
 		for i := 0; i < nodes; i++ {
 			var fp trace.Fingerprint
 			binary.LittleEndian.PutUint64(fp[:], uint64(i)*0x9e3779b97f4a7c15)
-			e, _, _, _ := c.acquire(fp, true, nil)
+			e, _, _, _ := c.acquire(fp, true)
 			c.publish(e, cost.ResidenceTable{})
 		}
 		runtime.GC()

@@ -358,7 +358,7 @@ func TestHTTPMetricsMemoColdHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, golden := range []string{
-		"# HELP pim_schedule_memo_cold_hits_total Schedule memo hits answered on a cold-tier table without promoting it (also counted in pim_schedule_memo_hits_total).\n" +
+		"# HELP pim_schedule_memo_cold_hits_total Schedule memo hits answered on a cold-tier table (also counted in pim_schedule_memo_hits_total).\n" +
 			"# TYPE pim_schedule_memo_cold_hits_total counter\n" +
 			"pim_schedule_memo_cold_hits_total 1\n",
 		"\npim_schedule_memo_hits_total 1\n",

@@ -15,11 +15,11 @@ import (
 // cache node pins the trace's fingerprint, so each node memoizes the
 // schedules run over its table: a repeated spec runs no DP and no
 // Evaluate. The memo belongs to the node, not to any one entry: every
-// entry minted for the node (the builder's, a promoter's, an adopted
-// one) shares it, so it survives demotion and promotion and dies only
+// entry minted for the node (the builder's, an adopted one, each
+// request's cold entry) shares it, so it survives demotion and dies only
 // when the node is evicted. A cold node whose memo already holds every
-// spec a request asks for answers from the memo without promoting (see
-// tableCache.acquire). Memo bytes are charged to the node, so
+// spec a request asks for answers from the memo without decoding its
+// table (see Service.coldTable). Memo bytes are charged to the node, so
 // CacheBytes stays the one bound on what the cache holds.
 
 // memoMaxSpecs caps the schedules memoized per node, so one client
@@ -174,15 +174,15 @@ func (m *scheduleMemo) holds(keys []memoKey) bool {
 // for a key fills the memo (the same singleflight shape as a table
 // build) and concurrent requests for the key wait on that fill. The
 // fill runs in the caller's worker, which completes even if its
-// requester's context expires, so waiters never hang. A memo-only entry
-// (a cold memo hit) has no table, but acquire handed it out only for
-// keys its memo holds, so it never reaches the scheduler.
+// requester's context expires, so waiters never hang. A cold entry whose
+// memo held every requested key has no table, and it never reaches the
+// scheduler: the memo only grows, so each of those keys stays a hit.
 func (s *Service) memoized(stages obs.Stages, entry *cacheEntry, scheduler sched.Scheduler, capacity int, shape trace.Shape) ([][]int, CostJSON, error) {
 	storable := shape.Grid.NumProcs() <= math.MaxInt32
 	r, owner, stored := entry.memo.slot(memoKey{algorithm: scheduler.Name(), capacity: capacity}, storable)
 	if !owner {
 		s.memoHits.Add(1)
-		if entry.memoOnly {
+		if entry.cold() {
 			s.memoColdHits.Add(1)
 		}
 		<-r.done

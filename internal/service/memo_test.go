@@ -281,10 +281,12 @@ func nodeState(t *testing.T, svc *Service, text string) (tierState, bool) {
 }
 
 // TestMemoRefereeDemotePromote: the memo belongs to the cache node and
-// dies only with it. Demoting a table keeps its memo and the memo's
-// bytes; a repeated spec on the cold node is a memo hit that promotes
-// nothing; an unseen spec promotes the table and is answered through a
-// fresh fill, while the specs memoized before the demotion stay hits;
+// dies only with it, and a table only cools. Demoting a table keeps its
+// memo and the memo's bytes; a repeated spec on the cold node is a memo
+// hit that decodes nothing; an unseen spec decodes the payload for that
+// request alone (one promotion) and is answered through a fresh fill,
+// leaving the node cold and moving no other table, after which it too
+// is a cold memo hit, as are the specs memoized before the demotion;
 // evicting the node drops the memo, so the next request rebuilds and
 // refills. Memo bytes settle exactly after every step, and every answer
 // matches a fresh service's.
@@ -354,21 +356,35 @@ func TestMemoRefereeDemotePromote(t *testing.T) {
 
 	got, before, after = schedule(unseen)
 	if after.CachePromotions != before.CachePromotions+1 || after.MemoMisses != before.MemoMisses+1 ||
-		after.MemoColdHits != before.MemoColdHits || after.TablesBuilt != before.TablesBuilt {
-		t.Fatalf("unseen spec: promotions %d->%d, memo misses %d->%d, cold hits %d->%d, built %d->%d; want one promotion, one memo fill, no rebuild",
+		after.MemoColdHits != before.MemoColdHits || after.TablesBuilt != before.TablesBuilt ||
+		after.CacheDemotions != before.CacheDemotions || after.CacheEvictions != before.CacheEvictions {
+		t.Fatalf("unseen spec: promotions %d->%d, memo misses %d->%d, cold hits %d->%d, built %d->%d, demotions %d->%d, evictions %d->%d; want one promotion, one memo fill, no rebuild, demotion or eviction",
 			before.CachePromotions, after.CachePromotions, before.MemoMisses, after.MemoMisses,
-			before.MemoColdHits, after.MemoColdHits, before.TablesBuilt, after.TablesBuilt)
+			before.MemoColdHits, after.MemoColdHits, before.TablesBuilt, after.TablesBuilt,
+			before.CacheDemotions, after.CacheDemotions, before.CacheEvictions, after.CacheEvictions)
 	}
+	unseenAnswer := got
 	if want := fresh(unseen); got != want {
-		t.Fatalf("promoted answer:\n got %s\nwant %s", got, want)
+		t.Fatalf("decoded answer:\n got %s\nwant %s", got, want)
 	}
-	got, before, after = schedule(reqA)
-	if after.MemoHits != before.MemoHits+1 || after.MemoColdHits != before.MemoColdHits || after.MemoMisses != before.MemoMisses {
-		t.Fatalf("pre-demotion spec after promotion: memo hits %d->%d, cold hits %d->%d, misses %d->%d; want a hot memo hit (the memo survived)",
-			before.MemoHits, after.MemoHits, before.MemoColdHits, after.MemoColdHits, before.MemoMisses, after.MemoMisses)
+	if st, _ := nodeState(t, svc, textA); st != tierCold {
+		t.Fatalf("a decode for an unseen spec left A in state %d; want it still cold", st)
 	}
-	if got != respA {
-		t.Fatalf("memo hit after promotion:\n got %s\nwant %s", got, respA)
+	for _, r := range []struct {
+		name string
+		req  Request
+		want string
+	}{{"unseen spec repeated", unseen, unseenAnswer}, {"pre-demotion spec", reqA, respA}} {
+		got, before, after = schedule(r.req)
+		if after.CachePromotions != before.CachePromotions || after.MemoHits != before.MemoHits+1 ||
+			after.MemoColdHits != before.MemoColdHits+1 || after.MemoMisses != before.MemoMisses {
+			t.Fatalf("%s after the decode: promotions %d->%d, memo hits %d->%d, cold hits %d->%d, misses %d->%d; want a cold memo hit (the memo survived)",
+				r.name, before.CachePromotions, after.CachePromotions, before.MemoHits, after.MemoHits,
+				before.MemoColdHits, after.MemoColdHits, before.MemoMisses, after.MemoMisses)
+		}
+		if got != r.want {
+			t.Fatalf("%s: cold memo hit after the decode:\n got %s\nwant %s", r.name, got, r.want)
+		}
 	}
 
 	// Evict A: new tables demote their predecessors until the cold tail
@@ -407,9 +423,11 @@ newer:
 // from the node's memo, bit-identical to a fresh service, as a cache
 // hit and a memo hit with no promotion, no decode, no table build and
 // no scheduler span; verify=true decodes the trace and referees the
-// memo's answer; a batch skips promotion only when every one of its
-// specs is memoized. Over three traces, each at an unbounded, a tight
-// and an infeasible capacity under every algorithm.
+// memo's answer; a batch decodes the payload (one promotion) only when
+// one of its specs is not memoized, and its memoized specs are cold
+// hits either way. A batch's decode leaves the node cold, and its
+// unseen spec is then a cold memo hit too. Over three traces, each at an
+// unbounded, a tight and an infeasible capacity under every algorithm.
 func TestMemoRefereeColdHit(t *testing.T) {
 	// Each table is 35-68 KB flat and about 8 KB cold, plus about 13 KB
 	// of memo: 120 KB holds one or two flat and the rest cold.
@@ -523,14 +541,20 @@ func TestMemoRefereeColdHit(t *testing.T) {
 				}
 			}
 			after := svc.Stats()
-			if after.CachePromotions != before.CachePromotions+promotions || after.MemoColdHits != before.MemoColdHits+coldHits {
-				t.Fatalf("trace %d %s: promotions %d->%d, cold hits %d->%d; want +%d and +%d",
-					ti, what, before.CachePromotions, after.CachePromotions, before.MemoColdHits, after.MemoColdHits, promotions, coldHits)
+			if after.CachePromotions != before.CachePromotions+promotions || after.MemoColdHits != before.MemoColdHits+coldHits ||
+				after.CacheDemotions != before.CacheDemotions || after.CacheEvictions != before.CacheEvictions {
+				t.Fatalf("trace %d %s: promotions %d->%d, cold hits %d->%d, demotions %d->%d, evictions %d->%d; want +%d and +%d, and no demotion or eviction",
+					ti, what, before.CachePromotions, after.CachePromotions, before.MemoColdHits, after.MemoColdHits,
+					before.CacheDemotions, after.CacheDemotions, before.CacheEvictions, after.CacheEvictions, promotions, coldHits)
 			}
 		}
 		checkBatch("memoized batch", batch, 0, uint64(len(batch.Requests)))
 		batch.Requests = append(batch.Requests, BatchSpec{Algorithm: "gomcds", Capacity: 5})
-		checkBatch("batch with an unseen spec", batch, 1, 0)
+		checkBatch("batch with an unseen spec", batch, 1, uint64(len(batch.Requests)-1))
+		if st, _ := nodeState(t, svc, tc.text); st != tierCold {
+			t.Fatalf("trace %d: a batch's decode left the node in state %d; want it still cold", ti, st)
+		}
+		checkBatch("batch repeated", batch, 0, uint64(len(batch.Requests)))
 		checkMemoCharges(t, svc.cache)
 	}
 	if cold == 0 {
@@ -668,7 +692,7 @@ func TestMemoRefereeConcurrent(t *testing.T) {
 // request that passed body validation (whatever happens after), and the
 // memo exactly one lookup per spec that reached a table or a cold
 // node's memo (including infeasible ones), across singles, batches,
-// refusals and a concurrent burst under demote/promote churn. A lookup
+// refusals and a concurrent burst under demotion churn. A lookup
 // answered on a cold node without its table is a memo hit and also a
 // cold hit: cold hits settle exactly where they are predictable and
 // never exceed memo hits.

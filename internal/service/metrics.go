@@ -45,7 +45,7 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	cacheCounter := func(pick func(cacheStats) uint64) func() uint64 {
 		return func() uint64 { return pick(s.cache.counters()) }
 	}
-	reg.CounterFunc("pim_cache_hits_total", "Residence-table cache hits (flat hot-tier hits and cold-tier promotions).",
+	reg.CounterFunc("pim_cache_hits_total", "Residence-table cache hits: ready hot-tier tables and cold-tier tables (answered from the memo or a decode for the request).",
 		cacheCounter(func(cs cacheStats) uint64 { return cs.hits }))
 	reg.CounterFunc("pim_cache_misses_total", "Residence-table cache misses.",
 		cacheCounter(func(cs cacheStats) uint64 { return cs.misses }))
@@ -55,7 +55,7 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		cacheCounter(func(cs cacheStats) uint64 { return cs.evictions }))
 	reg.CounterFunc("pim_cache_demotions_total", "Hot tables compressed into the cold tier under byte pressure.",
 		cacheCounter(func(cs cacheStats) uint64 { return cs.demotions }))
-	reg.CounterFunc("pim_cache_promotions_total", "Cold tables decoded back to the hot tier on demand.",
+	reg.CounterFunc("pim_cache_promotions_total", "Cold-tier payloads decoded for one request each; the table stays cold.",
 		cacheCounter(func(cs cacheStats) uint64 { return cs.promotions }))
 	reg.CounterFunc("pim_cache_admission_rejects_total", "Newly cached tables dropped because the eviction victim was hotter.",
 		cacheCounter(func(cs cacheStats) uint64 { return cs.admissionRejects }))
@@ -69,7 +69,7 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	reg.CounterFunc("pim_trace_alias_body_hits_total", "Alias hits on the raw /schedule body (no JSON decode either).", s.aliasBodyHits.Load)
 	reg.CounterFunc("pim_schedule_memo_hits_total", "Schedule specs answered from a cached table's schedule memo (no scheduler run).", s.memoHits.Load)
 	reg.CounterFunc("pim_schedule_memo_misses_total", "Schedule specs that ran the scheduler over a cached table.", s.memoMisses.Load)
-	reg.CounterFunc("pim_schedule_memo_cold_hits_total", "Schedule memo hits answered on a cold-tier table without promoting it (also counted in pim_schedule_memo_hits_total).", s.memoColdHits.Load)
+	reg.CounterFunc("pim_schedule_memo_cold_hits_total", "Schedule memo hits answered on a cold-tier table (also counted in pim_schedule_memo_hits_total).", s.memoColdHits.Load)
 
 	reg.CounterFunc("pim_batches_total", "Batch schedule requests completed.", s.batches.Load)
 	reg.CounterFunc("pim_batch_specs_total", "Request specs completed inside batches.", s.batchSpecs.Load)

@@ -165,16 +165,22 @@ type PeerFillFunc func(ctx context.Context, fp trace.Fingerprint, peerURL string
 const DefaultPeerFillTimeout = 500 * time.Millisecond
 
 // checkTraceScale rejects a trace whose declared shape implies a
-// residence table over the cell budget. The product is taken in
-// float64: each factor has already been validated non-negative, but
-// their product can overflow int64 and a guard that overflows is no
-// guard.
+// residence table over the cell budget, or a processor-distance table
+// (processors squared, built with every cost model) over the same
+// budget: a trace with no windows or no data has a 0-cell residence
+// table whatever its grid. The products are taken in float64: each
+// factor has already been validated non-negative, but their product can
+// overflow int64 and a guard that overflows is no guard.
 func (s *Service) checkTraceScale(sh trace.Shape) error {
-	cells := float64(sh.NumWindows) * float64(sh.NumData) *
-		float64(sh.Grid.Width()) * float64(sh.Grid.Height())
+	procs := float64(sh.Grid.Width()) * float64(sh.Grid.Height())
+	cells := float64(sh.NumWindows) * float64(sh.NumData) * procs
 	if cells > float64(s.cfg.MaxTableCells) {
 		return badRequest("trace shape %d windows x %d data x %s implies %.3g residence-table cells, limit %d",
 			sh.NumWindows, sh.NumData, sh.Grid, cells, s.cfg.MaxTableCells)
+	}
+	if procs*procs > float64(s.cfg.MaxTableCells) {
+		return badRequest("trace grid %s implies %.3g processor-distance cells, limit %d",
+			sh.Grid, procs*procs, s.cfg.MaxTableCells)
 	}
 	return nil
 }
@@ -639,7 +645,7 @@ type traceInput struct {
 	peerHint string
 
 	// specs are the memo keys the request's work will look up: a cold
-	// table whose memo holds them all is answered without promotion. A
+	// table whose memo holds them all is answered without a decode. A
 	// single request points them at spec, so the keys ride in the
 	// input's own allocation.
 	specs []memoKey
@@ -812,10 +818,9 @@ func (s *Service) decodeInput(stages obs.Stages, in *traceInput) error {
 	return err
 }
 
-// runSpec answers one (algorithm, capacity) spec against a ready (or
-// memo-only) cache entry from its node's schedule memo, optionally
-// refereeing the
-// result. A scheduler refusal (infeasible capacity) is a RequestError;
+// runSpec answers one (algorithm, capacity) spec against a ready or
+// cold cache entry from its node's schedule memo, optionally refereeing
+// the result. A scheduler refusal (infeasible capacity) is a RequestError;
 // a referee rejection is an internal error.
 func (s *Service) runSpec(stages obs.Stages, in *traceInput, entry *cacheEntry, scheduler sched.Scheduler, capacity int, verifyIt bool) (*Response, error) {
 	centers, cst, err := s.memoized(stages, entry, scheduler, capacity, in.sum.Shape)
@@ -849,32 +854,31 @@ func (s *Service) runSpec(stages obs.Stages, in *traceInput, entry *cacheEntry, 
 
 // resolveTable resolves a request's fingerprint against the table
 // cache. A resident fingerprint needs no decoded trace: a ready or
-// in-flight entry is waited on, a cold one whose memo holds every spec
-// answers from the memo alone (a hit, with no table), and any other
-// cold one elects the request to promote it from the compressed
-// payload and the request's shape. Only
-// an absent fingerprint needs the trace, so only then is an aliased
-// text decoded, here in the worker, before the request joins the
-// election. The elected builder first tries a peer fill when a hint is
-// present, falling back silently to a local build; everyone else either
-// finds the entry ready (hit) or waits out the in-flight work (shared
-// build). The returned entry is always ready or memo-only. The caller
-// settles the returned outcome into the cache counters once its request
-// completes.
+// in-flight entry is waited on, and a cold one is answered through the
+// request's own cold entry (see coldTable). Only an absent fingerprint
+// needs the trace, so only then is an aliased text decoded, here in the
+// worker, before the request joins the election. The elected builder
+// first tries a peer fill when a hint is present, falling back silently
+// to a local build; everyone else either finds the entry ready (hit) or
+// waits out the in-flight work (shared build). The returned entry is
+// ready or cold. The caller settles the returned outcome into the cache
+// counters once its request completes.
 func (s *Service) resolveTable(stages obs.Stages, in *traceInput) (*cacheEntry, cacheOutcome, error) {
 	fp := in.sum.Fingerprint
-	entry, role, comp, ok := s.cache.acquire(fp, in.tr != nil, in.specs)
+	entry, comp, builder, ok := s.cache.acquire(fp, in.tr != nil)
+	if comp != nil {
+		if s.coldTable(stages, in, entry, comp) {
+			return entry, cacheOutcomeHit, nil
+		}
+		ok = false // the node is dropped: resolve like an absent fingerprint
+	}
 	if !ok {
 		if err := s.ensureTrace(stages, in); err != nil {
 			return nil, 0, err
 		}
-		entry, role, comp, _ = s.cache.acquire(fp, true, in.specs)
+		return s.resolveTable(stages, in)
 	}
-	switch role {
-	case cacheRoleMemo:
-		stages.Record("table.hit", 0)
-		return entry, cacheOutcomeHit, nil
-	case cacheRoleBuilder:
+	if builder {
 		if table, ok := s.fetchPeerTable(stages, fp, in.sum.Shape, in.peerHint); ok {
 			// Adopted, not built: tables_built stays flat, which is what
 			// keeps the fleet-wide tables_built == distinct-traces
@@ -884,29 +888,36 @@ func (s *Service) resolveTable(stages obs.Stages, in *traceInput) (*cacheEntry, 
 			s.cache.publish(entry, s.buildTable(stages, in.tr))
 		}
 		return entry, cacheOutcomeBuild, nil
-	case cacheRolePromoter:
-		sp := stages.Start("table.promote")
-		table, err := s.decodePromoted(comp, fp, in.sum.Shape)
-		sp.End()
-		if err != nil {
-			// A shard decoding a payload it compressed itself should
-			// never get here; treat it as a miss and rebuild rather
-			// than failing the request.
-			if err := s.ensureTrace(stages, in); err != nil {
-				s.cache.abandon(entry)
-				return nil, 0, err
-			}
-			table = s.buildTable(stages, in.tr)
-		}
-		s.cache.publish(entry, table)
-		return entry, cacheOutcomePromote, nil
 	}
-	o := awaitEntry(stages, entry)
-	if err := entry.table.CheckShape(in.sum.Shape); err != nil {
-		// Only an abandoned promotion publishes no table.
-		return nil, 0, fmt.Errorf("service: cached table for %s: %v", fp, err)
+	return entry, awaitEntry(stages, entry), nil
+}
+
+// coldTable readies a request's cold entry. When the node's memo holds
+// every spec the request asks for, the memo answers alone; otherwise
+// comp is decoded into the entry's table (one promotion) and checked
+// against the request's shape, the same paranoia peer fill applies. The
+// node stays cold either way. A payload that fails either check drops
+// its node and reports false.
+func (s *Service) coldTable(stages obs.Stages, in *traceInput, entry *cacheEntry, comp []byte) bool {
+	if entry.memo.holds(in.specs) {
+		stages.Record("table.hit", 0)
+		return true
 	}
-	return entry, o, nil
+	sp := stages.Start("table.promote")
+	table, err := cost.DecodeTable(comp, entry.fp, s.cfg.MaxTableCells)
+	if err == nil {
+		err = table.CheckShape(in.sum.Shape)
+	}
+	sp.End()
+	if err != nil {
+		// A shard decoding a payload it compressed itself should never
+		// get here.
+		s.cache.drop(entry)
+		return false
+	}
+	entry.table = table
+	s.cache.decoded()
+	return true
 }
 
 // ensureTrace decodes the request's trace text unless an earlier step
@@ -960,18 +971,6 @@ func awaitEntry(stages obs.Stages, entry *cacheEntry) cacheOutcome {
 		sp.End()
 		return cacheOutcomeShared
 	}
-}
-
-// decodePromoted decodes a cold-tier payload back to a flat table for
-// the request's fingerprint and checks its shape against the request's
-// — the same paranoia peer fill applies, because a promoted table feeds
-// schedules exactly like an adopted one.
-func (s *Service) decodePromoted(comp []byte, fp trace.Fingerprint, sh trace.Shape) (cost.ResidenceTable, error) {
-	table, err := cost.DecodeTable(comp, fp, s.cfg.MaxTableCells)
-	if err != nil {
-		return cost.ResidenceTable{}, err
-	}
-	return table, table.CheckShape(sh)
 }
 
 // fetchPeerTable asks the hinted peer for its cached table, bounded by

@@ -20,8 +20,8 @@ import (
 )
 
 // Table-only cache entries: a hot entry holds its residence table and
-// memo and nothing else, and a cold one is promoted from its payload and
-// the request's shape alone. scripts/check.sh runs these tests, with the
+// memo and nothing else, and a cold one is decoded for a request from
+// its payload and the request's shape alone. scripts/check.sh runs these tests, with the
 // table-only scheduler referee in internal/verify, as a named -race
 // gate.
 
@@ -54,8 +54,9 @@ func postCounting(t *testing.T, svc *Service, body any) (int, []byte, map[string
 // request body (a body hit: no JSON decode either) is answered from the
 // cold node's memo with no decode, no promotion, no build and no
 // scheduler run; a spec the memo has not seen, on the aliased text, is
-// promoted from the cold payload without decoding the trace or
-// rebuilding the table. Both answers are bit-identical to a fresh run.
+// answered by decoding the cold payload (one promotion) without decoding
+// the trace or rebuilding the table. Both answers are bit-identical to a
+// fresh run.
 func TestPromotionWithoutTrace(t *testing.T) {
 	// Two ~60 KiB tables against a 100 KB budget: building the second
 	// demotes the first (as in TestColdTierHitBitIdentical).
@@ -180,16 +181,19 @@ func TestHotCacheHeapWithinCacheBytes(t *testing.T) {
 	runtime.KeepAlive(svc)
 }
 
-// TestAbandonedPromotionFailsWaiters drives the promoter's last resort:
-// a cold payload that does not decode, behind an alias entry whose text
-// does not decode either (both guarded against, neither reachable from
-// outside). The promoter must drop the node and fail with an internal
-// error, and a request already waiting on the entry must fail its shape
-// check instead of blocking or scheduling over an empty table.
+// TestAbandonedPromotionFailsWaiters drives the last resort of a
+// request on a cold node: a payload that does not decode, behind an
+// alias entry whose text does not decode either (both guarded against,
+// neither reachable from outside). The request must drop the node and
+// fail with an internal error, building nothing. With a trace that does
+// decode, the same payload drops its node and the request resolves like
+// an absent fingerprint: it is elected builder and answers as a fresh
+// service does.
 func TestAbandonedPromotionFailsWaiters(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
-	tr, err := trace.Decode(strings.NewReader(traceText(t, "lu", 4, grid.Square(2))))
+	text := traceText(t, "lu", 4, grid.Square(2))
+	tr, err := trace.Decode(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,45 +209,33 @@ func TestAbandonedPromotionFailsWaiters(t *testing.T) {
 		c.items[n.fp] = n
 		c.bytes += n.bytes
 	}
-	checkDropped := func() {
-		t.Helper()
-		if st := svc.Stats(); st.CacheEntries != 0 || st.CacheBytes != 0 || st.TablesBuilt != 0 {
-			t.Fatalf("after abandon: entries %d, bytes %d, tables_built %d; want the node dropped and nothing built",
-				st.CacheEntries, st.CacheBytes, st.TablesBuilt)
-		}
-	}
 
-	// The promoter: a request that elects itself and can produce no table.
 	coldCorrupt()
 	if _, err := svc.Schedule(context.Background(), Request{Trace: broken, Algorithm: "scds"}); err == nil || isRequestError(err) {
-		t.Fatalf("promoter over a corrupt payload and text: err = %v, want an internal error", err)
+		t.Fatalf("request over a corrupt payload and text: err = %v, want an internal error", err)
 	}
-	checkDropped()
+	if st := svc.Stats(); st.CacheEntries != 0 || st.CacheBytes != 0 || st.TablesBuilt != 0 || st.CachePromotions != 0 {
+		t.Fatalf("after the failed decode: entries %d, bytes %d, tables_built %d, promotions %d; want the node dropped and nothing built or decoded",
+			st.CacheEntries, st.CacheBytes, st.TablesBuilt, st.CachePromotions)
+	}
 
-	// A waiter: the test holds the election and abandons once the
-	// waiter's acquire (its sketch bump) has handed it the entry.
 	coldCorrupt()
-	e, role, _, _ := c.acquire(sum.Fingerprint, false, nil)
-	if role != cacheRolePromoter {
-		t.Fatalf("role %d on a cold node, want promoter", role)
+	req := Request{Trace: text, Algorithm: "scds"}
+	got, err := svc.Schedule(context.Background(), req)
+	if err != nil {
+		t.Fatalf("request over a corrupt payload with a decodable trace: %v", err)
 	}
-	estimate := func() uint8 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.sketch.estimate(sum.Fingerprint)
+	if st := svc.Stats(); st.TablesBuilt != 1 || st.CacheMisses != 1 || st.CacheHotEntries != 1 || st.CacheColdEntries != 0 || st.CachePromotions != 0 {
+		t.Fatalf("rebuild: tables_built %d, misses %d, hot %d, cold %d, promotions %d; want one build into a hot node",
+			st.TablesBuilt, st.CacheMisses, st.CacheHotEntries, st.CacheColdEntries, st.CachePromotions)
 	}
-	bumps := estimate()
-	waiterErr := make(chan error, 1)
-	go func() {
-		_, _, err := svc.resolveTable(nil, &traceInput{text: broken, sum: sum})
-		waiterErr <- err
-	}()
-	for estimate() == bumps {
-		runtime.Gosched()
+	ref := New(Config{})
+	defer ref.Close()
+	want, err := ref.Schedule(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.abandon(e)
-	if err := <-waiterErr; err == nil || !strings.Contains(err.Error(), "does not match") {
-		t.Fatalf("waiter on an abandoned promotion: err = %v, want a shape mismatch", err)
+	if respJSON(t, got) != respJSON(t, want) {
+		t.Fatalf("rebuilt answer differs from a fresh service's:\n got %s\nwant %s", respJSON(t, got), respJSON(t, want))
 	}
-	checkDropped()
 }

@@ -39,7 +39,8 @@ func respJSON(t *testing.T, r *Response) string {
 // the flat table produced and to a fresh serial run, with tables_built
 // staying flat — the cold tier trades decode work for rebuilds, never
 // answers. A repeated spec is answered from the cold node's memo
-// without promoting; a spec the memo has not seen promotes the table.
+// without a decode; a spec the memo has not seen decodes the cold
+// payload for that request.
 func TestColdTierHitBitIdentical(t *testing.T) {
 	// Two ~60 KiB tables against a 100 KB budget: either fits flat
 	// alone, both together must demote one.
@@ -96,29 +97,29 @@ func TestColdTierHitBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !respA3.CacheHit {
-		t.Fatal("promoted response not marked as a cache hit")
+		t.Fatal("decoded cold response not marked as a cache hit")
 	}
 	if got, want := respJSON(t, respA3), serial(unseen, respA3); got != want {
-		t.Fatalf("cold-tier promotion served a different schedule:\n got %s\nwant %s", got, want)
+		t.Fatalf("cold-tier decode served a different schedule:\n got %s\nwant %s", got, want)
 	}
 	st = svc.Stats()
 	if st.TablesBuilt != 2 {
-		t.Fatalf("tables_built = %d after cold-tier hits, want 2 (neither a memo hit nor a promotion may rebuild)", st.TablesBuilt)
+		t.Fatalf("tables_built = %d after cold-tier hits, want 2 (neither a memo hit nor a decode may rebuild)", st.TablesBuilt)
 	}
 	if st.CachePromotions != now.CachePromotions+1 {
-		t.Fatalf("cache_promotions %d -> %d; the unseen spec did not promote", now.CachePromotions, st.CachePromotions)
+		t.Fatalf("cache_promotions %d -> %d; the unseen spec did not decode the cold payload", now.CachePromotions, st.CachePromotions)
 	}
 	if st.CacheHits != now.CacheHits+1 {
-		t.Fatalf("cache_hits %d -> %d; a settled promotion must count as a hit", now.CacheHits, st.CacheHits)
+		t.Fatalf("cache_hits %d -> %d; a settled cold decode must count as a hit", now.CacheHits, st.CacheHits)
 	}
 }
 
 // TestCacheTierRaceStress hammers one small set of fingerprints with
 // concurrent schedules, prefill adoptions, and peer-table reads under a
-// byte budget that forces continuous demote/promote/evict churn. Half
+// byte budget that forces continuous demote/decode/evict churn. Half
 // the schedule workers repeat one spec per trace (cold memo hits once it
 // is memoized), the other half cycle capacities the memo has mostly not
-// seen (promotions). Run under -race by scripts/check.sh. Afterwards:
+// seen (cold decodes). Run under -race by scripts/check.sh. Afterwards:
 // every response matches the serial reference bit for bit, the demand
 // counters settle exactly (each completed request is one of
 // miss/hit/shared), cold memo hits are memo hits, and the byte
@@ -162,7 +163,7 @@ func TestCacheTierRaceStress(t *testing.T) {
 	ref.Close()
 
 	// The stressed service: budget fits roughly one flat table, so every
-	// interleaving of the three traces demotes and promotes; the peer
+	// interleaving of the three traces demotes and decodes; the peer
 	// fill hook serves the canned payloads so Prefill exercises adopt
 	// concurrently with the schedule churn.
 	svc := New(Config{

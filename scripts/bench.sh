@@ -20,10 +20,11 @@
 # BENCH_SERVE.json. It then measures the two-tier table cache into
 # BENCH_CACHE.json: pimtab-v2 codec throughput and compression ratio
 # (hard gate: >= 2x on the paper-shaped lu/16 table), the cold-hit
-# latency in its two cases (a promotion, and a memo hit that skips it),
-# with a host block, and a two-process Zipf rebuild comparison at a
-# tight byte budget (hard gate: the cold tier rebuilds >= 3x fewer
-# tables than the flat LRU under the identical seeded load). Compare
+# latency in its two cases (a decode of the cold payload for the
+# request, and a memo hit that skips it), with a host block, and a
+# two-process Zipf rebuild comparison at a tight byte budget (hard
+# gates: the cold tier rebuilds >= 3x fewer tables than the flat LRU
+# under the identical seeded load, and decodes cold payloads). Compare
 # two runs with:
 #
 #	scripts/bench.sh > old.txt   # on the baseline commit
@@ -283,7 +284,11 @@ echo "$RAW_COLD"
 # with the identical seeded Zipf load, so the only variable is what the
 # cache does under pressure. The budget (170 KB against a ~1 MB flat
 # working set of 64 tables) is where the flat entry-LRU demonstrably
-# thrashes; the cold tier holds the whole set compressed.
+# thrashes; the cold tier holds the whole set compressed. The load runs
+# twice over the same traces, first with scds and then with gomcds, so
+# the second pass finds cold nodes whose memo lacks its spec and must
+# decode their payloads (cache_promotions); a single spec per trace
+# would answer every cold request from the memo.
 CACHE_BUDGET="${BENCH_CACHE_BUDGET:-170000}"
 CACHE_REQUESTS="${BENCH_CACHE_REQUESTS:-2000}"
 CACHE_TRACES="${BENCH_CACHE_TRACES:-64}"
@@ -315,11 +320,13 @@ CACHE_PIDS+=($!)
 CACHE_PIDS+=($!)
 TIERED_ADDR="$(cache_addr "$CACHE_DIR/tiered.log")"
 FLAT_ADDR="$(cache_addr "$CACHE_DIR/flat.log")"
-echo "zipf load: $CACHE_REQUESTS requests, $CACHE_TRACES traces, s=$CACHE_ZIPF, budget ${CACHE_BUDGET}B"
-"$CACHE_DIR/pimload" -url "http://$TIERED_ADDR" -requests "$CACHE_REQUESTS" -concurrency 8 \
-	-traces "$CACHE_TRACES" -zipf "$CACHE_ZIPF" -seed 42 >/dev/null
-"$CACHE_DIR/pimload" -url "http://$FLAT_ADDR" -requests "$CACHE_REQUESTS" -concurrency 8 \
-	-traces "$CACHE_TRACES" -zipf "$CACHE_ZIPF" -seed 42 >/dev/null
+echo "zipf load: 2 x $CACHE_REQUESTS requests (scds, then gomcds), $CACHE_TRACES traces, s=$CACHE_ZIPF, budget ${CACHE_BUDGET}B"
+for alg in scds gomcds; do
+	for addr in "$TIERED_ADDR" "$FLAT_ADDR"; do
+		"$CACHE_DIR/pimload" -url "http://$addr" -requests "$CACHE_REQUESTS" -concurrency 8 \
+			-traces "$CACHE_TRACES" -zipf "$CACHE_ZIPF" -seed 42 -algorithm "$alg" >/dev/null
+	done
+done
 stat_of() { # ADDR KEY
 	curl -sf "http://$1/stats" | tr -d '\n' | sed -n "s/.*\"$2\": *\([0-9]*\).*/\1/p"
 }
@@ -370,6 +377,10 @@ END {
 		printf "bench.sh: two-tier rebuilds %d vs flat %d: below the 3x rebuild gate\n", tbuilt, fbuilt > "/dev/stderr"
 		exit 1
 	}
+	if (tpromo == 0) {
+		print "bench.sh: the two-tier server decoded no cold payload: the gate does not cover the cold decode path" > "/dev/stderr"
+		exit 1
+	}
 	printf "{\n"
 	printf "  \"benchmark\": \"two-tier-table-cache\",\n"
 	printf "  \"host\": {\n"
@@ -390,6 +401,7 @@ END {
 	printf "  \"cold_memo_hit_allocs_per_op\": %.0f,\n", mema
 	printf "  \"zipf_budget_bytes\": %d,\n", budget
 	printf "  \"zipf_requests\": %d,\n", reqs
+	printf "  \"zipf_algorithms\": \"scds,gomcds\",\n"
 	printf "  \"zipf_traces\": %d,\n", traces
 	printf "  \"zipf_s\": %s,\n", zipf
 	printf "  \"tiered_tables_built\": %d,\n", tbuilt

@@ -42,10 +42,13 @@ go test -race -run '^TestHTTPSessionConcurrentClients$' ./internal/service
 # batch answers bit-identical over seeded random traces at unbounded,
 # tight and infeasible capacities; text variants, body variants
 # (spacing, field order, verify in the body or the query),
-# demote -> cold memo hit -> promote -> evict with memo bytes settling
-# exactly, cold memo hits (TestMemoRefereeColdHit: answered on a cold
-# node without promotion, decode or scheduler run, bit-identical to a
-# fresh service; a batch promotes only for a spec the memo lacks),
+# demote -> cold memo hit -> cold decode for an unseen spec (the node
+# stays cold, nothing else demoted or evicted) -> cold memo hit -> evict
+# with memo bytes settling exactly, cold memo hits
+# (TestMemoRefereeColdHit: answered on a cold node without a payload
+# decode, trace decode or scheduler run, bit-identical to a fresh
+# service; a batch decodes the payload only for a spec the memo lacks,
+# and its memoized specs are cold hits either way),
 # caller-mutated centers, over-budget traces and racing identical
 # requests; refused bodies never aliased; a body-alias hit whose context
 # expires mid-build still decodes intact bytes. Plus the
@@ -108,11 +111,13 @@ go test -race -run '^TestMaxIntCapacitySchedulesLikeUnbounded$' ./internal/verif
 go test -race -run '^TestMaxIntCapacityServedLikeUnbounded$' ./internal/service
 
 # Two-tier cache gates: the bit-identity referee (a schedule served from
-# a cold node, as a memo hit or through a promotion, must match the
-# flat-table schedule and a serial run byte for byte, without a
-# rebuild) and the demote/promote/evict churn stress with memo bytes
-# settling exactly, both under the race detector; the cold memo hit
-# referee; the byte budget bounding entries whose tables have no cells;
+# a cold node, as a memo hit or through a decode of its payload for the
+# request, must match the flat-table schedule and a serial run byte for
+# byte, without a rebuild) and the demote/decode/evict churn stress with
+# memo bytes settling exactly, both under the race detector; the cold
+# memo hit referee; one-way tiers (a tiny table demotes like any other,
+# and a cold decode leaves its node cold and moves nothing else); the
+# byte budget bounding entries whose tables have no cells;
 # the memo charge covering the memo's measured heap footprint;
 # GET /table serving pimtab-v2 from either tier;
 # plus the DoS-guard regressions proving every table-ingesting endpoint
@@ -121,7 +126,7 @@ go test -race -run '^TestMaxIntCapacityServedLikeUnbounded$' ./internal/service
 # All already ran under ./... above; the named gates survive narrower
 # invocations.
 echo "== two-tier cache gates (-race) =="
-go test -race -run '^(TestColdTierHitBitIdentical|TestCacheTierRaceStress|TestMemoRefereeColdHit|TestImportRejectsOversizedTablePayload|TestZeroCellTablesBoundedByBytes|TestMemoOverheadCoversFootprint|TestTableGetServesV2HotAndCold)$' ./internal/service
+go test -race -run '^(TestColdTierHitBitIdentical|TestCacheTierRaceStress|TestMemoRefereeColdHit|TestTableCacheDemotesAndPromotesUnderBytePressure|TestImportRejectsOversizedTablePayload|TestZeroCellTablesBoundedByBytes|TestMemoOverheadCoversFootprint|TestTableGetServesV2HotAndCold)$' ./internal/service
 go test -race -run '^(TestPeerFillRejectsOversizedTablePayload|TestPrefillRejectsOversizedPeerTable|TestPeerFillBodyCapFollowsCellBudget|TestPimtabV1Refused)$' ./internal/cluster
 
 # Table-only cache entries: SCDS, LOMCDS and GOMCDS read only the
@@ -133,9 +138,10 @@ go test -race -run '^(TestPeerFillRejectsOversizedTablePayload|TestPrefillReject
 # traces with 1x1 and 1xN arrays, unreferenced items and unbounded,
 # tight and infeasible capacities; the heap-bound test fills a service
 # with hot entries through /schedule and holds the live heap to what
-# CacheBytes charges plus a fixed slack; promotion through the alias
-# must decode neither the trace nor rebuild; a promotion that can
-# produce no table fails its waiters instead of stranding them. All
+# CacheBytes charges plus a fixed slack; a cold decode through the alias
+# must decode neither the trace nor rebuild; a cold payload that does
+# not decode drops its node, and the request then rebuilds from its
+# trace or, with no decodable trace, fails and builds nothing. All
 # under the race detector; they already ran under ./... above, the
 # named gate survives narrower invocations.
 echo "== table-only cache entries (-race) =="
