@@ -15,9 +15,10 @@ import (
 // itself and its own copy of the centers (one flat array plus the row
 // headers, whatever the instance size). Any growth here means
 // per-request garbage returned to the steady state. The budget is the
-// measured value (15 on this lu/8, 4x4, gomcds instance, go1.24) plus
-// headroom for toolchain drift; it was 1400 when every request decoded
-// its trace and reran the DP.
+// measured value (15 on this lu/8, 4x4, gomcds instance, go1.24), with
+// no headroom: a memo hit on a resident node reuses the node's one
+// shared entry, and an entry minted per request would show here. It was
+// 1400 when every request decoded its trace and reran the DP.
 func TestScheduleSteadyStateAllocsBounded(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
@@ -27,12 +28,14 @@ func TestScheduleSteadyStateAllocsBounded(t *testing.T) {
 	if _, err := svc.Schedule(ctx, req); err != nil {
 		t.Fatal(err) // warm: builds and caches the table
 	}
-	const budget = 40
-	if n := testing.AllocsPerRun(100, func() {
+	const budget = 15
+	n := testing.AllocsPerRun(100, func() {
 		if _, err := svc.Schedule(ctx, req); err != nil {
 			t.Fatal(err)
 		}
-	}); n > budget {
+	})
+	if n > budget {
 		t.Fatalf("cache-hot Schedule allocates %v per run, budget %d", n, budget)
 	}
+	t.Logf("%v allocs per run, budget %d", n, budget)
 }

@@ -302,25 +302,25 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 
 	after := scrape()
 	for series, want := range map[string]float64{
-		"pim_requests_total":                                    2,
-		"pim_requests_completed_total":                          2,
-		"pim_tables_built_total":                                1,
-		"pim_cache_misses_total":                                1,
-		"pim_cache_hits_total":                                  1,
-		"pim_cache_entries":                                     1,
-		"pim_request_duration_seconds_count":                    2,
-		"pim_trace_alias_hits_total":                            1,
-		"pim_trace_alias_misses_total":                          1,
-		"pim_trace_alias_body_hits_total":                       1,
-		"pim_schedule_memo_hits_total":                          1,
-		"pim_schedule_memo_misses_total":                        1,
-		"pim_schedule_memo_cold_hits_total":                     0,
-		`pim_stage_duration_seconds_count{stage="decode"}`:      1,
-		`pim_stage_duration_seconds_count{stage="fingerprint"}`: 1,
-		`pim_stage_duration_seconds_count{stage="table.build"}`: 1,
-		`pim_stage_duration_seconds_count{stage="table.hit"}`:   1,
-		`pim_stage_duration_seconds_count{stage="sched.scds"}`:  1,
-		`pim_stage_duration_seconds_count{stage="encode"}`:      2,
+		"pim_requests_total":                                     2,
+		"pim_requests_completed_total":                           2,
+		"pim_tables_built_total":                                 1,
+		"pim_cache_misses_total":                                 1,
+		"pim_cache_hits_total":                                   1,
+		"pim_cache_entries":                                      1,
+		"pim_request_duration_seconds_count":                     2,
+		"pim_trace_alias_hits_total":                             1,
+		"pim_trace_alias_misses_total":                           1,
+		"pim_trace_alias_body_hits_total":                        1,
+		"pim_schedule_memo_hits_total":                           1,
+		"pim_schedule_memo_misses_total":                         1,
+		`pim_stage_duration_seconds_count{stage="decode"}`:       1,
+		`pim_stage_duration_seconds_count{stage="fingerprint"}`:  1,
+		`pim_stage_duration_seconds_count{stage="table.build"}`:  1,
+		`pim_stage_duration_seconds_count{stage="table.encode"}`: 1,
+		`pim_stage_duration_seconds_count{stage="table.hit"}`:    1,
+		`pim_stage_duration_seconds_count{stage="sched.scds"}`:   1,
+		`pim_stage_duration_seconds_count{stage="encode"}`:       2,
 	} {
 		if got := sample(after, series); got != want {
 			t.Errorf("%s = %v, want %v", series, got, want)
@@ -331,19 +331,18 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestHTTPMetricsMemoColdHits is the golden exposition of
-// pim_schedule_memo_cold_hits_total: a spec repeated after its table was
-// demoted is one cold hit, also counted as a memo hit.
-func TestHTTPMetricsMemoColdHits(t *testing.T) {
-	// Two ~60 KiB tables against a 100 KB budget: the second demotes
-	// the first.
-	svc := New(Config{CacheBytes: 100_000})
+// TestHTTPMetricsCacheCompressions is the golden exposition of the two
+// cache counters whose meaning the one-tier cache defines: a published
+// table is one compression (pim_cache_demotions_total), and a spec its
+// memo lacks is one decode of the payload (pim_cache_promotions_total),
+// while a repeated spec is a memo hit that decodes nothing.
+func TestHTTPMetricsCacheCompressions(t *testing.T) {
+	svc := New(Config{})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	reqA := Request{Trace: traceText(t, "lu", 8, grid.Square(4)), Algorithm: "gomcds"}
-	reqB := Request{Trace: traceText(t, "matsquare", 8, grid.Square(4)), Algorithm: "gomcds"}
-	for i, r := range []Request{reqA, reqB, reqA} {
+	text := traceText(t, "lu", 8, grid.Square(4))
+	for i, r := range []Request{{Trace: text, Algorithm: "gomcds"}, {Trace: text, Algorithm: "scds"}, {Trace: text, Algorithm: "gomcds"}} {
 		if resp, data := postJSON(t, ts.Client(), ts.URL+"/schedule", r); resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d (%s)", i, resp.StatusCode, data)
 		}
@@ -358,11 +357,13 @@ func TestHTTPMetricsMemoColdHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, golden := range []string{
-		"# HELP pim_schedule_memo_cold_hits_total Schedule memo hits answered on a cold-tier table (also counted in pim_schedule_memo_hits_total).\n" +
-			"# TYPE pim_schedule_memo_cold_hits_total counter\n" +
-			"pim_schedule_memo_cold_hits_total 1\n",
+		"# HELP pim_cache_demotions_total Tables compressed into the cache, one per published or adopted table.\n" +
+			"# TYPE pim_cache_demotions_total counter\n" +
+			"pim_cache_demotions_total 1\n",
+		"# HELP pim_cache_promotions_total Cached payloads decoded for one request each; the cache keeps only the payload.\n" +
+			"# TYPE pim_cache_promotions_total counter\n" +
+			"pim_cache_promotions_total 1\n",
 		"\npim_schedule_memo_hits_total 1\n",
-		"\npim_cache_promotions_total 0\n",
 	} {
 		if !strings.Contains(string(data), golden) {
 			t.Fatalf("scrape lacks\n%s\nscrape:\n%s", golden, data)

@@ -22,7 +22,7 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	m := &serviceMetrics{
 		reg: reg,
 		stage: reg.HistogramVec("pim_stage_duration_seconds",
-			"Time spent in each schedule-pipeline stage (decode, fingerprint, table.build/wait/hit, sched.<algorithm>, verify, encode).",
+			"Time spent in each schedule-pipeline stage (decode, fingerprint, table.build/encode/wait/hit/promote, sched.<algorithm>, verify, encode).",
 			"stage", obs.LatencyBuckets),
 		request: reg.Histogram("pim_request_duration_seconds",
 			"End-to-end latency of completed schedule requests.", obs.LatencyBuckets),
@@ -45,7 +45,7 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	cacheCounter := func(pick func(cacheStats) uint64) func() uint64 {
 		return func() uint64 { return pick(s.cache.counters()) }
 	}
-	reg.CounterFunc("pim_cache_hits_total", "Residence-table cache hits: ready hot-tier tables and cold-tier tables (answered from the memo or a decode for the request).",
+	reg.CounterFunc("pim_cache_hits_total", "Residence-table cache hits: resident tables (answered from the memo or a decode for the request) and finished builds.",
 		cacheCounter(func(cs cacheStats) uint64 { return cs.hits }))
 	reg.CounterFunc("pim_cache_misses_total", "Residence-table cache misses.",
 		cacheCounter(func(cs cacheStats) uint64 { return cs.misses }))
@@ -53,15 +53,15 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		cacheCounter(func(cs cacheStats) uint64 { return cs.sharedBuilds }))
 	reg.CounterFunc("pim_cache_evictions_total", "Residence-table cache evictions.",
 		cacheCounter(func(cs cacheStats) uint64 { return cs.evictions }))
-	reg.CounterFunc("pim_cache_demotions_total", "Hot tables compressed into the cold tier under byte pressure.",
+	reg.CounterFunc("pim_cache_demotions_total", "Tables compressed into the cache, one per published or adopted table.",
 		cacheCounter(func(cs cacheStats) uint64 { return cs.demotions }))
-	reg.CounterFunc("pim_cache_promotions_total", "Cold-tier payloads decoded for one request each; the table stays cold.",
+	reg.CounterFunc("pim_cache_promotions_total", "Cached payloads decoded for one request each; the cache keeps only the payload.",
 		cacheCounter(func(cs cacheStats) uint64 { return cs.promotions }))
 	reg.CounterFunc("pim_cache_admission_rejects_total", "Newly cached tables dropped because the eviction victim was hotter.",
 		cacheCounter(func(cs cacheStats) uint64 { return cs.admissionRejects }))
-	reg.GaugeFunc("pim_cache_entries", "Residence-table cache entries resident across both tiers.",
-		func() float64 { return float64(s.cache.counters().entries()) })
-	reg.GaugeFunc("pim_cache_bytes", "Bytes of cached residence tables (flat hot cells plus compressed cold payloads).",
+	reg.GaugeFunc("pim_cache_entries", "Residence-table cache entries, resident or building.",
+		func() float64 { return float64(s.cache.counters().entries) })
+	reg.GaugeFunc("pim_cache_bytes", "Bytes charged to the table cache (compressed payloads, schedule memos and per-entry overhead).",
 		func() float64 { return float64(s.cache.counters().bytes) })
 
 	reg.CounterFunc("pim_trace_alias_hits_total", "Schedule requests whose body or trace text was already aliased to its fingerprint (no trace decode).", s.aliasHits.Load)
@@ -69,7 +69,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	reg.CounterFunc("pim_trace_alias_body_hits_total", "Alias hits on the raw /schedule body (no JSON decode either).", s.aliasBodyHits.Load)
 	reg.CounterFunc("pim_schedule_memo_hits_total", "Schedule specs answered from a cached table's schedule memo (no scheduler run).", s.memoHits.Load)
 	reg.CounterFunc("pim_schedule_memo_misses_total", "Schedule specs that ran the scheduler over a cached table.", s.memoMisses.Load)
-	reg.CounterFunc("pim_schedule_memo_cold_hits_total", "Schedule memo hits answered on a cold-tier table (also counted in pim_schedule_memo_hits_total).", s.memoColdHits.Load)
 
 	reg.CounterFunc("pim_batches_total", "Batch schedule requests completed.", s.batches.Load)
 	reg.CounterFunc("pim_batch_specs_total", "Request specs completed inside batches.", s.batchSpecs.Load)

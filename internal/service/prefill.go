@@ -94,14 +94,14 @@ func (s *Service) Prefill(ctx context.Context, req PrefillRequest) error {
 	defer s.wg.Done()
 
 	if s.cache.resident(fp) {
-		return nil // already resident (either tier); nothing to transfer
+		return nil // already resident (or building); nothing to transfer
 	}
 
 	table, err := s.peerTable(fp, sh, req.PeerHint)
 	if err != nil {
 		return &prefillFetchError{peer: req.PeerHint, err: err}
 	}
-	if s.cache.adopt(fp, table) {
+	if s.cache.adopt(s.stages, fp, table) {
 		s.tablesPrefilled.Add(1)
 	}
 	return nil

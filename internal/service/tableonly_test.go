@@ -19,11 +19,11 @@ import (
 	"repro/internal/verify"
 )
 
-// Table-only cache entries: a hot entry holds its residence table and
-// memo and nothing else, and a cold one is decoded for a request from
-// its payload and the request's shape alone. scripts/check.sh runs these tests, with the
-// table-only scheduler referee in internal/verify, as a named -race
-// gate.
+// Table-only cache entries: a cache node holds its table's payload and
+// memo and nothing else, and the table is decoded for a request from
+// the payload and the request's shape alone. scripts/check.sh runs these
+// tests, with the table-only scheduler referee in internal/verify, as a
+// named -race gate.
 
 // postCounting runs one /schedule request through the HTTP handler with
 // a stage sink on its context, returning the status, the body and how
@@ -50,32 +50,26 @@ func postCounting(t *testing.T, svc *Service, body any) (int, []byte, map[string
 	return rec.Code, rec.Body.Bytes(), spans
 }
 
-// TestPromotionWithoutTrace: after its table is demoted, a repeated
-// request body (a body hit: no JSON decode either) is answered from the
-// cold node's memo with no decode, no promotion, no build and no
-// scheduler run; a spec the memo has not seen, on the aliased text, is
-// answered by decoding the cold payload (one promotion) without decoding
-// the trace or rebuilding the table. Both answers are bit-identical to a
-// fresh run.
+// TestPromotionWithoutTrace: once its table is published, and so
+// compressed, a repeated request body (a body hit: no JSON decode
+// either) is answered from the node's memo with no decode, no promotion,
+// no build and no scheduler run; a spec the memo has not seen, on the
+// aliased text, is answered by decoding the payload (one promotion)
+// without decoding the trace or rebuilding the table. Both answers are
+// bit-identical to a fresh run.
 func TestPromotionWithoutTrace(t *testing.T) {
-	// Two ~60 KiB tables against a 100 KB budget: building the second
-	// demotes the first (as in TestColdTierHitBitIdentical).
-	svc := New(Config{CacheBytes: 100_000})
+	svc := New(Config{})
 	defer svc.Close()
 	reqA := Request{Trace: traceText(t, "lu", 8, grid.Square(4)), Algorithm: "lomcds", Capacity: 8}
 	unseen := Request{Trace: reqA.Trace, Algorithm: "lomcds", Capacity: 9}
-	reqB := Request{Trace: traceText(t, "matsquare", 8, grid.Square(4)), Algorithm: "lomcds", Capacity: 8}
 
 	code, before, spans := postCounting(t, svc, reqA)
-	if code != http.StatusOK || spans["decode"] != 1 {
-		t.Fatalf("first request: status %d, %d decode spans; want 200 and one decode:\n%s", code, spans["decode"], before)
-	}
-	if code, body, _ := postCounting(t, svc, reqB); code != http.StatusOK {
-		t.Fatalf("second trace: status %d: %s", code, body)
+	if code != http.StatusOK || spans["decode"] != 1 || spans["table.build"] != 1 || spans["table.encode"] != 1 {
+		t.Fatalf("first request: status %d, spans %v; want 200 and one decode, build and encode:\n%s", code, spans, before)
 	}
 	st := svc.Stats()
-	if st.CacheDemotions != 1 || st.CacheColdEntries != 1 {
-		t.Fatalf("demotions %d, cold entries %d after two over-budget tables; want 1 and 1", st.CacheDemotions, st.CacheColdEntries)
+	if st.CacheDemotions != 1 || st.CacheEntries != 1 {
+		t.Fatalf("%d tables compressed, %d entries after one build; want 1 and 1", st.CacheDemotions, st.CacheEntries)
 	}
 
 	code, after, spans := postCounting(t, svc, reqA)
@@ -86,17 +80,16 @@ func TestPromotionWithoutTrace(t *testing.T) {
 		t.Fatalf("repeat recorded spans %v; want one table.hit and no decode, promote, build or scheduler span", spans)
 	}
 	now := svc.Stats()
-	if now.TablesBuilt != st.TablesBuilt || now.CachePromotions != st.CachePromotions || now.CacheColdEntries != 1 ||
-		now.MemoColdHits != st.MemoColdHits+1 {
-		t.Fatalf("repeat: tables_built %d -> %d, promotions %d -> %d, cold entries %d, memo cold hits %d -> %d; want a cold memo hit that leaves the node cold",
-			st.TablesBuilt, now.TablesBuilt, st.CachePromotions, now.CachePromotions, now.CacheColdEntries, st.MemoColdHits, now.MemoColdHits)
+	if now.TablesBuilt != st.TablesBuilt || now.CachePromotions != st.CachePromotions || now.MemoHits != st.MemoHits+1 {
+		t.Fatalf("repeat: tables_built %d -> %d, promotions %d -> %d, memo hits %d -> %d; want a memo hit and nothing decoded",
+			st.TablesBuilt, now.TablesBuilt, st.CachePromotions, now.CachePromotions, st.MemoHits, now.MemoHits)
 	}
 	if now.TraceAliasHits != st.TraceAliasHits+1 || now.TraceAliasBodyHits != st.TraceAliasBodyHits+1 || now.TraceAliasMisses != st.TraceAliasMisses {
 		t.Fatalf("repeat: alias hits %d -> %d, body hits %d -> %d, misses %d -> %d; want one body hit",
 			st.TraceAliasHits, now.TraceAliasHits, st.TraceAliasBodyHits, now.TraceAliasBodyHits, st.TraceAliasMisses, now.TraceAliasMisses)
 	}
 	if scrub(after) != scrub(before) {
-		t.Fatalf("cold memo answer differs from the pre-demotion one:\n got %s\nwant %s", after, before)
+		t.Fatalf("memo answer differs from the first one:\n got %s\nwant %s", after, before)
 	}
 
 	st = now
@@ -123,19 +116,21 @@ func TestPromotionWithoutTrace(t *testing.T) {
 	}
 }
 
-// TestHotCacheHeapWithinCacheBytes fills a service with hot entries
+// TestHotCacheHeapWithinCacheBytes fills a service with cache entries
 // through the real /schedule build path and checks that the live heap
 // they pin stays within what CacheBytes charges for them plus a fixed
-// slack. A hot entry that also kept a cost model (one int per table
-// cell in its reference counts) would pin about 2.2x its charge.
+// slack. An entry that also kept its flat table (8 bytes a cell against
+// a payload of about 1) would pin about 8x its charge, and one that kept
+// a cost model more still.
 func TestHotCacheHeapWithinCacheBytes(t *testing.T) {
 	// Slack covers what is live but legitimately uncharged: the trace
-	// alias (a text key and a body key per trace), the stage histograms and
-	// runtime noise. It is far below the ~128 KiB a single table adds.
+	// alias (a text key and a body key per trace), the pooled encode
+	// buffer, the stage histograms and runtime noise. It is well below
+	// the ~128 KiB a single flat table would add.
 	const (
-		budget = 16 << 20
-		slack  = 1 << 20
-		traces = 96 // 96 x ~133 KiB charged stays under the budget: all hot
+		budget = 4 << 20
+		slack  = 256 << 10
+		traces = 96 // 96 x ~17 KiB charged stays under the budget: nothing evicted
 	)
 	g := grid.Square(4)
 	rng := rand.New(rand.NewSource(16))
@@ -165,24 +160,24 @@ func TestHotCacheHeapWithinCacheBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 
 	st := svc.Stats()
-	if st.TablesBuilt != traces || st.CacheHotEntries != traces || st.CacheDemotions != 0 {
-		t.Fatalf("tables_built %d, hot entries %d, demotions %d; want %d hot tables and no demotion",
-			st.TablesBuilt, st.CacheHotEntries, st.CacheDemotions, traces)
+	if st.TablesBuilt != traces || st.CacheEntries != traces || st.CacheEvictions != 0 {
+		t.Fatalf("tables_built %d, entries %d, evictions %d; want %d tables and no eviction",
+			st.TablesBuilt, st.CacheEntries, st.CacheEvictions, traces)
 	}
-	if st.CacheBytes < budget/2 {
+	if st.CacheBytes < budget/4 {
 		t.Fatalf("cache charges only %d bytes of a %d budget; the fill is too small to measure", st.CacheBytes, budget)
 	}
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	t.Logf("heap growth %d bytes for %d charged (%.2fx)", growth, st.CacheBytes, float64(growth)/float64(st.CacheBytes))
 	if growth > st.CacheBytes+slack {
-		t.Fatalf("hot cache pins %d heap bytes, charge is %d (+%d slack): CacheBytes undercounts hot entries",
+		t.Fatalf("cache pins %d heap bytes, charge is %d (+%d slack): CacheBytes undercounts its entries",
 			growth, st.CacheBytes, slack)
 	}
 	runtime.KeepAlive(svc)
 }
 
 // TestAbandonedPromotionFailsWaiters drives the last resort of a
-// request on a cold node: a payload that does not decode, behind an
+// request on a resident node: a payload that does not decode, behind an
 // alias entry whose text does not decode either (both guarded against,
 // neither reachable from outside). The request must drop the node and
 // fail with an internal error, building nothing. With a trace that does
@@ -201,16 +196,17 @@ func TestAbandonedPromotionFailsWaiters(t *testing.T) {
 	const broken = "not a trace"
 	svc.alias.Add(trace.HashText(broken), aliasEntry{Summary: sum})
 	c := svc.cache
-	coldCorrupt := func() {
+	corrupt := func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		n := &cacheNode{fp: sum.Fingerprint, state: tierCold, comp: []byte("corrupt"), memo: &scheduleMemo{}, bytes: cacheNodeOverhead + 7}
-		n.el = c.cold.PushFront(n)
+		m := &scheduleMemo{}
+		n := &cacheNode{fp: sum.Fingerprint, entry: &cacheEntry{fp: sum.Fingerprint, memo: m}, comp: []byte("corrupt"), memo: m, bytes: cacheNodeOverhead + 7}
+		n.el = c.lru.PushFront(n)
 		c.items[n.fp] = n
 		c.bytes += n.bytes
 	}
 
-	coldCorrupt()
+	corrupt()
 	if _, err := svc.Schedule(context.Background(), Request{Trace: broken, Algorithm: "scds"}); err == nil || isRequestError(err) {
 		t.Fatalf("request over a corrupt payload and text: err = %v, want an internal error", err)
 	}
@@ -219,15 +215,15 @@ func TestAbandonedPromotionFailsWaiters(t *testing.T) {
 			st.CacheEntries, st.CacheBytes, st.TablesBuilt, st.CachePromotions)
 	}
 
-	coldCorrupt()
+	corrupt()
 	req := Request{Trace: text, Algorithm: "scds"}
 	got, err := svc.Schedule(context.Background(), req)
 	if err != nil {
 		t.Fatalf("request over a corrupt payload with a decodable trace: %v", err)
 	}
-	if st := svc.Stats(); st.TablesBuilt != 1 || st.CacheMisses != 1 || st.CacheHotEntries != 1 || st.CacheColdEntries != 0 || st.CachePromotions != 0 {
-		t.Fatalf("rebuild: tables_built %d, misses %d, hot %d, cold %d, promotions %d; want one build into a hot node",
-			st.TablesBuilt, st.CacheMisses, st.CacheHotEntries, st.CacheColdEntries, st.CachePromotions)
+	if st := svc.Stats(); st.TablesBuilt != 1 || st.CacheMisses != 1 || st.CacheEntries != 1 || st.CacheDemotions != 1 || st.CachePromotions != 0 {
+		t.Fatalf("rebuild: tables_built %d, misses %d, entries %d, compressed %d, promotions %d; want one build into a fresh node",
+			st.TablesBuilt, st.CacheMisses, st.CacheEntries, st.CacheDemotions, st.CachePromotions)
 	}
 	ref := New(Config{})
 	defer ref.Close()

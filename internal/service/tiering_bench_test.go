@@ -23,25 +23,22 @@ func benchTraceText(b *testing.B, kind string, n int, g grid.Grid) string {
 	return buf.String()
 }
 
-// BenchmarkScheduleColdHit measures a schedule served from a cold-tier
-// table, in its two cases. scripts/bench.sh snapshots both into
-// BENCH_CACHE.json.
+// BenchmarkScheduleColdHit measures a schedule served from a cached
+// table, which the cache keeps only as its pimtab-v2 payload, in its two
+// cases. scripts/bench.sh snapshots both into BENCH_CACHE.json.
 //
 //   - promote: a spec the memo has not seen, so the call decodes the
-//     compressed table for itself (one promotion) and reruns the DP
-//     over it. Each trace's memo is filled to memoMaxSpecs first, so the
-//     cycled capacities are never stored, and a third table then leaves
-//     both traces cold, so every call decodes. The delta against
-//     BenchmarkServeSchedule/memo-miss is the price of a decode, which
-//     the cache pays instead of a full table rebuild.
-//   - memo: a spec the cold node's memo holds, answered from the memo
-//     without a decode: no DP, no Evaluate.
-//
-// Tables only cool, so both traces stay cold throughout either case.
+//     payload for itself (one promotion) and reruns the DP over it. Each
+//     trace's memo is filled to memoMaxSpecs first, so the cycled
+//     capacities are never stored and every call decodes. The delta
+//     against BenchmarkServeSchedule/memo-miss is the price of a decode,
+//     which the cache pays instead of a full table rebuild.
+//   - memo: a spec the node's memo holds, answered from the memo without
+//     a decode: no DP, no Evaluate.
 func BenchmarkScheduleColdHit(b *testing.B) {
 	texts := []string{
-		benchTraceText(b, "lu", 8, grid.Square(4)),        // 57 KiB flat
-		benchTraceText(b, "matsquare", 8, grid.Square(4)), // 64 KiB flat
+		benchTraceText(b, "lu", 8, grid.Square(4)),        // 7 KB compressed
+		benchTraceText(b, "matsquare", 8, grid.Square(4)), // 8 KB compressed
 	}
 	ctx := context.Background()
 	schedule := func(b *testing.B, svc *Service, text string, capacity int) {
@@ -51,16 +48,13 @@ func BenchmarkScheduleColdHit(b *testing.B) {
 	}
 
 	b.Run("promote", func(b *testing.B) {
-		// A full memo is about 23 KB: 140 KB holds one table flat and
-		// the others compressed, each with its memo, never two flat.
-		svc := New(Config{CacheBytes: 140_000})
+		svc := New(Config{})
 		defer svc.Close()
 		for _, text := range texts { // warm: build both, fill both memos
 			for c := 0; c < memoMaxSpecs; c++ {
 				schedule(b, svc, text, 8+c)
 			}
 		}
-		schedule(b, svc, benchTraceText(b, "stencil", 8, grid.Square(4)), 8)
 		before := svc.cache.counters()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -74,16 +68,12 @@ func BenchmarkScheduleColdHit(b *testing.B) {
 	})
 
 	b.Run("memo", func(b *testing.B) {
-		// 90 KB holds one of the two flat with the other compressed,
-		// never both flat: building the second demotes the first, and
-		// a third, smaller table then demotes the second.
-		svc := New(Config{CacheBytes: 90_000})
+		svc := New(Config{})
 		defer svc.Close()
 		for _, text := range texts {
 			schedule(b, svc, text, 8)
 		}
-		schedule(b, svc, benchTraceText(b, "stencil", 8, grid.Square(4)), 8)
-		before, coldHits := svc.cache.counters(), svc.memoColdHits.Load()
+		before, hits := svc.cache.counters(), svc.memoHits.Load()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -91,9 +81,9 @@ func BenchmarkScheduleColdHit(b *testing.B) {
 		}
 		b.StopTimer()
 		after := svc.cache.counters()
-		if after.promotions != before.promotions || svc.memoColdHits.Load()-coldHits != uint64(b.N) {
-			b.Fatalf("%d promotions and %d cold memo hits over %d schedules: want none and one per schedule",
-				after.promotions-before.promotions, svc.memoColdHits.Load()-coldHits, b.N)
+		if after.promotions != before.promotions || svc.memoHits.Load()-hits != uint64(b.N) {
+			b.Fatalf("%d promotions and %d memo hits over %d schedules: want none and one per schedule",
+				after.promotions-before.promotions, svc.memoHits.Load()-hits, b.N)
 		}
 	})
 }

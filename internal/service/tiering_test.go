@@ -35,21 +35,19 @@ func respJSON(t *testing.T, r *Response) string {
 }
 
 // TestColdTierHitBitIdentical is the named check.sh gate: a schedule
-// served from a cold-tier table must be bit-identical to the schedule
-// the flat table produced and to a fresh serial run, with tables_built
-// staying flat — the cold tier trades decode work for rebuilds, never
-// answers. A repeated spec is answered from the cold node's memo
-// without a decode; a spec the memo has not seen decodes the cold
+// served from a cached table, which the cache keeps only as its
+// compressed payload, must be bit-identical to the schedule the
+// builder's flat table produced and to a fresh serial run, with
+// tables_built staying flat — compression trades decode work for
+// memory, never answers. A repeated spec is answered from the node's
+// memo without a decode; a spec the memo has not seen decodes the
 // payload for that request.
 func TestColdTierHitBitIdentical(t *testing.T) {
-	// Two ~60 KiB tables against a 100 KB budget: either fits flat
-	// alone, both together must demote one.
-	svc := New(Config{CacheBytes: 100_000})
+	svc := New(Config{})
 	defer svc.Close()
 	ctx := context.Background()
 	reqA := Request{Trace: traceText(t, "lu", 8, grid.Square(4)), Algorithm: "gomcds", Capacity: 8, Verify: true}
 	unseen := Request{Trace: reqA.Trace, Algorithm: "gomcds", Capacity: 6, Verify: true}
-	reqB := Request{Trace: traceText(t, "matsquare", 8, grid.Square(4)), Algorithm: "gomcds", Capacity: 8, Verify: true}
 	// serial renders got with its schedule and costs replaced by a
 	// single-threaded sched run's, so comparing the two compares exactly
 	// the schedule content.
@@ -68,12 +66,9 @@ func TestColdTierHitBitIdentical(t *testing.T) {
 	if got, want := respJSON(t, respA1), serial(reqA, respA1); got != want {
 		t.Fatalf("flat-table schedule differs from the serial run:\n got %s\nwant %s", got, want)
 	}
-	if _, err := svc.Schedule(ctx, reqB); err != nil {
-		t.Fatal(err)
-	}
 	st := svc.Stats()
-	if st.CacheDemotions == 0 {
-		t.Fatalf("no demotion after two over-budget tables (cache_bytes=%d); the gate is not exercising the cold tier", st.CacheBytes)
+	if st.CacheDemotions != 1 || !resident(t, svc, reqA.Trace) {
+		t.Fatalf("%d tables compressed after the build; want the table resident, compressed", st.CacheDemotions)
 	}
 
 	respA2, err := svc.Schedule(ctx, reqA)
@@ -81,15 +76,15 @@ func TestColdTierHitBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !respA2.CacheHit {
-		t.Fatal("cold memo answer not marked as a cache hit")
+		t.Fatal("memo answer not marked as a cache hit")
 	}
 	if got, want := respJSON(t, respA2), respJSON(t, respA1); got != want {
-		t.Fatalf("cold-tier memo hit served a different schedule:\n got %s\nwant %s", got, want)
+		t.Fatalf("memo hit served a different schedule:\n got %s\nwant %s", got, want)
 	}
 	now := svc.Stats()
-	if now.CachePromotions != st.CachePromotions || now.MemoColdHits != st.MemoColdHits+1 || now.CacheHits != st.CacheHits+1 {
-		t.Fatalf("repeated spec: promotions %d -> %d, memo cold hits %d -> %d, cache hits %d -> %d; want a cold memo hit, no promotion",
-			st.CachePromotions, now.CachePromotions, st.MemoColdHits, now.MemoColdHits, st.CacheHits, now.CacheHits)
+	if now.CachePromotions != st.CachePromotions || now.MemoHits != st.MemoHits+1 || now.CacheHits != st.CacheHits+1 {
+		t.Fatalf("repeated spec: promotions %d -> %d, memo hits %d -> %d, cache hits %d -> %d; want a memo hit, no promotion",
+			st.CachePromotions, now.CachePromotions, st.MemoHits, now.MemoHits, st.CacheHits, now.CacheHits)
 	}
 
 	respA3, err := svc.Schedule(ctx, unseen)
@@ -97,33 +92,33 @@ func TestColdTierHitBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !respA3.CacheHit {
-		t.Fatal("decoded cold response not marked as a cache hit")
+		t.Fatal("decoded response not marked as a cache hit")
 	}
 	if got, want := respJSON(t, respA3), serial(unseen, respA3); got != want {
-		t.Fatalf("cold-tier decode served a different schedule:\n got %s\nwant %s", got, want)
+		t.Fatalf("payload decode served a different schedule:\n got %s\nwant %s", got, want)
 	}
 	st = svc.Stats()
-	if st.TablesBuilt != 2 {
-		t.Fatalf("tables_built = %d after cold-tier hits, want 2 (neither a memo hit nor a decode may rebuild)", st.TablesBuilt)
+	if st.TablesBuilt != 1 {
+		t.Fatalf("tables_built = %d after cache hits, want 1 (neither a memo hit nor a decode may rebuild)", st.TablesBuilt)
 	}
 	if st.CachePromotions != now.CachePromotions+1 {
-		t.Fatalf("cache_promotions %d -> %d; the unseen spec did not decode the cold payload", now.CachePromotions, st.CachePromotions)
+		t.Fatalf("cache_promotions %d -> %d; the unseen spec did not decode the payload", now.CachePromotions, st.CachePromotions)
 	}
 	if st.CacheHits != now.CacheHits+1 {
-		t.Fatalf("cache_hits %d -> %d; a settled cold decode must count as a hit", now.CacheHits, st.CacheHits)
+		t.Fatalf("cache_hits %d -> %d; a settled decode must count as a hit", now.CacheHits, st.CacheHits)
 	}
 }
 
 // TestCacheTierRaceStress hammers one small set of fingerprints with
-// concurrent schedules, prefill adoptions, and peer-table reads under a
-// byte budget that forces continuous demote/decode/evict churn. Half
-// the schedule workers repeat one spec per trace (cold memo hits once it
-// is memoized), the other half cycle capacities the memo has mostly not
-// seen (cold decodes). Run under -race by scripts/check.sh. Afterwards:
-// every response matches the serial reference bit for bit, the demand
-// counters settle exactly (each completed request is one of
-// miss/hit/shared), cold memo hits are memo hits, and the byte
-// accounting, memo bytes included, settles exactly.
+// concurrent schedules and prefill adoptions under a byte budget that
+// forces continuous build/decode/evict churn. Half the schedule workers
+// repeat one spec per trace (memo hits once it is memoized), the other
+// half cycle capacities the memo has mostly not seen (payload decodes).
+// Run under -race by scripts/check.sh. Afterwards: every response
+// matches the serial reference bit for bit, the demand counters settle
+// exactly (each completed request is one of miss/hit/shared), every
+// completed request made one memo lookup, and the byte accounting, memo
+// bytes included, settles exactly.
 func TestCacheTierRaceStress(t *testing.T) {
 	kinds := []struct {
 		kind string
@@ -162,12 +157,12 @@ func TestCacheTierRaceStress(t *testing.T) {
 	}
 	ref.Close()
 
-	// The stressed service: budget fits roughly one flat table, so every
-	// interleaving of the three traces demotes and decodes; the peer
-	// fill hook serves the canned payloads so Prefill exercises adopt
-	// concurrently with the schedule churn.
+	// The stressed service: the three payloads with their growing memos
+	// do not fit together, so the traces evict one another and rebuild;
+	// the peer fill hook serves the canned payloads so Prefill exercises
+	// adopt concurrently with the schedule churn.
 	svc := New(Config{
-		CacheBytes: 70_000,
+		CacheBytes: 20_000,
 		PeerFill: func(ctx context.Context, fp trace.Fingerprint, peerURL string) (cost.ResidenceTable, error) {
 			payload, ok := prefillTables[fp]
 			if !ok {
@@ -233,14 +228,17 @@ func TestCacheTierRaceStress(t *testing.T) {
 		t.Fatalf("counters settle to %d (hits %d + misses %d + shared %d), want %d completed schedules",
 			got, cs.hits, cs.misses, cs.sharedBuilds, total)
 	}
-	if st := svc.Stats(); st.MemoColdHits > st.MemoHits || st.MemoHits+st.MemoMisses != total {
-		t.Fatalf("memo hits %d (cold %d) + misses %d; want cold <= hits and %d lookups", st.MemoHits, st.MemoColdHits, st.MemoMisses, total)
+	if st := svc.Stats(); st.MemoHits+st.MemoMisses != total {
+		t.Fatalf("memo hits %d + misses %d; want %d lookups", st.MemoHits, st.MemoMisses, total)
+	}
+	if cs.evictions+cs.admissionRejects == 0 || cs.promotions == 0 {
+		t.Fatalf("evictions %d, admission rejects %d, decodes %d: the stress ran without churn", cs.evictions, cs.admissionRejects, cs.promotions)
 	}
 	checkMemoCharges(t, svc.cache)
 	svc.cache.mu.Lock()
-	if got := svc.cache.hot.Len() + svc.cache.cold.Len(); got != len(svc.cache.items) {
+	if got := svc.cache.lru.Len(); got != len(svc.cache.items) {
 		svc.cache.mu.Unlock()
-		t.Fatalf("tier lists hold %d nodes, index holds %d", got, len(svc.cache.items))
+		t.Fatalf("LRU list holds %d nodes, index holds %d", got, len(svc.cache.items))
 	}
 	svc.cache.mu.Unlock()
 }
@@ -286,66 +284,69 @@ func TestImportRejectsOversizedTablePayload(t *testing.T) {
 	}
 }
 
-// TestTableGetServesV2HotAndCold: GET /table/{fingerprint} takes no
-// codec header and answers pimtab-v2 whichever tier holds the table — a
-// cold entry serves its stored payload as is, a hot one is encoded on
-// the spot — and both decode to the table a fresh build produces.
-func TestTableGetServesV2HotAndCold(t *testing.T) {
-	// The TestColdTierHitBitIdentical setup: the second table demotes
-	// the first.
-	svc := New(Config{CacheBytes: 100_000})
+// TestTableGetServesStoredPayload: GET /table/{fingerprint} takes no
+// codec header and answers a resident table's stored pimtab-v2 payload
+// as is, which decodes to the table a fresh build produces; a table
+// still being built is a 404, never a wait.
+func TestTableGetServesStoredPayload(t *testing.T) {
+	svc := New(Config{})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	cold := traceText(t, "lu", 8, grid.Square(4))
-	hot := traceText(t, "matsquare", 8, grid.Square(4))
-	for _, text := range []string{cold, hot} {
-		if _, err := svc.Schedule(context.Background(), Request{Trace: text, Algorithm: "scds"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for _, tc := range []struct {
-		name, text string
-		state      tierState
-	}{{"cold", cold, tierCold}, {"hot", hot, tierHot}} {
-		tr, err := trace.Decode(strings.NewReader(tc.text))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp := tr.Fingerprint()
-		svc.cache.mu.Lock()
-		n := svc.cache.items[fp]
-		var stored []byte
-		if n != nil && n.state == tc.state {
-			stored = n.comp
-		}
-		svc.cache.mu.Unlock()
-		if n == nil || n.state != tc.state {
-			t.Fatalf("%s: table not in the %s tier; the setup no longer demotes", tc.name, tc.name)
-		}
-
+	get := func(fp trace.Fingerprint) (int, []byte) {
+		t.Helper()
 		resp, err := ts.Client().Get(ts.URL + "/table/" + fp.String())
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer resp.Body.Close()
 		payload, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: GET /table: status %d, %v", tc.name, resp.StatusCode, err)
-		}
-		if !strings.HasPrefix(string(payload), "pimtab-v2\n") {
-			t.Fatalf("%s: payload leads with %q, want pimtab-v2", tc.name, payload[:min(len(payload), 10)])
-		}
-		if stored != nil && !bytes.Equal(payload, stored) {
-			t.Fatalf("%s: served payload is not the stored cold-tier payload", tc.name)
-		}
-		table, err := cost.DecodeTable(payload, fp, 0)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatal(err)
 		}
-		if want := cost.NewModel(tr).BuildResidenceTable(); !slices.Equal(table.Cells(), want.Cells()) {
-			t.Fatalf("%s: served table differs from a fresh build", tc.name)
-		}
+		return resp.StatusCode, payload
+	}
+
+	text := traceText(t, "lu", 8, grid.Square(4))
+	if _, err := svc.Schedule(context.Background(), Request{Trace: text, Algorithm: "scds"}); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Decode(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := tr.Fingerprint()
+	svc.cache.mu.Lock()
+	stored := svc.cache.items[fp].comp
+	svc.cache.mu.Unlock()
+	status, payload := get(fp)
+	if status != http.StatusOK {
+		t.Fatalf("GET /table: status %d", status)
+	}
+	if !strings.HasPrefix(string(payload), "pimtab-v2\n") {
+		t.Fatalf("payload leads with %q, want pimtab-v2", payload[:min(len(payload), 10)])
+	}
+	if !bytes.Equal(payload, stored) {
+		t.Fatal("served payload is not the stored payload")
+	}
+	table, err := cost.DecodeTable(payload, fp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cost.NewModel(tr).BuildResidenceTable(); !slices.Equal(table.Cells(), want.Cells()) {
+		t.Fatal("served table differs from a fresh build")
+	}
+
+	building := fpN(7)
+	e, _, builder, _ := svc.cache.acquire(building, true)
+	if !builder {
+		t.Fatal("no builder elected for a fresh fingerprint")
+	}
+	if status, _ := get(building); status != http.StatusNotFound {
+		t.Fatalf("GET /table of a building node: status %d, want 404", status)
+	}
+	svc.cache.publish(nil, e, cost.ResidenceTable{})
+	if status, _ := get(building); status != http.StatusOK {
+		t.Fatalf("GET /table once published: status %d, want 200", status)
 	}
 }
