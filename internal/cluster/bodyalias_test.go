@@ -3,8 +3,11 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/grid"
@@ -190,7 +193,7 @@ func TestReadAllSized(t *testing.T) {
 		{data, int64(len(data))}, {data, -1}, {data, 10}, {data, int64(len(data)) * 2}, {data, 1 << 40},
 		{big, int64(len(big))}, {big, -1},
 	} {
-		got, err := readAllSized(bytes.NewReader(c.data), c.declared)
+		got, err := readAllSized(nil, bytes.NewReader(c.data), c.declared)
 		if err != nil || !bytes.Equal(got, c.data) {
 			t.Fatalf("declared %d: read %d bytes, err %v; want all %d", c.declared, len(got), err, len(c.data))
 		}
@@ -198,7 +201,7 @@ func TestReadAllSized(t *testing.T) {
 
 	// The allocator rounds a large buffer up to whole pages.
 	const slack = 16 << 10
-	got, err := readAllSized(strings.NewReader("pim"), DefaultRouterMaxBody-1)
+	got, err := readAllSized(nil, strings.NewReader("pim"), DefaultRouterMaxBody-1)
 	if err != nil || string(got) != "pim" {
 		t.Fatalf("short body: read %q, err %v", got, err)
 	}
@@ -210,8 +213,95 @@ func TestReadAllSized(t *testing.T) {
 	r := bytes.NewReader(data)
 	if n := testing.AllocsPerRun(20, func() {
 		r.Reset(data)
-		readAllSized(r, int64(len(data)))
+		readAllSized(nil, r, int64(len(data)))
 	}); n != 1 {
 		t.Fatalf("a truthful Content-Length costs %v allocations, want 1", n)
 	}
+}
+
+// A forwarded body's buffer goes back to the pool only once the handler
+// and every upstream reader have let go, whatever the order; a reader
+// the transport closes twice lets go once.
+func TestSharedBodyReleasedByLastHolder(t *testing.T) {
+	data := []byte("pim body")
+	sb := &sharedBody{b: bytes.Clone(data)}
+	sb.refs.Store(1) // the handler's
+	first, second := sb.open(), sb.open()
+	sb.release()
+	first.Close()
+	first.Close()
+	if !bytes.Equal(sb.b, data) {
+		t.Fatal("the buffer was recycled while a reader still held it")
+	}
+	if got, err := io.ReadAll(second); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("the open reader read %q, %v; want %q", got, err, data)
+	}
+	second.Close()
+	if len(sb.b) != 0 || sb.refs.Load() != 0 {
+		t.Fatalf("after the last release: %d bytes, %d refs; want the buffer reset for the pool", len(sb.b), sb.refs.Load())
+	}
+}
+
+// lateTransport answers every request at once and hands the request to
+// read, which owns its body from then on.
+type lateTransport func(*http.Request)
+
+func (read lateTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	read(r)
+	return fakeResponse(http.StatusOK, "{}"), nil
+}
+
+// A pooled request body outlives RoundTrip: the transport may still be
+// writing it after the response arrives. Clients race bodies of several
+// sizes through the router while a transport reads none of them until
+// every request has been answered; each body it then reads must be one
+// a client sent, which fails if the router recycled a buffer its
+// transport still held.
+func TestRouterBodyOutlivesRoundTrip(t *testing.T) {
+	bodies := make([][]byte, 6)
+	sent := make(map[string]bool)
+	for i := range bodies {
+		b, err := json.Marshal(service.Request{Trace: clusterTrace(t, 3*i), Algorithm: "scds"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i], sent[string(b)] = b, true
+	}
+	release := make(chan struct{})
+	var readers sync.WaitGroup
+	rt := NewRouter(RouterConfig{
+		Backends:       []string{"http://a.invalid"},
+		HealthInterval: -1,
+		Client: &http.Client{Transport: lateTransport(func(r *http.Request) {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				defer r.Body.Close()
+				<-release
+				if b, err := io.ReadAll(r.Body); err != nil || !sent[string(b)] {
+					t.Errorf("the transport read %d bytes no client sent (%v)", len(b), err)
+				}
+			}()
+		})},
+	})
+	defer rt.Close()
+	h := rt.Handler()
+	var clients sync.WaitGroup
+	for g := range 8 {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for i := range 10 {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/schedule", bytes.NewReader(bodies[(g+i)%len(bodies)])))
+				if rec.Code != http.StatusOK {
+					t.Errorf("client %d request %d: status %d (%s)", g, i, rec.Code, rec.Body.Bytes())
+					return
+				}
+			}
+		}()
+	}
+	clients.Wait()
+	close(release)
+	readers.Wait()
 }

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -442,7 +443,8 @@ func (rt *Router) handleByTrace(w http.ResponseWriter, r *http.Request) {
 	body, err := rt.readBody(w, r)
 	var sum trace.Summary
 	if err == nil {
-		sum, err = rt.routeKey(body)
+		defer body.release()
+		sum, err = rt.routeKey(body.b)
 	}
 	if err != nil {
 		rt.badRequests.Inc()
@@ -482,6 +484,7 @@ func (rt *Router) handleBySession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	defer body.release()
 	rr, err := rt.send(r.Context(), r.Method, backend, r.URL.Path, r.URL.RawQuery,
 		r.Header.Get("Content-Type"), body, "")
 	if err != nil {
@@ -539,11 +542,17 @@ func (rt *Router) unpinSession(id string) {
 	rt.sessMu.Unlock()
 }
 
-// readBody reads a request body within MaxBodyBytes; a body over it is
-// a 413, any other read failure a 400.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := readAllSized(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), r.ContentLength)
+// readBody reads a request body within MaxBodyBytes into a pooled
+// buffer; a body over it is a 413, any other read failure a 400. The
+// caller holds the returned body's one reference and releases it once
+// the request is answered.
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) (*sharedBody, error) {
+	body := bodyPool.Get().(*sharedBody)
+	body.refs.Store(1)
+	b, err := readAllSized(body.b, http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), r.ContentLength)
+	body.b = b
 	if err != nil {
+		body.release()
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -552,6 +561,52 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 		return nil, &routeError{status: status, msg: "cluster: read request: " + err.Error()}
 	}
 	return body, nil
+}
+
+// sharedBody is a request body the router forwards. The handler that
+// read it and every upstream request sending it hold a reference, and
+// the last to let go returns the buffer to bodyPool. The transport may
+// still be writing a request body after RoundTrip returns, so an
+// upstream request lets go only when the transport closes the body it
+// was given. Pooling matters on the cache-hot path: a paper-shaped
+// /schedule body is 52-126 KB, the largest allocation the router made
+// per request.
+type sharedBody struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+var bodyPool = sync.Pool{New: func() any { return new(sharedBody) }}
+
+func (sb *sharedBody) release() {
+	// A buffer over maxPresize only comes from a body that outgrew its
+	// presize; it is dropped rather than pinned by the pool.
+	if sb.refs.Add(-1) == 0 && cap(sb.b) <= maxPresize+1 {
+		sb.b = sb.b[:0]
+		bodyPool.Put(sb)
+	}
+}
+
+// open returns a reader over the body that holds a reference until it
+// is closed.
+func (sb *sharedBody) open() io.ReadCloser {
+	sb.refs.Add(1)
+	r := &bodyReader{sb: sb}
+	r.Reset(sb.b)
+	return r
+}
+
+type bodyReader struct {
+	bytes.Reader
+	sb     *sharedBody
+	closed atomic.Bool
+}
+
+func (r *bodyReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.sb.release()
+	}
+	return nil
 }
 
 // maxPresize caps the buffer readAllSized allocates on a declared
@@ -564,15 +619,18 @@ const maxPresize = 1 << 20
 // declared length is only a hint: the up-front buffer never exceeds
 // maxPresize, and past that the buffer grows only with the bytes that
 // actually arrive, so a client cannot pin memory by declaring a large
-// body and sending none of it. The buffer is not pooled: the transport
-// may still read a request body after RoundTrip returns, and a retry
-// re-sends the same bytes.
-func readAllSized(r io.Reader, declared int64) ([]byte, error) {
+// body and sending none of it. dst's buffer is read into when its
+// capacity already covers the pre-size (a pooled request body, see
+// sharedBody).
+func readAllSized(dst []byte, r io.Reader, declared int64) ([]byte, error) {
 	size := int64(512)
 	if declared >= 0 {
 		size = min(declared, maxPresize) + 1 // room for the read that reports EOF
 	}
-	b := make([]byte, 0, size)
+	b := dst[:0]
+	if int64(cap(b)) < size {
+		b = make([]byte, 0, size)
+	}
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
@@ -593,7 +651,7 @@ func readAllSized(r io.Reader, declared int64) ([]byte, error) {
 // the replica that already holds the table — if the first connection
 // fails. r supplies method, path, query, content type and the context
 // bounding the exchange.
-func (rt *Router) forwardByKey(r *http.Request, key, body []byte) (*relayedResponse, error) {
+func (rt *Router) forwardByKey(r *http.Request, key []byte, body *sharedBody) (*relayedResponse, error) {
 	backend, ok := rt.ring.Owner(key)
 	if !ok {
 		rt.noBackend.Inc()
@@ -776,15 +834,25 @@ type relayedResponse struct {
 // send issues one proxied request and reads the whole response. Any
 // error — dial, send, or a connection cut mid-body — means no response,
 // so isConnError on it decides retryability for the entire exchange.
-func (rt *Router) send(ctx context.Context, method, backend, path, rawQuery, contentType string, body []byte, peer string) (*relayedResponse, error) {
+func (rt *Router) send(ctx context.Context, method, backend, path, rawQuery, contentType string, body *sharedBody, peer string) (*relayedResponse, error) {
 	start := time.Now()
 	url := backend + path
 	if rawQuery != "" {
 		url += "?" + rawQuery
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
 		return nil, err
+	}
+	if body != nil && len(body.b) > 0 {
+		req.Body = body.open()
+		// The body goes out as a single chunk: net/http copies a body of
+		// declared length through a fresh 32 KB buffer per request, a
+		// chunked one straight from the reader.
+		req.ContentLength = -1
+		// The transport calls GetBody only inside Do, while the caller
+		// still holds its reference.
+		req.GetBody = func() (io.ReadCloser, error) { return body.open(), nil }
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -803,7 +871,7 @@ func (rt *Router) send(ctx context.Context, method, backend, path, rawQuery, con
 	if err != nil {
 		return nil, err
 	}
-	respBody, err := readAllSized(resp.Body, resp.ContentLength)
+	respBody, err := readAllSized(nil, resp.Body, resp.ContentLength)
 	resp.Body.Close()
 	if err != nil {
 		return nil, err
@@ -949,7 +1017,7 @@ func (rt *Router) migrateSession(ctx context.Context, id, src string) (string, e
 	if exp.status != http.StatusOK {
 		return "", fmt.Errorf("export: status %d: %.200s", exp.status, exp.body)
 	}
-	imp, err := rt.send(ctx, http.MethodPost, dst, "/session/import", "", "application/json", exp.body, "")
+	imp, err := rt.send(ctx, http.MethodPost, dst, "/session/import", "", "application/json", &sharedBody{b: exp.body}, "")
 	if err != nil {
 		return "", fmt.Errorf("import on %s: %w", dst, err)
 	}

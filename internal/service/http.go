@@ -67,7 +67,7 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	key := trace.HashBody(buf.Bytes())
 	var req Request
-	in := &traceInput{}
+	in := &traceInput{wire: true}
 	if e, hit := s.alias.Lookup(key); hit {
 		// A repeated body: its fields come from the alias with no JSON
 		// decode, and its trace text stays in the held buffer until some
@@ -99,8 +99,33 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := s.stages.Start("encode")
-	writeJSON(w, http.StatusOK, resp)
+	writeSchedule(w, resp)
 	sp.End()
+}
+
+// writeSchedule writes a /schedule response. A memo hit's centers
+// (resp.compact) go from the memo's layout straight into the JSON text:
+// on a cache-hot shard, copying them into a [][]int for encoding/json to
+// walk was the largest allocation and the largest CPU cost of a request.
+// encoding/json writes the other fields, the centers left nil; the
+// "centers":null it writes can only be that key, since a string value
+// has its quotes escaped, and the matrix replaces the null.
+func writeSchedule(w http.ResponseWriter, resp *Response) {
+	if resp.compact == nil {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	fields := getBuffer()
+	defer putBuffer(fields)
+	json.NewEncoder(fields).Encode(resp) // plain fields only: it cannot fail
+	head, tail, _ := bytes.Cut(fields.Bytes(), []byte(`"centers":null`))
+	buf := getBuffer()
+	defer putBuffer(buf)
+	buf.Write(head)
+	b := append(buf.AvailableBuffer(), `"centers":`...)
+	buf.Write(resp.compact.appendCenters(b, resp.NumWindows, resp.NumData))
+	buf.Write(tail)
+	writeBody(w, http.StatusOK, buf.Bytes())
 }
 
 // PeerHintHeader names the request header the router uses to tell a
@@ -424,10 +449,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		io.WriteString(w, `{"error":"service: encode response: `+jsonSafe(err.Error())+`"}`+"\n")
 		return
 	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody writes a complete JSON response body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	w.Write(buf.Bytes()) // nothing useful to do with a write error mid-response
+	w.Write(body) // nothing useful to do with a write error mid-response
 }
 
 // jsonSafe strips characters that would break a hand-assembled JSON
