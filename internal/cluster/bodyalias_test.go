@@ -34,9 +34,14 @@ func postRaw(t testing.TB, client *http.Client, url string, body []byte) (int, [
 // the hop that refused it. The router refuses what it cannot route —
 // malformed JSON, trailing data, a trace that does not decode — and
 // aliases neither its body nor its text. Bodies it can route but the
-// shard refuses — an unknown field, a trace over MaxTableCells — may
-// enter the router's alias (it only maps them to their owner), but never
-// the shard's: no shard ever reports a body hit for them.
+// shard refuses — an unknown field, an infeasible capacity, a trace
+// over MaxTableCells — may enter the router's alias (it only maps them
+// to their owner), but never the shard's: no shard ever reports a body
+// hit for them. A body whose spec is infeasible decodes cleanly, so the
+// shard aliases it and memoizes its refusal. None of these bodies is
+// ever sent in fingerprint form, which the router keeps for bodies a
+// shard has answered with a 2xx: each repeat carries its trace and gets
+// the same 400.
 func TestRouterRefusedBodiesNeverAliased(t *testing.T) {
 	backends := []*backend{
 		newBackend(t, service.Config{MaxTableCells: 1024}),
@@ -44,6 +49,11 @@ func TestRouterRefusedBodiesNeverAliased(t *testing.T) {
 	}
 	rt, ts := newTestRouter(t, RouterConfig{Backends: backendURLs(backends)})
 	valid, err := json.Marshal(service.Request{Trace: clusterTrace(t, 0), Algorithm: "scds"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// lu n=4 on 2x2: 16 items cannot fit one slot on each of 4 processors.
+	infeasible, err := json.Marshal(service.Request{Trace: clusterTrace(t, 0), Algorithm: "scds", Capacity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +70,21 @@ func TestRouterRefusedBodiesNeverAliased(t *testing.T) {
 		t.Fatal(err)
 	}
 	const repeats = 3
+	refusedAlike := func(name string, body []byte) {
+		t.Helper()
+		var first []byte
+		for i := 0; i < repeats; i++ {
+			status, data := postRaw(t, ts.Client(), ts.URL+"/schedule", body)
+			if status != http.StatusBadRequest {
+				t.Fatalf("%s, repeat %d: status %d (%s), want 400", name, i, status, data)
+			}
+			if first == nil {
+				first = data
+			} else if !bytes.Equal(data, first) {
+				t.Fatalf("%s, repeat %d: refused with\n%s\nthe first send with\n%s", name, i, data, first)
+			}
+		}
+	}
 	for _, c := range []struct {
 		name           string
 		body           []byte
@@ -73,11 +98,7 @@ func TestRouterRefusedBodiesNeverAliased(t *testing.T) {
 		{"over budget", overBudget, false, 2},
 	} {
 		aliased, bad := rt.alias.Len(), rt.Stats().BadRequests
-		for i := 0; i < repeats; i++ {
-			if status, data := postRaw(t, ts.Client(), ts.URL+"/schedule", c.body); status != http.StatusBadRequest {
-				t.Fatalf("%s, repeat %d: status %d (%s), want 400", c.name, i, status, data)
-			}
-		}
+		refusedAlike(c.name, c.body)
 		if got := rt.alias.Len() - aliased; got != c.routerAliasAdd {
 			t.Fatalf("%s: router alias gained %d entries, want %d", c.name, got, c.routerAliasAdd)
 		}
@@ -94,22 +115,37 @@ func TestRouterRefusedBodiesNeverAliased(t *testing.T) {
 			t.Fatalf("shard %d: alias hits %d, body hits %d after refused bodies; want 0 and 0", i, st.TraceAliasHits, st.TraceAliasBodyHits)
 		}
 	}
+	refusedAlike("infeasible capacity", infeasible)
+	var shardByFingerprint uint64
+	for _, b := range backends {
+		shardByFingerprint += b.svc.Stats().ByFingerprint
+	}
+	if st := rt.Stats(); st.FingerprintForwards != 0 || shardByFingerprint != 0 {
+		t.Fatalf("refused bodies: router fingerprint forwards %d, shard fingerprint-form requests %d; want 0 and 0",
+			st.FingerprintForwards, shardByFingerprint)
+	}
 
-	// A valid body is aliased at both hops: its repeat is a body hit at
-	// each.
+	// A valid body is aliased at both hops, and once a shard has answered
+	// it the router sends its repeat in fingerprint form: a body hit at
+	// the router, a fingerprint-form request at the shard.
 	for i := 0; i < 2; i++ {
 		if status, data := postRaw(t, ts.Client(), ts.URL+"/schedule", valid); status != http.StatusOK {
 			t.Fatalf("control body, send %d: status %d (%s)", i, status, data)
 		}
 	}
 	var shardBodyHits uint64
+	shardByFingerprint = 0
 	for _, b := range backends {
-		shardBodyHits += b.svc.Stats().TraceAliasBodyHits
+		st := b.svc.Stats()
+		shardBodyHits += st.TraceAliasBodyHits
+		shardByFingerprint += st.ByFingerprint
 	}
 	// The unknown-field body carries the control's trace text, so the
-	// control's first send was a text hit at the router.
-	if st := rt.Stats(); st.AliasBodyHits != 2*(repeats-1)+1 || shardBodyHits != 1 {
-		t.Fatalf("control body: router body hits %d, shard body hits %d; want %d and 1", st.AliasBodyHits, shardBodyHits, 2*(repeats-1)+1)
+	// control's first send was a text hit at the router. The shard's
+	// body hits are the infeasible body's repeats.
+	if st := rt.Stats(); st.AliasBodyHits != 3*(repeats-1)+1 || st.FingerprintForwards != 1 || shardBodyHits != repeats-1 || shardByFingerprint != 1 {
+		t.Fatalf("control body: router body hits %d, fingerprint forwards %d, shard body hits %d, shard fingerprint-form requests %d; want %d, 1, %d and 1",
+			st.AliasBodyHits, st.FingerprintForwards, shardBodyHits, shardByFingerprint, 3*(repeats-1)+1, repeats-1)
 	}
 }
 
@@ -255,17 +291,24 @@ func (read lateTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // writing it after the response arrives. Clients race bodies of several
 // sizes through the router while a transport reads none of them until
 // every request has been answered; each body it then reads must be one
-// a client sent, which fails if the router recycled a buffer its
-// transport still held.
+// a client sent, or the fingerprint form of one (the transport answers
+// 200, so every repeat goes by name), which fails if the router
+// recycled a buffer its transport still held, full body or named copy.
 func TestRouterBodyOutlivesRoundTrip(t *testing.T) {
 	bodies := make([][]byte, 6)
 	sent := make(map[string]bool)
 	for i := range bodies {
-		b, err := json.Marshal(service.Request{Trace: clusterTrace(t, 3*i), Algorithm: "scds"})
+		text := clusterTrace(t, 3*i)
+		b, err := json.Marshal(service.Request{Trace: text, Algorithm: "scds"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.Decode(strings.NewReader(text))
 		if err != nil {
 			t.Fatal(err)
 		}
 		bodies[i], sent[string(b)] = b, true
+		sent[string(service.FingerprintBody(tr.Fingerprint(), "scds", 0))] = true
 	}
 	release := make(chan struct{})
 	var readers sync.WaitGroup
@@ -304,4 +347,7 @@ func TestRouterBodyOutlivesRoundTrip(t *testing.T) {
 	clients.Wait()
 	close(release)
 	readers.Wait()
+	if st := rt.Stats(); st.FingerprintForwards == 0 {
+		t.Fatal("no repeat went in fingerprint form: the named copy's lifetime went unexercised")
+	}
 }

@@ -414,9 +414,12 @@ func jsonEqualCenters(a, b [][]int) bool {
 // same body (up to the per-request elapsed_us and cache_hit fields),
 // and the fleet runs the scheduler exactly once — the owning shard's
 // schedule memo collapses the rest, whether they overlapped or not. At
-// each hop the alias counts one outcome per request; how many of the
-// racing callers found the body already aliased depends on timing, but
-// a sequential repeat afterwards is exactly one body hit at both hops.
+// the router the alias counts one outcome per request; at the shard a
+// request is one alias outcome, or one fingerprint-form request when
+// the router sent it by name. How many of the racing callers found the
+// body already aliased (or answered) depends on timing, but a
+// sequential repeat afterwards is exactly one body hit at the router and
+// one fingerprint-form request at the shard, which touches no alias.
 func TestRouterIdenticalSinglesShareOneMemoFill(t *testing.T) {
 	const callers = 8
 	backends := []*backend{
@@ -471,7 +474,7 @@ func TestRouterIdenticalSinglesShareOneMemoFill(t *testing.T) {
 		}
 	}
 
-	type fleetAlias struct{ built, memoHits, memoMisses, hits, misses, bodyHits uint64 }
+	type fleetAlias struct{ built, memoHits, memoMisses, hits, misses, bodyHits, byFingerprint uint64 }
 	fleet := func() (f fleetAlias) {
 		for _, b := range backends {
 			st := b.svc.Stats()
@@ -481,6 +484,7 @@ func TestRouterIdenticalSinglesShareOneMemoFill(t *testing.T) {
 			f.hits += st.TraceAliasHits
 			f.misses += st.TraceAliasMisses
 			f.bodyHits += st.TraceAliasBodyHits
+			f.byFingerprint += st.ByFingerprint
 		}
 		return f
 	}
@@ -489,9 +493,9 @@ func TestRouterIdenticalSinglesShareOneMemoFill(t *testing.T) {
 		t.Fatalf("fleet tables_built = %d, memo misses = %d, memo hits = %d; want 1, 1, %d",
 			f.built, f.memoMisses, f.memoHits, callers-1)
 	}
-	if f.hits+f.misses != callers || f.misses < 1 || f.bodyHits > f.hits {
-		t.Fatalf("fleet alias hits %d (%d body) + misses %d, want %d with at least one miss and body hits within hits",
-			f.hits, f.bodyHits, f.misses, callers)
+	if f.hits+f.misses+f.byFingerprint != callers || f.misses < 1 || f.bodyHits > f.hits {
+		t.Fatalf("fleet alias hits %d (%d body) + misses %d + fingerprint-form requests %d, want %d with at least one miss and body hits within hits",
+			f.hits, f.bodyHits, f.misses, f.byFingerprint, callers)
 	}
 	st := rt.Stats()
 	if st.Requests != callers {
@@ -507,13 +511,17 @@ func TestRouterIdenticalSinglesShareOneMemoFill(t *testing.T) {
 		t.Fatalf("sequential repeat: status %d, body\n%s\nwant\n%s", status, data, want)
 	}
 	g, st2 := fleet(), rt.Stats()
-	if g.hits != f.hits+1 || g.bodyHits != f.bodyHits+1 || g.misses != f.misses {
-		t.Fatalf("sequential repeat: fleet alias hits %d->%d, body hits %d->%d, misses %d->%d; want one body hit",
-			f.hits, g.hits, f.bodyHits, g.bodyHits, f.misses, g.misses)
+	if g.hits != f.hits || g.misses != f.misses || g.byFingerprint != f.byFingerprint+1 || g.memoHits != f.memoHits+1 {
+		t.Fatalf("sequential repeat: fleet alias hits %d->%d, misses %d->%d, fingerprint-form requests %d->%d, memo hits %d->%d; want one fingerprint-form memo hit",
+			f.hits, g.hits, f.misses, g.misses, f.byFingerprint, g.byFingerprint, f.memoHits, g.memoHits)
 	}
 	if st2.AliasHits != st.AliasHits+1 || st2.AliasBodyHits != st.AliasBodyHits+1 || st2.AliasMisses != st.AliasMisses {
 		t.Fatalf("sequential repeat: router alias hits %d->%d, body hits %d->%d, misses %d->%d; want one body hit",
 			st.AliasHits, st2.AliasHits, st.AliasBodyHits, st2.AliasBodyHits, st.AliasMisses, st2.AliasMisses)
+	}
+	if st2.FingerprintForwards != st.FingerprintForwards+1 || st2.FingerprintResends != st.FingerprintResends {
+		t.Fatalf("sequential repeat: router fingerprint forwards %d->%d, resends %d->%d; want one forward and no resend",
+			st.FingerprintForwards, st2.FingerprintForwards, st.FingerprintResends, st2.FingerprintResends)
 	}
 }
 

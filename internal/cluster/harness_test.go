@@ -162,6 +162,18 @@ func (h *clusterHarness) fleetBuilt() uint64 {
 	return n
 }
 
+// fleetByFingerprint sums the fingerprint-form requests the fleet
+// received and those it answered "table not resident".
+func (h *clusterHarness) fleetByFingerprint() (by, absent uint64) {
+	for _, b := range h.backends {
+		for _, st := range b.stats() {
+			by += st.ByFingerprint
+			absent += st.FingerprintAbsent
+		}
+	}
+	return by, absent
+}
+
 func (h *clusterHarness) fleetPeerFills() uint64 {
 	var n uint64
 	for _, b := range h.backends {
@@ -299,6 +311,18 @@ func TestClusterDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// The second round went by name: every repeated /schedule body
+	// crossed the second hop in its fingerprint form, answered from a
+	// resident table with no resend, and the two hops agree on the
+	// count.
+	st := h.router.Stats()
+	if want := uint64(numTraces * len(harnessSpecs)); st.FingerprintForwards != want || st.FingerprintResends != 0 {
+		t.Fatalf("router fingerprint forwards %d, resends %d; want %d and 0", st.FingerprintForwards, st.FingerprintResends, want)
+	}
+	if by, absent := h.fleetByFingerprint(); by != st.FingerprintForwards || absent != 0 {
+		t.Fatalf("fleet fingerprint-form requests %d, absent %d; want %d and 0", by, absent, st.FingerprintForwards)
 	}
 
 	// Batches: all specs for a trace in one request.

@@ -141,15 +141,19 @@ type Router struct {
 
 	// alias maps raw request bodies and trace texts already routed to
 	// their fingerprint, so a repeated body is routed without a JSON
-	// decode and a repeated text without a trace decode. routeKey counts
-	// one outcome per routed body in aliasHits (aliasBodyHits the subset
-	// found by body) or aliasMisses.
-	alias *trace.Alias[trace.Summary]
+	// decode and a repeated text without a trace decode, and a repeated
+	// /schedule body the shards have answered crosses the second hop in
+	// its fingerprint form (see routeEntry). routeKey counts one outcome
+	// per routed body in aliasHits (aliasBodyHits the subset found by
+	// body) or aliasMisses.
+	alias *trace.Alias[routeEntry]
 
 	reg              *obs.Registry
 	aliasHits        *obs.Counter
 	aliasMisses      *obs.Counter
 	aliasBodyHits    *obs.Counter
+	fpForwards       *obs.Counter
+	fpResends        *obs.Counter
 	requests         *obs.Counter
 	badRequests      *obs.Counter
 	retries          *obs.Counter
@@ -200,7 +204,7 @@ func NewRouter(cfg RouterConfig) *Router {
 		streak:     make(map[string]int),
 		drained:    make(map[string]struct{}),
 		fills:      make(map[fillKey]bool),
-		alias:      trace.NewAlias[trace.Summary](),
+		alias:      trace.NewAlias[routeEntry](),
 		reg:        obs.NewRegistry(),
 		stop:       make(chan struct{}),
 		loopDone:   make(chan struct{}),
@@ -224,6 +228,8 @@ func NewRouter(cfg RouterConfig) *Router {
 	rt.aliasHits = rt.reg.Counter("pim_router_trace_alias_hits_total", "Routed requests whose body or trace text was already aliased to its fingerprint (no trace decode).")
 	rt.aliasMisses = rt.reg.Counter("pim_router_trace_alias_misses_total", "Routed requests whose trace text had to be decoded and fingerprinted.")
 	rt.aliasBodyHits = rt.reg.Counter("pim_router_trace_alias_body_hits_total", "Alias hits on the raw request body (no JSON decode either).")
+	rt.fpForwards = rt.reg.Counter("pim_router_fingerprint_forwards_total", "Schedule requests a shard answered in their fingerprint form, without the trace.")
+	rt.fpResends = rt.reg.Counter("pim_router_fingerprint_resends_total", "Fingerprint-form schedule requests answered 412 (table not resident) and resent with the full body.")
 	rt.latency = rt.reg.Histogram("pim_router_request_duration_seconds",
 		"End-to-end latency of proxied requests.", obs.LatencyBuckets)
 	rt.reg.GaugeFunc("pim_router_backends_healthy", "Ring members currently routable.",
@@ -390,44 +396,76 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// routeKey resolves a trace-carrying body to its trace summary, whose
-// fingerprint is the ring key (exactly the cache key every shard uses,
-// which is what makes routing and caching agree) and whose fingerprint
-// and shape name the table a replica prefill asks for. A body routed
-// before resolves through the alias with no JSON decode at all. A new
-// body is probed for its trace text, which resolves through the alias
-// too if it was routed before under another body (a new spec, or the
-// same request spelled differently); only a new text is decoded and
-// fingerprinted. A body or text enters the alias only once its trace
-// decoded cleanly, so a malformed one is refused on every repeat. A
-// body whose trace text was found counts one alias hit or miss; a body
-// refused before its text lookup counts neither.
-func (rt *Router) routeKey(body []byte) (trace.Summary, error) {
+// routeEntry is what the router's alias maps a key to: the trace
+// summary, and for a body key the body's fingerprint form.
+type routeEntry struct {
+	trace.Summary
+	spec *bodySpec // nil for a text key
+}
+
+// bodySpec is a routed body's fingerprint form: named is the small body
+// (service.FingerprintBody) that stands in for a /schedule body once a
+// shard has answered the body itself with a 2xx (served). A body the
+// shards refuse is never sent in fingerprint form, so every repeat of it
+// gets the shard's own refusal. A body that asks for a verify pass has
+// no named form: the referee needs the trace.
+type bodySpec struct {
+	named  []byte
+	served atomic.Bool
+}
+
+// byName returns the fingerprint form to send in place of body e on
+// request r, or nil when the body itself must go.
+func (e routeEntry) byName(r *http.Request) []byte {
+	if r.URL.Path != "/schedule" || e.spec == nil || !e.spec.served.Load() || service.VerifyRequested(r) {
+		return nil
+	}
+	return e.spec.named
+}
+
+// routeKey resolves a trace-carrying body to its alias entry, whose
+// fingerprint is the ring key (exactly the cache key every shard
+// uses, which is what makes routing and caching agree) and whose
+// fingerprint and shape name the table a replica prefill asks for. A
+// body routed before resolves through the alias with no JSON decode at
+// all. A new body is probed once for its trace text and its spec, and
+// the text resolves through the alias too if it was routed before under
+// another body (a new spec, or the same request spelled differently);
+// only a new text is decoded and fingerprinted. A body or text enters
+// the alias only once its trace decoded cleanly, so a malformed one is
+// refused on every repeat. A body whose trace text was found counts one
+// alias hit or miss; a body refused before its text lookup counts
+// neither.
+func (rt *Router) routeKey(body []byte) (routeEntry, error) {
 	bodyKey := trace.HashBody(body)
-	if sum, ok := rt.alias.Lookup(bodyKey); ok {
+	if e, ok := rt.alias.Lookup(bodyKey); ok {
 		rt.aliasHits.Inc()
 		rt.aliasBodyHits.Inc()
-		return sum, nil
+		return e, nil
 	}
-	text, err := service.TraceText(body)
+	probe, err := service.ProbeRequest(body)
 	if err != nil {
-		return trace.Summary{}, unroutable(err)
+		return routeEntry{}, unroutable(err)
 	}
-	textKey := trace.HashText(text)
-	sum, ok := rt.alias.Lookup(textKey)
+	textKey := trace.HashText(probe.Trace)
+	te, ok := rt.alias.Lookup(textKey)
 	if ok {
 		rt.aliasHits.Inc()
 	} else {
 		rt.aliasMisses.Inc()
-		tr, err := trace.Decode(strings.NewReader(text))
+		tr, err := trace.Decode(strings.NewReader(probe.Trace))
 		if err != nil {
-			return trace.Summary{}, unroutable(err)
+			return routeEntry{}, unroutable(err)
 		}
-		sum = trace.Summary{Fingerprint: tr.Fingerprint(), Shape: tr.Shape()}
-		rt.alias.Add(textKey, sum)
+		te = routeEntry{Summary: trace.Summary{Fingerprint: tr.Fingerprint(), Shape: tr.Shape()}}
+		rt.alias.Add(textKey, te)
 	}
-	rt.alias.Add(bodyKey, sum)
-	return sum, nil
+	e := routeEntry{Summary: te.Summary, spec: &bodySpec{}}
+	if !probe.Verify {
+		e.spec.named = service.FingerprintBody(e.Fingerprint, probe.Algorithm, probe.Capacity)
+	}
+	rt.alias.Add(bodyKey, e)
+	return e, nil
 }
 
 func unroutable(err error) error {
@@ -435,36 +473,48 @@ func unroutable(err error) error {
 }
 
 // handleByTrace routes a trace-carrying body — a schedule, a batch or a
-// session create — to its key's owner. A 2xx schedule pushes the key's
-// table to its replicas; a 201 session create pins the session to the
-// shard that made it (a session's table is its own, not the cache's,
-// so there is nothing to push).
+// session create — to its key's owner. A /schedule body a shard has
+// answered before goes in its fingerprint form unless this request asks
+// for a verify pass (see forwardByKey), and a 2xx to the body itself
+// marks it answered. A 2xx schedule pushes the key's table to its
+// replicas; a 201 session create pins the session to the shard that
+// made it (a session's table is its own, not the cache's, so there is
+// nothing to push).
 func (rt *Router) handleByTrace(w http.ResponseWriter, r *http.Request) {
 	body, err := rt.readBody(w, r)
-	var sum trace.Summary
+	var e routeEntry
 	if err == nil {
 		defer body.release()
-		sum, err = rt.routeKey(body.b)
+		e, err = rt.routeKey(body.b)
 	}
 	if err != nil {
 		rt.badRequests.Inc()
 		writeError(w, err)
 		return
 	}
-	rr, err := rt.forwardByKey(r, sum.Fingerprint[:], body)
+	var named *sharedBody
+	if b := e.byName(r); b != nil {
+		named = newSharedBody(b)
+		defer named.release()
+	}
+	rr, err := rt.forwardByKey(r, e.Fingerprint[:], body, named)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	defer rr.body.release()
 	if r.URL.Path != "/session" {
 		if rr.status/100 == 2 {
-			rt.maybeFillReplicas(sum, rr.backend)
+			rt.maybeFillReplicas(e.Summary, rr.backend)
+			if r.URL.Path == "/schedule" && named == nil {
+				e.spec.served.Store(true)
+			}
 		}
 	} else if rr.status == http.StatusCreated {
 		var created struct {
 			SessionID string `json:"session_id"`
 		}
-		if json.Unmarshal(rr.body, &created) == nil && created.SessionID != "" {
+		if json.Unmarshal(rr.body.b, &created) == nil && created.SessionID != "" {
 			rt.pinSession(created.SessionID, rr.backend)
 		}
 	}
@@ -498,6 +548,7 @@ func (rt *Router) handleBySession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	defer rr.body.release()
 	rt.writeResponse(w, rr)
 	// Any 2xx DELETE means the shard no longer owns the session; a pin
 	// that only fell on exactly 204 leaked an entry per deleted session.
@@ -547,8 +598,7 @@ func (rt *Router) unpinSession(id string) {
 // caller holds the returned body's one reference and releases it once
 // the request is answered.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) (*sharedBody, error) {
-	body := bodyPool.Get().(*sharedBody)
-	body.refs.Store(1)
+	body := getSharedBody()
 	b, err := readAllSized(body.b, http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes), r.ContentLength)
 	body.b = b
 	if err != nil {
@@ -563,20 +613,37 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) (*sharedBody,
 	return body, nil
 }
 
-// sharedBody is a request body the router forwards. The handler that
-// read it and every upstream request sending it hold a reference, and
-// the last to let go returns the buffer to bodyPool. The transport may
-// still be writing a request body after RoundTrip returns, so an
-// upstream request lets go only when the transport closes the body it
-// was given. Pooling matters on the cache-hot path: a paper-shaped
-// /schedule body is 52-126 KB, the largest allocation the router made
-// per request.
+// sharedBody is a pooled buffer the router reads a body into: a request
+// body it forwards, or a backend's response it relays. Whoever read it
+// and every upstream request sending it hold a reference, and the last
+// to let go returns the buffer to bodyPool. The transport may still be
+// writing a request body after RoundTrip returns, so an upstream
+// request lets go only when the transport closes the body it was given.
+// Pooling matters on the cache-hot path: a paper-shaped /schedule body
+// is 52-126 KB, the largest allocation the router made per request, and
+// its response 7-9 KB, the next largest.
 type sharedBody struct {
 	b    []byte
 	refs atomic.Int32
 }
 
 var bodyPool = sync.Pool{New: func() any { return new(sharedBody) }}
+
+// getSharedBody returns an empty pooled body holding the caller's one
+// reference.
+func getSharedBody() *sharedBody {
+	sb := bodyPool.Get().(*sharedBody)
+	sb.refs.Store(1)
+	return sb
+}
+
+// newSharedBody returns a pooled copy of b holding the caller's one
+// reference.
+func newSharedBody(b []byte) *sharedBody {
+	sb := getSharedBody()
+	sb.b = append(sb.b[:0], b...)
+	return sb
+}
 
 func (sb *sharedBody) release() {
 	// A buffer over maxPresize only comes from a body that outgrew its
@@ -650,16 +717,34 @@ func readAllSized(dst []byte, r io.Reader, declared int64) ([]byte, error) {
 // owner and retrying once on the key's next owner — with replication,
 // the replica that already holds the table — if the first connection
 // fails. r supplies method, path, query, content type and the context
-// bounding the exchange.
-func (rt *Router) forwardByKey(r *http.Request, key []byte, body *sharedBody) (*relayedResponse, error) {
+// bounding the exchange. When named is set (a /schedule body's
+// fingerprint form) each owner is sent named first, with no peer hint
+// (it never builds), and only a 412 "table not resident" sends it the
+// full body, once.
+func (rt *Router) forwardByKey(r *http.Request, key []byte, body, named *sharedBody) (*relayedResponse, error) {
 	backend, ok := rt.ring.Owner(key)
 	if !ok {
 		rt.noBackend.Inc()
 		return nil, rt.shed("cluster: no healthy backends")
 	}
-	forward := func(backend string) (*relayedResponse, error) {
+	send := func(backend string, body *sharedBody, peer string) (*relayedResponse, error) {
 		return rt.send(r.Context(), r.Method, backend, r.URL.Path, r.URL.RawQuery,
-			r.Header.Get("Content-Type"), body, rt.peerHintFor(key, backend))
+			r.Header.Get("Content-Type"), body, peer)
+	}
+	forward := func(backend string) (*relayedResponse, error) {
+		if named != nil {
+			rr, err := send(backend, named, "")
+			if err != nil {
+				return nil, err
+			}
+			rt.fpForwards.Inc()
+			if rr.status != http.StatusPreconditionFailed {
+				return rr, nil
+			}
+			rr.body.release()
+			rt.fpResends.Inc()
+		}
+		return send(backend, body, rt.peerHintFor(key, backend))
 	}
 	rr, err := forward(backend)
 	if err == nil || !isConnError(err) {
@@ -822,11 +907,14 @@ func (rt *Router) WaitReplicaFills() {
 // the status, the headers the router forwards and the buffered body.
 // Buffering (rather than streaming) is deliberate — it pulls mid-stream
 // connection cuts into send's error return where the retry logic can
-// see them, and it lets the session-create hook read the bytes.
+// see them, and it lets the session-create hook read the bytes. The
+// body is a pooled buffer: its holder releases it once the last reader
+// is done, and not before — writeResponse, the session-create pin, a
+// migration's import of the export it relays.
 type relayedResponse struct {
 	backend    string
 	status     int
-	body       []byte
+	body       *sharedBody
 	contentTyp string
 	retryAfter string
 }
@@ -871,9 +959,11 @@ func (rt *Router) send(ctx context.Context, method, backend, path, rawQuery, con
 	if err != nil {
 		return nil, err
 	}
-	respBody, err := readAllSized(nil, resp.Body, resp.ContentLength)
+	relayed := getSharedBody()
+	relayed.b, err = readAllSized(relayed.b, resp.Body, resp.ContentLength)
 	resp.Body.Close()
 	if err != nil {
+		relayed.release()
 		return nil, err
 	}
 	rt.requests.Inc()
@@ -881,7 +971,7 @@ func (rt *Router) send(ctx context.Context, method, backend, path, rawQuery, con
 	return &relayedResponse{
 		backend:    backend,
 		status:     resp.StatusCode,
-		body:       respBody,
+		body:       relayed,
 		contentTyp: resp.Header.Get("Content-Type"),
 		retryAfter: resp.Header.Get("Retry-After"),
 	}, nil
@@ -895,9 +985,9 @@ func (rt *Router) writeResponse(w http.ResponseWriter, rr *relayedResponse) {
 	if rr.retryAfter != "" {
 		w.Header().Set("Retry-After", rr.retryAfter)
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(rr.body)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(rr.body.b)))
 	w.WriteHeader(rr.status)
-	w.Write(rr.body)
+	w.Write(rr.body.b)
 }
 
 // routeError is a failure the router answers itself, with no backend
@@ -1014,19 +1104,25 @@ func (rt *Router) migrateSession(ctx context.Context, id, src string) (string, e
 	if err != nil {
 		return "", fmt.Errorf("export: %w", err)
 	}
+	// The export's buffer is the import's request body: it is released
+	// only once the import has returned and the transport closed it.
+	defer exp.body.release()
 	if exp.status != http.StatusOK {
-		return "", fmt.Errorf("export: status %d: %.200s", exp.status, exp.body)
+		return "", fmt.Errorf("export: status %d: %.200s", exp.status, exp.body.b)
 	}
-	imp, err := rt.send(ctx, http.MethodPost, dst, "/session/import", "", "application/json", &sharedBody{b: exp.body}, "")
+	imp, err := rt.send(ctx, http.MethodPost, dst, "/session/import", "", "application/json", exp.body, "")
 	if err != nil {
 		return "", fmt.Errorf("import on %s: %w", dst, err)
 	}
+	defer imp.body.release()
 	if imp.status != http.StatusCreated {
-		return "", fmt.Errorf("import on %s: status %d: %.200s", dst, imp.status, imp.body)
+		return "", fmt.Errorf("import on %s: status %d: %.200s", dst, imp.status, imp.body.b)
 	}
 	// Best effort: the drained shard is leaving anyway, but deleting
 	// now frees its MaxSessions slot and makes double-export impossible.
-	rt.send(ctx, http.MethodDelete, src, "/session/"+id, "", "", nil, "")
+	if del, err := rt.send(ctx, http.MethodDelete, src, "/session/"+id, "", "", nil, ""); err == nil {
+		del.body.release()
+	}
 	return dst, nil
 }
 
@@ -1108,6 +1204,8 @@ type RouterStats struct {
 	AliasHits           uint64   `json:"trace_alias_hits"`
 	AliasMisses         uint64   `json:"trace_alias_misses"`
 	AliasBodyHits       uint64   `json:"trace_alias_body_hits"`
+	FingerprintForwards uint64   `json:"fingerprint_forwards"`
+	FingerprintResends  uint64   `json:"fingerprint_resends"`
 }
 
 // Stats snapshots the router's counters.
@@ -1146,6 +1244,8 @@ func (rt *Router) Stats() RouterStats {
 		AliasHits:           rt.aliasHits.Value(),
 		AliasMisses:         rt.aliasMisses.Value(),
 		AliasBodyHits:       rt.aliasBodyHits.Value(),
+		FingerprintForwards: rt.fpForwards.Value(),
+		FingerprintResends:  rt.fpResends.Value(),
 	}
 }
 

@@ -157,8 +157,11 @@ func DecodeTable(data []byte, want trace.Fingerprint, maxCells int64) (Residence
 
 // CheckShape reports whether t has the windows x data x processors
 // shape sh declares. It is the one adoption check every path that takes
-// a table it did not build itself — peer fill, replica prefill,
-// a cold-tier decode, session restore — runs before using it.
+// a table it did not build itself — peer fill, replica prefill, the
+// decode of a resident payload (the service's residentTable), session
+// restore — runs before using it. It checks the processor count, not
+// the grid's width and height: a 2x8 and a 4x4 array both pass for a
+// 16-processor table.
 func (t ResidenceTable) CheckShape(sh trace.Shape) error {
 	if t.nw != sh.NumWindows || t.nd != sh.NumData || t.np != sh.Grid.NumProcs() {
 		return fmt.Errorf("table shape %dx%dx%d does not match trace %dx%dx%d",

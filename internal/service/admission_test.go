@@ -528,6 +528,14 @@ func TestErrorContract(t *testing.T) {
 			msg:    "service: session already exists: ",
 		},
 		{
+			name: "412 table not resident",
+			prepare: func(t *testing.T) (*Service, *http.Request) {
+				return newSvc(t, Config{}), newReq(t, http.MethodPost, "/schedule", Request{Fingerprint: fingerprintOf(t, text).String(), Algorithm: "scds"})
+			},
+			status: http.StatusPreconditionFailed,
+			msg:    "service: table not resident",
+		},
+		{
 			name: "429 schedule shed",
 			prepare: func(t *testing.T) (*Service, *http.Request) {
 				svc := newSvc(t, Config{MaxInflight: 1})

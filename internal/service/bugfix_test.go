@@ -262,7 +262,7 @@ func TestCanceledWaiterDoesNotInflateSharedBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entry, _, builder, _ := svc.cache.acquire(tr.Fingerprint(), true)
+	entry, _, builder, _ := svc.cache.acquire(tr.Fingerprint(), trace.Shape{}, true)
 	if !builder {
 		t.Fatal("test did not win builder election on an empty cache")
 	}

@@ -58,6 +58,11 @@ const (
 // node is building until its table is published or adopted, and then
 // resident: it holds the table's pimtab-v2 payload, never the flat
 // cells. The schedule memo stays with the node for its whole life.
+//
+// shape is the trace shape a fingerprint-form request is answered with
+// (see Service.resolveNamed). Only a trace-carrying request sets it, at
+// acquire: its shape comes from this shard's own decode of the trace.
+// An adopted node has none until such a request reaches it.
 type cacheNode struct {
 	fp        trace.Fingerprint
 	el        *list.Element // position in the LRU list
@@ -66,6 +71,8 @@ type cacheNode struct {
 	memo      *scheduleMemo // shared by every entry minted for this node
 	memoBytes int64         // charged size of memo's stored schedules
 	bytes     int64         // accounted size: cacheNodeOverhead + len(comp) + memoBytes
+	shape     trace.Shape
+	shaped    bool // shape is set
 }
 
 // cacheNodeOverhead is charged to every node on top of its payload and
@@ -198,22 +205,23 @@ func newTableCache(maxBytes int64) *tableCache {
 	}
 }
 
-// acquire resolves fp against the cache. A builder (the first caller
-// for an absent fingerprint) must build the table and publish it, or
-// fail it; any other caller of a building node waits on entry.ready
-// before touching the table. A resident node yields its shared
-// tableless entry, holding the node's memo, together with the node's
-// immutable payload (comp, nil for a building node). Building needs the
-// trace: a caller without one passes build=false, and an absent
-// fingerprint then reports false and touches nothing — the caller
-// decodes the trace and acquires again.
+// acquire resolves fp against the cache for a request whose trace has
+// shape sh. A builder (the first caller for an absent fingerprint) must
+// build the table and publish it, or fail it; any other caller of a
+// building node waits on entry.ready before touching the table. A
+// resident node yields its shared tableless entry, holding the node's
+// memo, together with the node's immutable payload (comp, nil for a
+// building node). Building needs the trace: a caller without one passes
+// build=false, and an absent fingerprint then reports false and touches
+// nothing — the caller decodes the trace and acquires again. A node
+// acquire returns has a shape: sh, unless it had one already.
 //
 // Misses are counted here: election makes the build inevitable (it runs
 // to completion even if the requester is later abandoned), so it is a
 // fact at acquire time. Hits and shared builds are NOT counted here — a
 // waiter whose caller cancels mid-wait never receives the table, so
 // those settle later, once the request actually completes (see settle).
-func (c *tableCache) acquire(fp trace.Fingerprint, build bool) (entry *cacheEntry, comp []byte, builder, ok bool) {
+func (c *tableCache) acquire(fp trace.Fingerprint, sh trace.Shape, build bool) (entry *cacheEntry, comp []byte, builder, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, resident := c.items[fp]
@@ -225,14 +233,33 @@ func (c *tableCache) acquire(fp trace.Fingerprint, build bool) (entry *cacheEntr
 		c.misses++
 		m := &scheduleMemo{}
 		e := &cacheEntry{fp: fp, ready: make(chan struct{}), memo: m}
-		n := &cacheNode{fp: fp, entry: e, memo: m, bytes: cacheNodeOverhead}
+		n := &cacheNode{fp: fp, entry: e, memo: m, bytes: cacheNodeOverhead, shape: sh, shaped: true}
 		n.el = c.lru.PushFront(n)
 		c.items[fp] = n
 		c.bytes += n.bytes
 		return e, nil, true, true
 	}
+	if !n.shaped {
+		n.shape, n.shaped = sh, true
+	}
 	c.lru.MoveToFront(n.el)
 	return n.entry, n.comp, false, true
+}
+
+// named resolves a fingerprint-form request: a resident node with a
+// shape yields what acquire yields for it, and the shape. Anything else
+// reports false and touches nothing, so a request for a table this
+// shard does not hold counts no miss.
+func (c *tableCache) named(fp trace.Fingerprint) (entry *cacheEntry, comp []byte, sh trace.Shape, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, resident := c.items[fp]
+	if !resident || n.comp == nil || !n.shaped {
+		return nil, nil, trace.Shape{}, false
+	}
+	c.sketch.bump(fp)
+	c.lru.MoveToFront(n.el)
+	return n.entry, n.comp, n.shape, true
 }
 
 // resident reports whether fp has a table in the cache (or in flight),

@@ -30,13 +30,13 @@ func fpN(n byte) trace.Fingerprint {
 func TestTableCacheTinyCapacitySingleflights(t *testing.T) {
 	for _, max := range []int64{0, 1} {
 		c := newTableCache(max)
-		e, _, builder, _ := c.acquire(fpN(1), true)
+		e, _, builder, _ := c.acquire(fpN(1), trace.Shape{}, true)
 		if !builder {
 			t.Fatalf("max=%d: first acquire did not elect a builder", max)
 		}
 		c.publish(nil, e, cost.ResidenceTable{})
 		for i := 0; i < 3; i++ {
-			_, comp, builder, ok := c.acquire(fpN(1), true)
+			_, comp, builder, ok := c.acquire(fpN(1), trace.Shape{}, true)
 			if !ok || builder || comp == nil {
 				t.Fatalf("max=%d: acquire %d re-elected a builder or found no payload for a cached fingerprint (the entry evicted itself)", max, i)
 			}
@@ -75,7 +75,7 @@ func TestTinyCacheTablesBuiltEqualsDistinctTraces(t *testing.T) {
 func TestTableCacheNeverEvictsJustInserted(t *testing.T) {
 	c := newTableCache(1)
 	for n := byte(1); n <= 4; n++ {
-		e, _, builder, _ := c.acquire(fpN(n), true)
+		e, _, builder, _ := c.acquire(fpN(n), trace.Shape{}, true)
 		if !builder {
 			t.Fatalf("fingerprint %d: expected builder election", n)
 		}
@@ -94,7 +94,7 @@ func TestTableCacheNeverEvictsJustInserted(t *testing.T) {
 // table's payload size.
 func buildInto(t *testing.T, c *tableCache, fp trace.Fingerprint, nw, nd, np int) int64 {
 	t.Helper()
-	e, _, builder, _ := c.acquire(fp, true)
+	e, _, builder, _ := c.acquire(fp, trace.Shape{}, true)
 	if !builder {
 		t.Fatalf("fingerprint %v: expected builder election", fp[0])
 	}
@@ -136,11 +136,11 @@ func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, comp, builder, _ := c.acquire(tiny, true)
+	shared, comp, builder, _ := c.acquire(tiny, trace.Shape{}, true)
 	if builder || comp == nil || shared.ready != nil || shared.table.Cells() != nil {
 		t.Fatal("acquire of the published tiny table did not hand out the shared tableless entry")
 	}
-	if again, _, _, _ := c.acquire(tiny, true); again != shared {
+	if again, _, _, _ := c.acquire(tiny, trace.Shape{}, true); again != shared {
 		t.Fatal("a second acquire of a resident node minted a new entry")
 	}
 	in := &traceInput{sum: trace.Summary{Fingerprint: tiny, Shape: tinyShape}}
@@ -179,7 +179,7 @@ func TestTableCacheDemotesAndPromotesUnderBytePressure(t *testing.T) {
 	before := c.counters()
 	// No specs: the memo cannot answer, so residentTable must decode.
 	in = &traceInput{sum: trace.Summary{Fingerprint: fpN(1), Shape: trace.Shape{Grid: grid.New(4, 2), NumData: 8, NumWindows: 8}}}
-	shared, comp, builder, _ = c.acquire(fpN(1), true)
+	shared, comp, builder, _ = c.acquire(fpN(1), trace.Shape{}, true)
 	if builder || comp == nil {
 		t.Fatal("acquire of a published fingerprint did not hand out its payload")
 	}
@@ -213,7 +213,7 @@ func TestTableCacheAdmissionprotectsHotVictim(t *testing.T) {
 	buildInto(t, c, fpN(1), 8, 8, 8)
 	// Make fp1 provably hot.
 	for i := 0; i < 5; i++ {
-		_, comp, builder, _ := c.acquire(fpN(1), true)
+		_, comp, builder, _ := c.acquire(fpN(1), trace.Shape{}, true)
 		if builder || comp == nil {
 			t.Fatalf("warm acquire %d elected a builder or found no payload", i)
 		}
@@ -235,7 +235,7 @@ func TestTableCacheAdmissionprotectsHotVictim(t *testing.T) {
 	// genuinely recurring newcomer still displaces the old resident
 	// once its frequency catches up.
 	for i := 0; i < 6; i++ {
-		e, _, builder, _ := c.acquire(fpN(2), true)
+		e, _, builder, _ := c.acquire(fpN(2), trace.Shape{}, true)
 		if builder {
 			c.publish(nil, e, cost.NewResidenceTable(8, 8, 8))
 		}
@@ -255,7 +255,7 @@ func TestTableCacheByteAccountingConsistent(t *testing.T) {
 		buildInto(t, c, fpN(n), 8, int(n), 8)
 	}
 	for _, n := range []byte{3, 7, 11, 2, 12} {
-		if e, comp, builder, _ := c.acquire(fpN(n), true); comp != nil {
+		if e, comp, builder, _ := c.acquire(fpN(n), trace.Shape{}, true); comp != nil {
 			if _, err := cost.DecodeTable(comp, fpN(n), 0); err != nil {
 				t.Fatalf("fingerprint %d: cold payload corrupt: %v", n, err)
 			}
@@ -303,7 +303,7 @@ func TestCacheNodeOverheadCoversFootprint(t *testing.T) {
 		for i := 0; i < nodes; i++ {
 			var fp trace.Fingerprint
 			binary.LittleEndian.PutUint64(fp[:], uint64(i)*0x9e3779b97f4a7c15)
-			e, _, _, _ := c.acquire(fp, true)
+			e, _, _, _ := c.acquire(fp, trace.Shape{}, true)
 			c.publish(nil, e, cost.ResidenceTable{})
 		}
 		runtime.GC()

@@ -65,10 +65,21 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	key := trace.HashBody(buf.Bytes())
+	// A body that opens with the fingerprint key, as FingerprintBody
+	// writes it, is never in the alias (a fingerprint-form body carries
+	// no trace, and one that carries both is refused), so it is decoded
+	// without the hash.
+	named := bytes.HasPrefix(buf.Bytes(), fingerprintKey)
+	var key trace.AliasKey
+	var e aliasEntry
+	hit := false
+	if !named {
+		key = trace.HashBody(buf.Bytes())
+		e, hit = s.alias.Lookup(key)
+	}
 	var req Request
 	in := &traceInput{wire: true}
-	if e, hit := s.alias.Lookup(key); hit {
+	if hit {
 		// A repeated body: its fields come from the alias with no JSON
 		// decode, and its trace text stays in the held buffer until some
 		// step needs it (see traceInput.held). A body miss counts
@@ -86,9 +97,11 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		in.text = req.Trace
-		in.bodyAlias = &bodyAlias{key: key, entry: aliasEntry{algorithm: req.Algorithm, capacity: req.Capacity, verify: req.Verify}}
+		if !named { // a fingerprint-form request never reaches the alias (resolveText)
+			in.bodyAlias = &bodyAlias{key: key, entry: aliasEntry{algorithm: req.Algorithm, capacity: req.Capacity, verify: req.Verify}}
+		}
 	}
-	if v := r.URL.Query().Get("verify"); v == "true" || v == "1" {
+	if VerifyRequested(r) {
 		req.Verify = true
 	}
 	in.peerHint = r.Header.Get(PeerHintHeader)
@@ -128,6 +141,32 @@ func writeSchedule(w http.ResponseWriter, resp *Response) {
 	writeBody(w, http.StatusOK, buf.Bytes())
 }
 
+// fingerprintKey opens every body FingerprintBody writes.
+var fingerprintKey = []byte(`{"fingerprint":`)
+
+// FingerprintBody returns the fingerprint form of a /schedule body: the
+// trace named by fp, scheduled with algorithm at capacity. A shard
+// answers it only from a resident table (412 otherwise, see
+// ErrNotResident).
+func FingerprintBody(fp trace.Fingerprint, algorithm string, capacity int) []byte {
+	b, _ := json.Marshal(struct {
+		Fingerprint string `json:"fingerprint"`
+		Algorithm   string `json:"algorithm"`
+		Capacity    int    `json:"capacity"`
+	}{fp.String(), algorithm, capacity}) // strings and an int: it cannot fail
+	return b
+}
+
+// VerifyRequested reports whether a /schedule request's query asks for
+// a verify pass (?verify=true or ?verify=1).
+func VerifyRequested(r *http.Request) bool {
+	if r.URL.RawQuery == "" {
+		return false
+	}
+	v := r.URL.Query().Get("verify")
+	return v == "true" || v == "1"
+}
+
 // PeerHintHeader names the request header the router uses to tell a
 // shard which peer to ask for a cached table before building one
 // locally. Its value is the peer's base URL.
@@ -140,6 +179,9 @@ const PeerHintHeader = "X-Pim-Peer"
 //	     capacity, infeasible schedule, bad payload
 //	404  *ErrSessionNotFound
 //	409  *ErrSessionExists
+//	412  ErrNotResident: a fingerprint-form /schedule whose table is not
+//	     resident here (resend it with its trace); nothing else
+//	     returns 412
 //	429  ErrOverloaded (writeError adds Retry-After)
 //	501  ErrNoPeerFill
 //	502  a failed prefill fetch, including one that timed out
@@ -160,6 +202,8 @@ func errorStatus(err error) int {
 		return http.StatusNotFound
 	case errors.As(err, &exists):
 		return http.StatusConflict
+	case errors.Is(err, ErrNotResident):
+		return http.StatusPreconditionFailed
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrNoPeerFill):
@@ -276,20 +320,19 @@ func decodeJSON(data []byte, v any) error {
 	return nil
 }
 
-// TraceText takes the trace text out of a schedule-class JSON body
-// without decoding the rest: the decode is lenient, every other field
-// is left to the handler the body is for.
-func TraceText(body []byte) (string, error) {
-	var probe struct {
-		Trace string `json:"trace"`
-	}
+// ProbeRequest reads a trace-carrying JSON body's Request fields in one
+// lenient decode: fields a Request lacks are skipped, and refusing them
+// is left to the handler the body is for. A body with no trace text is
+// an error.
+func ProbeRequest(body []byte) (Request, error) {
+	var probe Request
 	if err := json.Unmarshal(body, &probe); err != nil {
-		return "", err
+		return Request{}, err
 	}
 	if probe.Trace == "" {
-		return "", errors.New("no trace field")
+		return Request{}, errors.New("no trace field")
 	}
-	return probe.Trace, nil
+	return probe, nil
 }
 
 // bufferPool holds the scratch buffers behind request decoding and

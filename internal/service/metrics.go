@@ -69,6 +69,8 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	reg.CounterFunc("pim_trace_alias_body_hits_total", "Alias hits on the raw /schedule body (no JSON decode either).", s.aliasBodyHits.Load)
 	reg.CounterFunc("pim_schedule_memo_hits_total", "Schedule specs answered from a cached table's schedule memo (no scheduler run).", s.memoHits.Load)
 	reg.CounterFunc("pim_schedule_memo_misses_total", "Schedule specs that ran the scheduler over a cached table.", s.memoMisses.Load)
+	reg.CounterFunc("pim_schedule_by_fingerprint_total", "Schedule requests naming their trace by fingerprint instead of carrying it.", s.byFingerprint.Load)
+	reg.CounterFunc("pim_schedule_fingerprint_absent_total", "Fingerprint-form schedule requests answered 412: no resident table with an established shape.", s.fingerprintAbsent.Load)
 
 	reg.CounterFunc("pim_batches_total", "Batch schedule requests completed.", s.batches.Load)
 	reg.CounterFunc("pim_batch_specs_total", "Request specs completed inside batches.", s.batchSpecs.Load)

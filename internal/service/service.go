@@ -78,6 +78,12 @@ var ErrOverloaded = errors.New("service: overloaded")
 // ErrClosed is returned for requests arriving after Close began.
 var ErrClosed = errors.New("service: shutting down")
 
+// ErrNotResident answers a fingerprint-form request (Request.Fingerprint)
+// whose fingerprint names no resident table, or one whose shape this
+// shard has not established from a decoded trace; the HTTP layer maps
+// it to 412. The caller holds the trace: it resends the request with it.
+var ErrNotResident = errors.New("service: table not resident")
+
 // RequestError marks a client-side error (malformed trace, unknown
 // algorithm, oversized body); the HTTP layer maps it to 400.
 type RequestError struct {
@@ -220,11 +226,17 @@ func (s *Service) boundTrace(text string) error {
 // format, the algorithm to run, and the per-processor memory capacity
 // (0 = unbounded). Verify additionally re-checks the schedule with the
 // independent referee (internal/verify) before responding.
+//
+// In its fingerprint form a request names its trace by Fingerprint (hex)
+// in place of Trace: it is answered only from a resident table, with the
+// shape this shard recorded for it, and otherwise fails with
+// ErrNotResident. It carries no events, so it cannot be verified.
 type Request struct {
-	Trace     string `json:"trace"`
-	Algorithm string `json:"algorithm"`
-	Capacity  int    `json:"capacity"`
-	Verify    bool   `json:"verify,omitempty"`
+	Trace       string `json:"trace"`
+	Fingerprint string `json:"fingerprint,omitempty"`
+	Algorithm   string `json:"algorithm"`
+	Capacity    int    `json:"capacity"`
+	Verify      bool   `json:"verify,omitempty"`
 
 	// PeerHint is the base URL of the shard to ask for a cached table
 	// before building one locally, set by the HTTP layer from the
@@ -295,6 +307,8 @@ type Stats struct {
 	TraceAliasBodyHits uint64 `json:"trace_alias_body_hits"`
 	MemoHits           uint64 `json:"schedule_memo_hits"`
 	MemoMisses         uint64 `json:"schedule_memo_misses"`
+	ByFingerprint      uint64 `json:"schedule_by_fingerprint"`
+	FingerprintAbsent  uint64 `json:"schedule_fingerprint_absent"`
 }
 
 // Service is a concurrent scheduling service. Create one with New; it
@@ -346,6 +360,11 @@ type Service struct {
 	aliasBodyHits atomic.Uint64
 	memoHits      atomic.Uint64
 	memoMisses    atomic.Uint64
+
+	// byFingerprint counts fingerprint-form schedule requests received,
+	// fingerprintAbsent those answered ErrNotResident.
+	byFingerprint     atomic.Uint64
+	fingerprintAbsent atomic.Uint64
 
 	// opening counts session opens holding a MaxSessions slot while
 	// they build or restore outside s.mu (openSession).
@@ -538,6 +557,8 @@ func (s *Service) Stats() Stats {
 		TraceAliasBodyHits: s.aliasBodyHits.Load(),
 		MemoHits:           s.memoHits.Load(),
 		MemoMisses:         s.memoMisses.Load(),
+		ByFingerprint:      s.byFingerprint.Load(),
+		FingerprintAbsent:  s.fingerprintAbsent.Load(),
 	}
 	cs := s.cache.counters()
 	st.CacheHits, st.CacheMisses, st.CacheSharedBuild = cs.hits, cs.misses, cs.sharedBuilds
@@ -552,9 +573,11 @@ func (s *Service) Stats() Stats {
 // fingerprint against the table cache (building at most once per
 // fingerprint), answers from the table's schedule memo (running the
 // scheduler at most once per algorithm and capacity), and optionally
-// referees the result. The context bounds the caller's wait, not the
-// computation: an expired context returns immediately while the work
-// completes in the background.
+// referees the result. A fingerprint-form request skips the text and
+// the build: it is answered from a resident table or fails with
+// ErrNotResident (see resolveNamed). The context bounds the caller's
+// wait, not the computation: an expired context returns immediately
+// while the work completes in the background.
 func (s *Service) Schedule(ctx context.Context, req Request) (*Response, error) {
 	return s.scheduleInput(ctx, req, &traceInput{text: req.Trace, peerHint: req.PeerHint})
 }
@@ -595,6 +618,8 @@ func (s *Service) countFailure(err error) {
 		s.badRequests.Add(1)
 	case http.StatusGatewayTimeout:
 		s.deadlineExpired.Add(1)
+	case http.StatusPreconditionFailed:
+		s.fingerprintAbsent.Add(1)
 	default:
 		s.internalErrors.Add(1)
 	}
@@ -606,6 +631,12 @@ func isRequestError(err error) bool {
 }
 
 func (s *Service) schedule(ctx context.Context, req Request, in *traceInput) (*Response, error) {
+	if req.Fingerprint != "" {
+		s.byFingerprint.Add(1)
+		if err := nameInput(req, in); err != nil {
+			return nil, err
+		}
+	}
 	scheduler, err := checkSpec(req.Algorithm, req.Capacity)
 	if err != nil {
 		return nil, err
@@ -622,6 +653,24 @@ func (s *Service) schedule(ctx context.Context, req Request, in *traceInput) (*R
 			resp.CacheHit = cacheHit
 			return resp, nil
 		})
+}
+
+// nameInput admits a fingerprint-form request: it names its trace by
+// fingerprint alone, so it carries no trace text and asks for no verify
+// pass (the referee reads the trace's events).
+func nameInput(req Request, in *traceInput) error {
+	if req.Trace != "" {
+		return badRequest("a request carries a trace or a fingerprint, not both")
+	}
+	if req.Verify {
+		return badRequest("verify needs the trace: a fingerprint-form request cannot be verified")
+	}
+	fp, err := trace.ParseFingerprint(req.Fingerprint)
+	if err != nil {
+		return &RequestError{Err: err}
+	}
+	in.sum.Fingerprint, in.named = fp, true
+	return nil
 }
 
 // aliasEntry is what the service's alias maps a key to. A text key's
@@ -644,6 +693,10 @@ type traceInput struct {
 	tr       *trace.Trace // nil after an alias hit until a build (true miss) or verify decodes
 	peerHint string
 	wire     bool // the HTTP handler writes the response: a memo hit's centers may stay compact
+
+	// named marks a fingerprint-form request: sum holds only the
+	// fingerprint until resolveNamed takes the shape from the node.
+	named bool
 
 	// specs are the memo keys the request's work will look up: a
 	// resident table whose memo holds them all is answered without a
@@ -771,6 +824,9 @@ func runTrace[T any](s *Service, ctx context.Context, in *traceInput, needTrace 
 // that — so a malformed or over-budget text is refused afresh on every
 // repeat.
 func (s *Service) resolveText(stages obs.Stages, in *traceInput, needTrace bool) error {
+	if in.named {
+		return nil // no text: the node resolves it (resolveNamed)
+	}
 	if in.held != nil {
 		if err := s.checkTraceScale(in.sum.Shape); err != nil {
 			return err
@@ -874,11 +930,16 @@ func (s *Service) runSpec(stages obs.Stages, in *traceInput, entry *cacheEntry, 
 // here in the worker, before the request joins the election. The
 // elected builder first tries a peer fill when a hint is present,
 // falling back silently to a local build; a builder that fails before
-// publishing fails its waiters too. The caller settles the returned
+// publishing fails its waiters too. The request's shape, which this
+// shard established from a decoded trace, becomes the node's if the
+// node has none yet (see resolveNamed). The caller settles the returned
 // outcome into the cache counters once its request completes.
 func (s *Service) resolveTable(stages obs.Stages, in *traceInput) (*cacheEntry, cacheOutcome, error) {
+	if in.named {
+		return s.resolveNamed(stages, in)
+	}
 	fp := in.sum.Fingerprint
-	entry, comp, builder, ok := s.cache.acquire(fp, in.tr != nil)
+	entry, comp, builder, ok := s.cache.acquire(fp, in.sum.Shape, in.tr != nil)
 	if comp != nil {
 		if e := s.residentTable(stages, in, entry, comp); e != nil {
 			return e, cacheOutcomeHit, nil
@@ -905,6 +966,29 @@ func (s *Service) resolveTable(stages obs.Stages, in *traceInput) (*cacheEntry, 
 		return nil, 0, entry.err
 	}
 	return entry, o, nil
+}
+
+// resolveNamed resolves a fingerprint-form request on the resident node
+// its fingerprint names, from the node's memo or a decode of its
+// payload, as residentTable answers any request. The request carries no
+// shape and none is taken from it: the node's shape is the one this
+// shard established from a decoded trace (its build, or the first
+// trace-carrying request to reach an adopted node), never a prefill's
+// declaration, which a replica cannot check against the table's grid.
+// An absent node, one still building, one with no shape yet and one
+// whose payload fails its checks all answer ErrNotResident, counting no
+// cache miss: the caller resends the request with its trace.
+func (s *Service) resolveNamed(stages obs.Stages, in *traceInput) (*cacheEntry, cacheOutcome, error) {
+	entry, comp, sh, ok := s.cache.named(in.sum.Fingerprint)
+	if !ok {
+		return nil, 0, ErrNotResident
+	}
+	in.sum.Shape = sh
+	e := s.residentTable(stages, in, entry, comp)
+	if e == nil {
+		return nil, 0, ErrNotResident
+	}
+	return e, cacheOutcomeHit, nil
 }
 
 // fillTable produces the elected builder's table: adopted from the
@@ -962,11 +1046,11 @@ func (s *Service) ensureTrace(stages obs.Stages, in *traceInput) error {
 		return nil
 	}
 	if in.text == "" && in.held != nil {
-		text, err := TraceText(in.held.Bytes())
+		probe, err := ProbeRequest(in.held.Bytes())
 		if err != nil {
 			return fmt.Errorf("service: aliased request body no longer decodes: %v", err)
 		}
-		in.text = text
+		in.text = probe.Trace
 	}
 	if err := s.decodeInput(stages, in); err != nil {
 		return fmt.Errorf("service: aliased trace text no longer decodes: %v", err)

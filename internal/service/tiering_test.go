@@ -338,7 +338,7 @@ func TestTableGetServesStoredPayload(t *testing.T) {
 	}
 
 	building := fpN(7)
-	e, _, builder, _ := svc.cache.acquire(building, true)
+	e, _, builder, _ := svc.cache.acquire(building, trace.Shape{}, true)
 	if !builder {
 		t.Fatal("no builder elected for a fresh fingerprint")
 	}

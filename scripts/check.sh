@@ -85,9 +85,11 @@ go test -race -run '^TestGOMCDSMatchesDenseReference$' ./internal/sched
 # exactly zero allocs/op, a capacity-tracked GOMCDS run must stay under
 # one allocation per (item, window), SCDS and LOMCDS runs must allocate
 # per window, not per (window, item), the cache-hot full-service Schedule
-# call must stay inside its fixed budget, and so must a body-alias hit through the
-# HTTP handler (allocs and bytes, so the request's JSON decode cannot
-# come back). They already ran under ./... above;
+# call must stay inside its fixed budget (in its trace and its
+# fingerprint form), and so must a body-alias hit and a fingerprint-form
+# request through the HTTP handler (allocs and bytes, so the request's
+# JSON decode cannot come back), and a /schedule relayed by the router
+# (bytes, so its response buffer stays pooled). They already ran under ./... above;
 # this named gate re-runs them without the race runtime so the pins
 # measure the production allocator, and survives narrower invocations.
 echo "== allocation pins (no race) =="
@@ -95,7 +97,8 @@ go test -run '^(TestSolveBatchZeroAlloc|TestSolveFromIntoZeroAlloc)$' -v ./inter
 go test -run '^(TestGOMCDSCapacityAllocsBounded|TestLOMCDSAllocsBounded|TestSCDSAllocsBounded)$' -v ./internal/sched
 go test -run '^(TestResidenceRowIntoZeroAlloc|TestPatchEditItemZeroAlloc|TestPatchRemoveWindowZeroAlloc)$' -v ./internal/cost
 go test -run '^(TestApplyEditItemZeroAlloc|TestScheduleIncrementalSuffixResumeAllocs)$' -v ./internal/delta
-go test -run '^(TestScheduleSteadyStateAllocsBounded|TestBodyAliasHitAllocsBounded)$' -v ./internal/service
+go test -run '^(TestScheduleSteadyStateAllocsBounded|TestBodyAliasHitAllocsBounded|TestFingerprintFormAllocsBounded)$' -v ./internal/service
+go test -run '^TestRouterRelayAllocsBounded$' -v ./internal/cluster
 
 # Processor list referee: the paper's processor list (Algorithms 1-2)
 # is one capacity-aware argmin, placement.Tracker.PlaceCheapest. It must
@@ -190,12 +193,22 @@ go test -race -run '^TestRouterSettlesUnsupportedPrefill$' ./internal/cluster
 # body; a prefill on a body-alias hit adopted by the replica; a 501
 # prefill settled; replica fills running in parallel; a pooled request
 # body recycled only once the handler and every upstream reader let go,
-# even when the transport reads it after the response has arrived.
-# Under the race detector; they already ran under ./... above, the named
-# gate survives narrower invocations.
+# even when the transport reads it after the response has arrived (the
+# full body and its fingerprint form alike). Schedule by fingerprint: a
+# repeated /schedule body a shard has answered crosses the second hop
+# as its fingerprint form, bit-identical to the full body and a fresh
+# service (memo hit and payload decode); a table evicted in between
+# costs exactly one resend (412, then the full body) with the same
+# bytes; verify in the body or the query always ships the trace; under
+# concurrent eviction churn the router's forwards and resends equal the
+# shards' fingerprint-form requests and 412s; an absent fingerprint is
+# a 412 that counts no miss, build or memo entry; a malformed
+# fingerprint-form body is a 400; and a prefill declaring the wrong
+# grid cannot poison the memo. Under the race detector; they already
+# ran under ./... above, the named gate survives narrower invocations.
 echo "== router forward (-race) =="
-go test -race -run '^(TestRouterErrorContract|TestRouterFillLedgerBounded|TestRouterPrefillOnBodyHit|TestRouterSettlesUnsupportedPrefill|TestRouterFillsReplicasInParallel|TestSharedBodyReleasedByLastHolder|TestRouterBodyOutlivesRoundTrip)$' ./internal/cluster
-go test -race -run '^(TestResidentPrefillDecodesNothing|TestPrefillRefusesBadBodies)$' ./internal/service
+go test -race -run '^(TestRouterErrorContract|TestRouterFillLedgerBounded|TestRouterPrefillOnBodyHit|TestRouterSettlesUnsupportedPrefill|TestRouterFillsReplicasInParallel|TestSharedBodyReleasedByLastHolder|TestRouterBodyOutlivesRoundTrip|TestRouterFingerprintResendOnEviction|TestRouterVerifyShipsTrace|TestClusterFingerprintCountersSettle)$' ./internal/cluster
+go test -race -run '^(TestResidentPrefillDecodesNothing|TestPrefillRefusesBadBodies|TestFingerprintFormBitIdentical|TestFingerprintFormAbsent412|TestFingerprintFormRefusals|TestPrefillWrongGridCannotPoisonMemo)$' ./internal/service
 
 # The cluster referees: the in-process multi-backend harness (router
 # over three real services) proving routed, batched, and peer-filled
@@ -315,23 +328,27 @@ for series in \
 done
 # Every one of the 24 client requests is one upstream send (the router
 # does not coalesce; identical requests collapse in the owning shard's
-# schedule memo), the latency histogram counts exactly those sends, and
-# every routed request resolved through the router's alias exactly once
-# (a hit or a miss); body hits, the hits that skipped the JSON decode
-# too, are a subset of the hits.
+# schedule memo), plus one for each fingerprint-form send a shard
+# answered 412 and the router resent in full; the latency histogram
+# counts exactly those sends, and every routed request resolved through
+# the router's alias exactly once (a hit or a miss); body hits, the hits
+# that skipped the JSON decode too, are a subset of the hits. The 6
+# traces repeat, so some repeats must have gone in fingerprint form.
 scrape_val() { sed -n "s/^$1 \([0-9][0-9]*\)\$/\1/p" <<<"$ROUTER_SCRAPE"; }
 REQS="$(scrape_val pim_router_requests_total)"
 DUR="$(scrape_val pim_router_request_duration_seconds_count)"
 AHIT="$(scrape_val pim_router_trace_alias_hits_total)"
 AMISS="$(scrape_val pim_router_trace_alias_misses_total)"
 ABODY="$(scrape_val pim_router_trace_alias_body_hits_total)"
-if [ -z "$REQS" ] || [ -z "$DUR" ] || [ -z "$AHIT" ] || [ -z "$AMISS" ] || [ -z "$ABODY" ]; then
+FWD="$(scrape_val pim_router_fingerprint_forwards_total)"
+RESEND="$(scrape_val pim_router_fingerprint_resends_total)"
+if [ -z "$REQS" ] || [ -z "$DUR" ] || [ -z "$AHIT" ] || [ -z "$AMISS" ] || [ -z "$ABODY" ] || [ -z "$FWD" ] || [ -z "$RESEND" ]; then
 	echo "check.sh: router /metrics missing request accounting series"
 	echo "$ROUTER_SCRAPE"
 	exit 1
 fi
-if [ "$REQS" -ne 24 ] || [ "$DUR" -ne "$REQS" ] || [ $((AHIT + AMISS)) -ne 24 ]; then
-	echo "check.sh: router accounting: requests=$REQS duration_count=$DUR alias_hits=$AHIT alias_misses=$AMISS; want requests=24, duration_count=requests, alias hits+misses=24"
+if [ "$REQS" -ne $((24 + RESEND)) ] || [ "$DUR" -ne "$REQS" ] || [ $((AHIT + AMISS)) -ne 24 ] || [ "$FWD" -le 0 ]; then
+	echo "check.sh: router accounting: requests=$REQS duration_count=$DUR alias_hits=$AHIT alias_misses=$AMISS fingerprint_forwards=$FWD fingerprint_resends=$RESEND; want requests=24+resends, duration_count=requests, alias hits+misses=24, fingerprint_forwards>0"
 	exit 1
 fi
 if [ "$ABODY" -gt "$AHIT" ]; then
